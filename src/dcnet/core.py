@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 
 class DcnetError(Exception):
@@ -50,17 +50,6 @@ class DepthError(DcnetError):
 # relation taxonomy
 
 
-class Dimension(Enum):
-    SET = "set"
-    DOMAIN = "domain"
-
-
-class Orientation(Enum):
-    LONGITUDINAL = "longitudinal"
-    LATERAL = "lateral"
-    NONE = "none"
-
-
 class RelationKind(Enum):
     BELONG_TO = "BELONG_TO"
     EQUAL = "EQUAL"
@@ -95,22 +84,6 @@ _LATERAL = {
     RelationKind.MOVE,
     RelationKind.EQUAL,
 }
-
-_SET_DIM = {RelationKind.BELONG_TO, RelationKind.EQUAL}
-
-
-def kind_dimension(kind: RelationKind) -> Dimension:
-    # EQUAL sits in both dimensions; report SET, orientation() still says lateral.
-    return Dimension.SET if kind in _SET_DIM else Dimension.DOMAIN
-
-
-def kind_orientation(kind: RelationKind) -> Orientation:
-    if kind in _LONGITUDINAL:
-        return Orientation.LONGITUDINAL
-    if kind in _LATERAL:
-        return Orientation.LATERAL
-    return Orientation.NONE
-
 
 def is_longitudinal(kind: RelationKind) -> bool:
     return kind in _LONGITUDINAL
@@ -274,9 +247,6 @@ class DerivedMapping:
     """Injective, total-on-base correspondence base element -> derived element."""
 
     pairs: dict[str, str] = field(default_factory=dict)
-
-    def image(self, base_id: str) -> Optional[str]:
-        return self.pairs.get(base_id)
 
 
 @dataclass
@@ -711,7 +681,121 @@ def _component(net: CognitiveNetwork, root: str, restrict: Optional[set[str]]) -
 
 
 # ---------------------------------------------------------------------------
-# derived network check
+# pattern matching
+
+
+_SYMMETRIC_KINDS = (RelationKind.EQUAL, RelationKind.XOR)
+
+
+class PatternRelation(Protocol):
+    """A pattern relation: a base ``Relation`` or a query ``TemplateRelation``."""
+
+    id: str
+    kind: RelationKind
+    a: str
+    b: str
+
+
+def match_pattern(
+    net: CognitiveNetwork,
+    nodes: Sequence[tuple[str, Sequence[str]]],
+    node_ok: Callable[[str, str], bool],
+    relations: Sequence[PatternRelation],
+    relation_pool: Sequence[str],
+    relation_ok: Callable[[PatternRelation, Relation], bool],
+) -> Iterator[dict[str, str]]:
+    """Every injective, topology-preserving mapping of a pattern into ``net``.
+
+    ``nodes`` pairs each pattern node with its candidate images and is placed
+    first, in the given order.  Each pattern relation follows once both of its
+    ends are placed; its images come from the relations incident to a placed
+    end's image, taken in ``relation_pool`` order, and only a relation with no
+    end in the pattern scans the whole pool.  An image relation must join the
+    ends' images (either way round for symmetric kinds).  As soon as all the
+    pattern ends of an unplaced relation are placed, some unused image must
+    remain for it, or the branch is cut.  Mappings are yielded in search
+    order, so the first is the smallest in placement order and pool order.
+    """
+    ordered = _endpoint_first(relations)
+    pattern_ids = {node for node, _ in nodes} | {rel.id for rel in ordered}
+    rank = {rel_id: i for i, rel_id in enumerate(relation_pool)}
+    watchers: dict[str, list[PatternRelation]] = {}
+    for rel in ordered:
+        for end in (rel.a, rel.b):
+            if end in pattern_ids:
+                watchers.setdefault(end, []).append(rel)
+    assignment: dict[str, str] = {}
+    used: set[str] = set()
+
+    def images(rel: PatternRelation) -> Iterator[str]:
+        im_a, im_b = assignment.get(rel.a), assignment.get(rel.b)
+        anchor = im_a if im_a is not None else im_b
+        pool = relation_pool
+        if anchor is not None:
+            pool = sorted((r for r in net.incident(anchor) if r in rank), key=rank.__getitem__)
+        ends = [(im_a, im_b)]
+        if rel.kind in _SYMMETRIC_KINDS:
+            ends.append((im_b, im_a))
+        for rel_id in pool:
+            if rel_id in used:
+                continue
+            image = net.relations[rel_id]
+            if not any(
+                (ea is None or ea == image.a) and (eb is None or eb == image.b) for ea, eb in ends
+            ):
+                continue
+            if relation_ok(rel, image):
+                yield rel_id
+
+    def viable(placed: str) -> bool:
+        for rel in watchers.get(placed, ()):
+            if rel.id in assignment:
+                continue
+            if all(end in assignment for end in (rel.a, rel.b) if end in pattern_ids):
+                if next(images(rel), None) is None:
+                    return False
+        return True
+
+    def place(key: str, candidates: Iterable[str], step: int) -> Iterator[dict[str, str]]:
+        for image in candidates:
+            assignment[key] = image
+            used.add(image)
+            if viable(key):
+                yield from extend(step + 1)
+            used.discard(image)
+            del assignment[key]
+
+    def extend(step: int) -> Iterator[dict[str, str]]:
+        if step < len(nodes):
+            node, pool = nodes[step]
+            yield from place(node, (d for d in pool if d not in used and node_ok(node, d)), step)
+        elif step < len(nodes) + len(ordered):
+            rel = ordered[step - len(nodes)]
+            yield from place(rel.id, images(rel), step)
+        else:
+            yield dict(assignment)
+
+    return extend(0)
+
+
+def _endpoint_first(relations: Sequence[PatternRelation]) -> list[PatternRelation]:
+    """Pattern relations in the given order, except that each follows those it ends on."""
+    pending = list(relations)
+    rel_ids = {rel.id for rel in pending}
+    ordered: list[PatternRelation] = []
+    placed: set[str] = set()
+    while pending:
+        for rel in pending:
+            if all(end not in rel_ids or end in placed for end in (rel.a, rel.b)):
+                break
+        else:
+            raise StructureError(
+                f"pattern relations end on each other in a cycle: {sorted(r.id for r in pending)}"
+            )
+        pending.remove(rel)
+        ordered.append(rel)
+        placed.add(rel.id)
+    return ordered
 
 
 def check_derived_network(
@@ -719,73 +803,43 @@ def check_derived_network(
     derived_ids: Iterable[str],
     base_ids: Iterable[str],
     wildcards: frozenset[str] = frozenset(),
-    enumerate_all: bool = False,
-) -> Union[Optional[DerivedMapping], list[DerivedMapping]]:
+) -> Optional[DerivedMapping]:
     """Search for an injective, topology-preserving, belong-to-respecting mapping.
 
     Every base element must receive an image among ``derived_ids``; extra
     derived elements are allowed.  ``wildcards`` names base elements whose
-    belong-to requirement is waived (query variables).  Exhaustive backtracking,
-    intended for desk-scale fragments.
+    belong-to requirement is waived (query variables).  Base concepts are
+    placed in id order, then base relations in id order, each after the base
+    relations it ends on; the first mapping in ``derived_ids`` order wins.
     """
     derived_pool = list(dict.fromkeys(derived_ids))
     base_pool = list(dict.fromkeys(base_ids))
-    base_concepts = sorted(b for b in base_pool if b in net.concepts)
-    base_relations = sorted(b for b in base_pool if b in net.relations)
     for missing in (b for b in base_pool if not net.has(b)):
         raise LookupMissing(f"unknown base element: {missing}")
-
     derived_concepts = [d for d in derived_pool if d in net.concepts]
-    derived_relations = [d for d in derived_pool if d in net.relations]
-
-    order = base_concepts + base_relations
-    solutions: list[DerivedMapping] = []
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    nodes = [(b, derived_concepts) for b in sorted(b for b in base_pool if b in net.concepts)]
+    base_relations = [net.relations[b] for b in sorted(b for b in base_pool if b in net.relations)]
 
     def concept_ok(b: str, d: str) -> bool:
         return b in wildcards or belongs_to(net, d, b)
 
-    def relation_ok(b: str, d: str) -> bool:
-        b_rel = net.relations[b]
-        d_rel = net.relations[d]
-        if b_rel.kind is not d_rel.kind and b not in lineage(net, d):
+    def relation_ok(base: PatternRelation, image: Relation) -> bool:
+        if base.kind is not image.kind and base.id not in lineage(net, image.id):
             return False
-        im_a, im_b = assignment.get(b_rel.a), assignment.get(b_rel.b)
-        pairs = [(d_rel.a, d_rel.b)]
-        if b_rel.kind in (RelationKind.EQUAL, RelationKind.XOR):
-            pairs.append((d_rel.b, d_rel.a))
-        end_ok = any(
-            (im_a is None or im_a == da) and (im_b is None or im_b == db) for da, db in pairs
-        )
-        if not end_ok:
-            return False
-        if b in wildcards:
+        if base.id in wildcards:
             return True
-        return relation_subsumes(net, d, b) or belongs_to(net, d, b)
+        return relation_subsumes(net, image.id, base.id) or belongs_to(net, image.id, base.id)
 
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            solutions.append(DerivedMapping(dict(assignment)))
-            return not enumerate_all
-        b = order[idx]
-        pool = derived_concepts if b in net.concepts else derived_relations
-        check = concept_ok if b in net.concepts else relation_ok
-        for d in pool:
-            if d in used or not check(b, d):
-                continue
-            assignment[b] = d
-            used.add(d)
-            if extend(idx + 1):
-                return True
-            del assignment[b]
-            used.discard(d)
-        return False
-
-    extend(0)
-    if enumerate_all:
-        return solutions
-    return solutions[0] if solutions else None
+    search = match_pattern(
+        net,
+        nodes,
+        concept_ok,
+        base_relations,
+        [d for d in derived_pool if d in net.relations],
+        relation_ok,
+    )
+    found = next(search, None)
+    return None if found is None else DerivedMapping(found)
 
 
 def element_count(net: CognitiveNetwork) -> int:

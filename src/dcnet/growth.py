@@ -64,7 +64,7 @@ def grow_concept(
     return new_id
 
 
-def _fits_end(net: CognitiveNetwork, instance: str, end: str) -> bool:
+def fits_end(net: CognitiveNetwork, instance: str, end: str) -> bool:
     if belongs_to(net, instance, end):
         return True
     if instance in net.relations and end in net.relations:
@@ -106,9 +106,9 @@ def grow_link(
     if net.state(a).status is Status.SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {a} is blocked")
 
-    if _fits_end(net, a, base_rel.a):
+    if fits_end(net, a, base_rel.a):
         a_slot, far_base = True, base_rel.b
-    elif _fits_end(net, a, base_rel.b):
+    elif fits_end(net, a, base_rel.b):
         a_slot, far_base = False, base_rel.a
     else:
         raise StructureError(

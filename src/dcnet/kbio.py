@@ -7,7 +7,7 @@ and parse -> serialize -> parse is an identity.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, TextIO, Union
 
 from .core import (
@@ -17,13 +17,15 @@ from .core import (
     DcnetError,
     Gaussian,
     Interval,
+    ParameterError,
+    ProbabilityState,
     Relation,
     RelationKind,
     Status,
     classify_tree_network,
 )
 from .growth import ConceptSpec, FitTask, RelationSpec, make_task
-from .probability import EngineConfig, Mode
+from .probability import EngineConfig, parse_config_value
 from .trace import Trace, TraceEvent
 
 
@@ -238,9 +240,7 @@ def _parse_tree_line(net, tokens, line_no, line) -> None:
         raise ParseError(str(err), line_no) from err
 
 
-def _parse_state(raw: str, line_no: int, line: str) -> "ProbabilityState":
-    from .core import ProbabilityState
-
+def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
     parts = raw.split(",")
     if len(parts) != 4:
         raise ParseError(f"bad state spec {raw}", line_no, _column_of(line, raw))
@@ -320,21 +320,18 @@ class ScenarioDoc:
     relations: list[RelationSpec] = field(default_factory=list)
     expects: list[Expectation] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    config_line: int = 0  # line of the last config statement
 
 
-_CONFIG_KEYS = {
-    "collapse": "collapse_threshold",
-    "activation": "activation_threshold",
-    "epsilon": "decay_epsilon",
-    "mode": "mode",
-    "k": "default_k",
-    "max_hops": "max_hops",
-    "branch_limit": "branch_limit",
-    "depth_limit": "match_depth_limit",
-    "discard_floor": "discard_floor",
-    "merge_overlap": "merge_overlap",
-    "confirm_count": "confirm_count",
+# short scenario names of config fields; every other field keeps its own name
+_CONFIG_ALIASES = {
+    "collapse_threshold": "collapse",
+    "activation_threshold": "activation",
+    "decay_epsilon": "epsilon",
+    "default_k": "k",
+    "match_depth_limit": "depth_limit",
 }
+_CONFIG_KEYS = {_CONFIG_ALIASES.get(f.name, f.name): f.name for f in fields(EngineConfig)}
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
@@ -349,9 +346,17 @@ def parse_scenario(text: str) -> ScenarioDoc:
             for key, value in _kv(tokens[1:], line_no, line).items():
                 if key not in _CONFIG_KEYS:
                     raise ParseError(f"unknown config key {key}", line_no, _column_of(line, key))
+                try:
+                    parse_config_value(_CONFIG_KEYS[key], value)
+                except ValueError as err:
+                    token = f"{key}={value}"
+                    raise ParseError(
+                        f"bad config value {token}: {err}", line_no, _column_of(line, token)
+                    ) from err
                 if key in doc.config:
                     doc.warnings.append(f"line {line_no}: duplicate config key {key}; last wins")
                 doc.config[key] = value
+                doc.config_line = line_no
         elif head == "input":
             if len(tokens) < 2:
                 raise ParseError("input needs a base id", line_no)
@@ -423,31 +428,14 @@ def parse_scenario(text: str) -> ScenarioDoc:
 
 def engine_config(doc: ScenarioDoc, base: Optional[EngineConfig] = None) -> EngineConfig:
     """Scenario overrides applied over engine defaults."""
-    config = base if base is not None else EngineConfig()
-    kw = {
-        "collapse_threshold": config.collapse_threshold,
-        "activation_threshold": config.activation_threshold,
-        "decay_epsilon": config.decay_epsilon,
-        "mode": config.mode,
-        "default_k": config.default_k,
-        "max_hops": config.max_hops,
-        "branch_limit": config.branch_limit,
-        "match_depth_limit": config.match_depth_limit,
-        "discard_floor": config.discard_floor,
-        "merge_overlap": config.merge_overlap,
-        "confirm_count": config.confirm_count,
-    }
-    for key, raw in doc.config.items():
-        field_name = _CONFIG_KEYS[key]
-        if field_name == "mode":
-            kw["mode"] = Mode(raw.lower())
-        elif field_name == "max_hops":
-            kw[field_name] = None if raw in ("", "none") else int(raw)
-        elif field_name in ("branch_limit", "match_depth_limit", "confirm_count"):
-            kw[field_name] = int(raw)
-        else:
-            kw[field_name] = float(raw)
-    return EngineConfig(**kw)
+    try:
+        overrides = {
+            _CONFIG_KEYS[key]: parse_config_value(_CONFIG_KEYS[key], raw)
+            for key, raw in doc.config.items()
+        }
+        return replace(base if base is not None else EngineConfig(), **overrides)
+    except (ValueError, ParameterError) as err:
+        raise ParseError(f"bad config: {err}", doc.config_line) from err
 
 
 def build_task(kb: CognitiveNetwork, doc: ScenarioDoc, base_config: Optional[EngineConfig] = None) -> FitTask:

@@ -8,7 +8,7 @@ never having stopped.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, TextIO, Union
 
 from .core import (
@@ -24,7 +24,16 @@ from .core import (
     belongs_to,
     is_lateral,
 )
-from .growth import DeferredGrowth, FitState, FitTask, Fork, FragmentRecord, grow_concept, grow_link
+from .growth import (
+    DeferredGrowth,
+    FitState,
+    FitTask,
+    Fork,
+    FragmentRecord,
+    fits_end,
+    grow_concept,
+    grow_link,
+)
 from .kbio import ParseError, parse_kb, serialize_kb
 from .probability import (
     ContributionLedger,
@@ -32,7 +41,8 @@ from .probability import (
     Gaussian,
     LaunchRecord,
     LedgerEntry,
-    Mode,
+    format_config_value,
+    parse_config_value,
 )
 from .trace import Trace, TraceEvent
 
@@ -159,14 +169,12 @@ class ChainStep:
     prob: float
 
 
-def _lateral_candidates(
+def lateral_candidates(
     net: CognitiveNetwork,
     current: str,
     kinds: frozenset[RelationKind],
     direction: str,
 ) -> list[tuple[float, str, bool]]:
-    from .growth import _fits_end
-
     out: list[tuple[float, str, bool]] = []
     for rel in net.relations.values():
         if rel.kind not in kinds or not is_lateral(rel.kind):
@@ -174,10 +182,10 @@ def _lateral_candidates(
         fwd = rel.cond.forward
         bwd = rel.cond.backward
         if direction in ("forward", "both") and not isinstance(fwd, Gaussian):
-            if _fits_end(net, current, rel.a) and float(fwd) > 0.0:
+            if fits_end(net, current, rel.a) and float(fwd) > 0.0:
                 out.append((float(fwd), rel.id, True))
         if direction in ("backward", "both") and not isinstance(bwd, Gaussian):
-            if _fits_end(net, current, rel.b) and float(bwd) > 0.0:
+            if fits_end(net, current, rel.b) and float(bwd) > 0.0:
                 out.append((float(bwd), rel.id, False))
     out.sort(key=lambda item: (-item[0], item[1], not item[2]))
     return out
@@ -266,7 +274,7 @@ def reason_chain(
     current = start
     prob = 1.0
     for _ in range(max_steps):
-        candidates = _lateral_candidates(net, current, kinds_set, direction)
+        candidates = lateral_candidates(net, current, kinds_set, direction)
         if not candidates:
             break
         cond, base_rel_id, forward = candidates[0]
@@ -380,19 +388,7 @@ def _base_of_endpoint(net: CognitiveNetwork, mapping: dict[str, str], inst_el: s
 
 
 def _config_lines(config: EngineConfig) -> list[str]:
-    return [
-        f"collapse_threshold={config.collapse_threshold!r}",
-        f"activation_threshold={config.activation_threshold!r}",
-        f"decay_epsilon={config.decay_epsilon!r}",
-        f"mode={config.mode.value}",
-        f"default_k={config.default_k!r}",
-        f"max_hops={'' if config.max_hops is None else config.max_hops}",
-        f"branch_limit={config.branch_limit}",
-        f"match_depth_limit={config.match_depth_limit}",
-        f"discard_floor={config.discard_floor!r}",
-        f"merge_overlap={config.merge_overlap!r}",
-        f"confirm_count={config.confirm_count}",
-    ]
+    return [f"{f.name}={format_config_value(getattr(config, f.name))}" for f in fields(config)]
 
 
 def _emit_state(state: FitState, out: list[str]) -> None:
@@ -613,17 +609,13 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
     config_kw: dict[str, object] = {}
     for line in _read_block(reader, "config"):
         key, _, value = line.partition("=")
-        if key == "mode":
-            config_kw["mode"] = Mode(value)
-        elif key == "max_hops":
-            config_kw["max_hops"] = int(value) if value else None
-        elif key in ("branch_limit", "match_depth_limit", "confirm_count"):
-            config_kw[key] = int(value)
-        else:
-            config_kw[key] = float(value)
+        try:
+            config_kw[key] = parse_config_value(key, value)
+        except ValueError as err:
+            raise LoadError(f"bad config line {line!r}: {err}", reader.line_no) from err
     try:
         config = EngineConfig(**config_kw)
-    except (TypeError, DcnetError) as err:
+    except DcnetError as err:
         raise LoadError(f"bad config: {err}", reader.line_no) from err
 
     processed = 0

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, get_type_hints
 
 from .core import (
     CognitiveNetwork,
@@ -27,6 +27,7 @@ from .core import (
     Relation,
     RelationKind,
     Status,
+    belongs_to,
     kind_compatible,
 )
 from .trace import Trace
@@ -34,6 +35,8 @@ from .trace import Trace
 __all__ = [
     "Mode",
     "EngineConfig",
+    "parse_config_value",
+    "format_config_value",
     "LedgerEntry",
     "LaunchRecord",
     "ContributionLedger",
@@ -80,8 +83,6 @@ class EngineConfig:
     discard_floor: float = 0.05
     merge_overlap: float = 0.5
     confirm_count: int = 5
-    # condition-5 hooks: kind -> predicate(relation, contribution) -> stop?
-    stop_rules: dict[RelationKind, Callable[[Relation, float], bool]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 < self.activation_threshold < self.collapse_threshold <= 1:
@@ -96,6 +97,33 @@ class EngineConfig:
         if self.mode is Mode.SIMPLIFIED:
             return result >= 1.0
         return result >= self.collapse_threshold
+
+
+_CONFIG_TYPES = get_type_hints(EngineConfig)
+
+
+def parse_config_value(name: str, raw: str) -> object:
+    """The typed value of ``EngineConfig`` field ``name`` from its text; ValueError if malformed."""
+    kind = _CONFIG_TYPES.get(name)
+    if kind is None:
+        raise ValueError(f"unknown config key {name!r}")
+    if kind is Mode:
+        return Mode(raw.lower())
+    if kind == Optional[int]:
+        return None if raw in ("", "none") else int(raw)
+    if kind is int:
+        return int(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {raw}")
+    return value
+
+
+def format_config_value(value: object) -> str:
+    """The text of one config value, as ``parse_config_value`` reads it back."""
+    if isinstance(value, Mode):
+        return value.value
+    return "" if value is None else repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +255,6 @@ class ContributionLedger:
 
     def record(self, launch_id: int, source: str, target: str, via: str, contribution: float) -> None:
         self.entries.append(LedgerEntry(launch_id, source, target, via, contribution))
-
-    def entries_for(self, target: str) -> list[LedgerEntry]:
-        return [e for e in self.entries if e.target == target]
 
     def replay(self, initial: float, target: str, mode: Mode = Mode.EXACT) -> float:
         acc = initial
@@ -371,9 +396,6 @@ def pps_launch(
         rel = net.relations[via]
         if rel.state.status is Status.SUPPRESSED:
             continue
-        rule = config.stop_rules.get(rel.kind)
-        if rule is not None and rule(rel, contribution):
-            continue
         visited.add(target)
         if rel.state.status is Status.SUPERPOSED and via not in visited:
             visited.add(via)
@@ -483,8 +505,6 @@ def settle(
 
 def _xor_partners(net: CognitiveNetwork, x: str) -> list[str]:
     """Elements tied to x by mutual exclusion, directly or through belong-to lineage."""
-    from .core import belongs_to  # local import to keep module load order simple
-
     partners: list[str] = []
     for rel in net.relations.values():
         if rel.kind is not RelationKind.XOR:

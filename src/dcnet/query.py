@@ -15,10 +15,11 @@ from .core import (
     RelationKind,
     StructureError,
     belongs_to,
+    match_pattern,
     relation_subsumes,
 )
-from .lifecycle import grow_across, _lateral_candidates
-from .probability import ContributionLedger, EngineConfig
+from .lifecycle import grow_across, lateral_candidates
+from .probability import ContributionLedger, EngineConfig, param_membership
 from .trace import NullTrace
 
 
@@ -81,9 +82,6 @@ class QueryOutcome:
     budget_exhausted: bool = False
 
 
-_SYMMETRIC = (RelationKind.EQUAL, RelationKind.XOR)
-
-
 def _element_ok(net: CognitiveNetwork, element: TemplateElement, image: str) -> bool:
     if element.var:
         if element.base is None:
@@ -96,104 +94,51 @@ def _element_ok(net: CognitiveNetwork, element: TemplateElement, image: str) -> 
     return image == element.base or belongs_to(net, image, element.base)
 
 
-def _relation_ok(
-    net: CognitiveNetwork,
-    template_rel: TemplateRelation,
-    image: Relation,
-    assignment: dict[str, str],
-) -> bool:
-    from .probability import param_membership
-
+def _relation_ok(net: CognitiveNetwork, template_rel: TemplateRelation, image: Relation) -> bool:
     if image.kind is not template_rel.kind:
         return False
     for name, spec in template_rel.params.items():
         if param_membership(spec, image.params.get(name)) < 1.0:
             return False
     if template_rel.base is not None and net.has(template_rel.base):
-        if not (
-            relation_subsumes(net, image.id, template_rel.base)
-            or belongs_to(net, image.id, template_rel.base)
-        ):
-            return False
-    im_a = assignment.get(template_rel.a)
-    im_b = assignment.get(template_rel.b)
-    pairs = [(image.a, image.b)]
-    if template_rel.kind in _SYMMETRIC:
-        pairs.append((image.b, image.a))
-    return any(
-        (im_a is None or im_a == ia) and (im_b is None or im_b == ib) for ia, ib in pairs
-    )
+        return relation_subsumes(net, image.id, template_rel.base) or belongs_to(
+            net, image.id, template_rel.base
+        )
+    return True
 
 
 def query_match(template: QueryTemplate, store: CognitiveNetwork) -> list[Binding]:
     """All total variable assignments whose instantiated pattern matches completely.
 
-    Deterministic: bindings are produced and returned in lexicographic order of
-    the bound element ids.
+    Deterministic: bindings are deduplicated and returned in lexicographic
+    order of the bound element ids.
     """
     template.validate()
-    element_order = sorted(template.elements, key=lambda e: e.id)
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-    bindings: list[Binding] = []
-
+    elements = {e.id: e for e in template.elements}
     concepts = sorted(store.concepts)
     relations = sorted(store.relations)
 
-    def relations_consistent() -> bool:
-        for rel in template.relations:
-            if rel.a in assignment and rel.b in assignment and rel.id not in assignment:
-                if not any(
-                    r not in used and _relation_ok(store, rel, store.relations[r], assignment)
-                    for r in relations
-                ):
-                    return False
-        return True
+    def pool(element: TemplateElement) -> list[str]:
+        if element.var and element.base is None:
+            return concepts + relations
+        if element.base is not None and element.base in store.relations:
+            return relations
+        return concepts
 
-    def place_relations(idx: int) -> None:
-        rels = sorted(template.relations, key=lambda r: r.id)
-        if idx == len(rels):
-            values = {v: assignment[v] for v in template.variables()}
-            binding = Binding(values)
-            if binding.sort_key() not in {b.sort_key() for b in bindings}:
-                bindings.append(binding)
-            return
-        rel = rels[idx]
-        for r in relations:
-            if r in used:
-                continue
-            if _relation_ok(store, rel, store.relations[r], assignment):
-                assignment[rel.id] = r
-                used.add(r)
-                place_relations(idx + 1)
-                used.discard(r)
-                del assignment[rel.id]
-
-    def place_elements(idx: int) -> None:
-        if idx == len(element_order):
-            place_relations(0)
-            return
-        el = element_order[idx]
-        if el.var and el.base is None:
-            pool = concepts + relations
-        elif el.base is not None and el.base in store.relations:
-            pool = relations
-        else:
-            pool = concepts
-        for image in pool:
-            if image in used:
-                continue
-            if _element_ok(store, el, image):
-                assignment[el.id] = image
-                used.add(image)
-                if relations_consistent():
-                    place_elements(idx + 1)
-                used.discard(image)
-                del assignment[el.id]
-
-    place_elements(0)
-    bindings.sort(key=Binding.sort_key)
-    return bindings
+    search = match_pattern(
+        store,
+        [(e.id, pool(e)) for e in sorted(template.elements, key=lambda e: e.id)],
+        lambda node, image: _element_ok(store, elements[node], image),
+        sorted(template.relations, key=lambda r: r.id),
+        relations,
+        lambda rel, image: _relation_ok(store, rel, image),
+    )
+    variables = template.variables()
+    found: dict[tuple, Binding] = {}
+    for assignment in search:
+        binding = Binding({v: assignment[v] for v in variables})
+        found.setdefault(binding.sort_key(), binding)
+    return [found[key] for key in sorted(found)]
 
 
 def query_reason(
@@ -227,7 +172,7 @@ def query_reason(
     for _ in range(max_steps):
         grown_any = False
         for element in list(dict.fromkeys(frontier)):
-            candidates = _lateral_candidates(overlay, element, kinds_set, "both")
+            candidates = lateral_candidates(overlay, element, kinds_set, "both")
             for _, base_rel_id, forward in candidates:
                 if _already_grown(overlay, element, base_rel_id):
                     continue

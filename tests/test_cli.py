@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from dcnet.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +62,18 @@ def test_fit_trace_determinism(tmp_path):
         ])
         traces.append(target.read_bytes())
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("setting", ["mode=weird", "max_hops=1.5", "k=abc", "collapse=nan"])
+def test_fit_bad_config_value_is_a_parse_error(tmp_path, capsys, setting):
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_text(
+        f"config {setting}\n" + (DATA / "face.scenario").read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    code = main(["fit", "--kb", str(DATA / "face.kb"), "--scenario", str(scenario)])
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_fit_session_resume(tmp_path, capsys):

@@ -186,6 +186,23 @@ class TestDerivedNetwork:
         )
         assert mapping is not None
 
+    def test_relation_on_relation_ends_on_the_mapped_image(self):
+        net = CognitiveNetwork()
+        for cid in ("X", "Y", "Z", "X1", "Y1", "Z1"):
+            _concept(net, cid)
+        _rel(net, "r1", RelationKind.ADJOINING, "X", "Y")
+        _rel(net, "r0", RelationKind.CAUSALITY, "Z", "r1")
+        for cid in ("X", "Y", "Z"):
+            net.add_belong(f"{cid}1", cid)
+        _rel(net, "r1a", RelationKind.ADJOINING, "X1", "Y1", base="r1")
+        _rel(net, "r1b", RelationKind.ADJOINING, "X1", "Y1", base="r1")
+        _rel(net, "r0a", RelationKind.CAUSALITY, "Z1", "r1b", base="r0")
+        mapping = check_derived_network(
+            net, ["X1", "Y1", "Z1", "r1a", "r1b", "r0a"], ["X", "Y", "Z", "r0", "r1"]
+        )
+        assert mapping is not None
+        assert mapping.pairs["r0"] == "r0a" and mapping.pairs["r1"] == "r1b"
+
 
 class TestValidation:
     def test_element_count(self, chain_net):

@@ -7,6 +7,7 @@ import pytest
 
 from dcnet.core import Gaussian, Interval, RelationKind, Status
 from dcnet.growth import fit_run
+from dcnet.probability import Mode
 from dcnet.kbio import (
     ParseError,
     build_task,
@@ -135,6 +136,34 @@ class TestParseScenario:
     def test_unknown_config_key(self):
         with pytest.raises(ParseError):
             parse_scenario("config wibble=1\n")
+
+    @pytest.mark.parametrize(
+        "setting", ["mode=weird", "max_hops=1.5", "k=abc", "collapse=nan", "branch_limit="]
+    )
+    def test_bad_config_value_is_located(self, setting):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(f"input eye p=0.5\nconfig activation=0.2 {setting}\n")
+        assert err.value.line == 2
+        assert err.value.column == len("config activation=0.2 ") + 1
+
+    def test_inconsistent_config_names_its_line(self):
+        doc = parse_scenario("config activation=0.2\ninput eye p=0.5\nconfig collapse=0.1\n")
+        with pytest.raises(ParseError) as err:
+            build_task(parse_kb(FACE_KB), doc)
+        assert err.value.line == 3
+
+    def test_config_aliases_and_field_names(self):
+        doc = parse_scenario(
+            "config collapse=0.8 activation=0.2 epsilon=0.01 k=0.5 depth_limit=3\n"
+            "config mode=SIMPLIFIED max_hops=none branch_limit=2 confirm_count=7\n"
+        )
+        config = build_task(parse_kb(FACE_KB), doc).config
+        assert (config.collapse_threshold, config.activation_threshold) == (0.8, 0.2)
+        assert (config.decay_epsilon, config.default_k, config.match_depth_limit) == (0.01, 0.5, 3)
+        assert config.mode is Mode.SIMPLIFIED and config.max_hops is None
+        assert (config.branch_limit, config.confirm_count) == (2, 7)
+        with pytest.raises(ParseError):
+            parse_scenario("config collapse_threshold=0.8\n")
 
     def test_input_probability_range(self):
         with pytest.raises(ParseError):

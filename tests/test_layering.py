@@ -1,0 +1,23 @@
+"""Module layering: no dcnet module reaches into another module's private names."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import dcnet
+
+SRC = Path(dcnet.__file__).parent
+
+
+def test_no_module_imports_another_modules_private_name():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("dcnet"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert offenders == []

@@ -22,7 +22,7 @@ from dcnet.lifecycle import (
     session_load,
     session_save,
 )
-from dcnet.probability import ContributionLedger, EngineConfig
+from dcnet.probability import ContributionLedger, EngineConfig, Mode
 from dcnet.trace import Trace
 
 from scenes import concept, declare_tree, face_task, relation
@@ -234,6 +234,25 @@ class TestSessions:
         truncated = "".join(payload.splitlines(keepends=True)[:-3])
         with pytest.raises(LoadError):
             session_load(truncated)
+
+    def test_non_default_config_round_trips(self):
+        task = face_task()
+        task.config = EngineConfig(mode=Mode.SIMPLIFIED, max_hops=3, branch_limit=2, default_k=0.5)
+        payload = session_save(task)
+        loaded = session_load(payload)
+        assert loaded.config == task.config
+        assert session_save(loaded) == payload
+
+    @pytest.mark.parametrize(
+        "bad", ["branch_limit=x", "", "mode=weird", "max_hops=1.5", "wibble=1", "decay_epsilon=inf"]
+    )
+    def test_bad_config_line_fails(self, bad):
+        payload = session_save(face_task())
+        lines = payload.split("\n")
+        lines.insert(lines.index("begin config") + 1, bad)
+        with pytest.raises(LoadError) as err:
+            session_load("\n".join(lines))
+        assert repr(bad) in str(err.value)
 
     def test_bad_header_fails(self):
         with pytest.raises(LoadError) as err:

@@ -110,6 +110,57 @@ class TestQueryMatch:
         bindings = query_match(_age_template(), store)
         assert [b.values["qx"] for b in bindings] == ["n15", "n15b", "tom_age"]
 
+    def test_typed_variables_bind_their_type_concepts(self):
+        # belong-to is reflexive, so the knowledge relation person->american is
+        # itself an instance of the pattern: N facts give N+1 bindings
+        store = CognitiveNetwork()
+        concept(store, "person")
+        concept(store, "american")
+        relation(store, "r_nat", RelationKind.HAS_ATTRIBUTE, "person", "american")
+        for i in range(3):
+            concept(store, f"p{i}")
+            store.add_belong(f"p{i}", "person")
+            concept(store, f"am{i}")
+            store.add_belong(f"am{i}", "american")
+            relation(store, f"nat{i}", RelationKind.HAS_ATTRIBUTE, f"p{i}", f"am{i}", base="r_nat")
+        template = QueryTemplate(
+            elements=[TemplateElement(id="qp", var=True, base="person"),
+                      TemplateElement(id="qx", var=True, base="american")],
+            relations=[TemplateRelation(id="qr", kind=RelationKind.HAS_ATTRIBUTE, a="qp", b="qx")],
+        )
+        assert [b.values for b in query_match(template, store)] == [
+            {"qp": "p0", "qx": "am0"},
+            {"qp": "p1", "qx": "am1"},
+            {"qp": "p2", "qx": "am2"},
+            {"qp": "person", "qx": "american"},
+        ]
+
+    def test_relation_ending_on_a_later_relation_is_constrained(self):
+        store = CognitiveNetwork()
+        for cid in ("a", "b", "b2", "c"):
+            concept(store, cid)
+        relation(store, "ra1", RelationKind.ADJOINING, "a", "b")
+        relation(store, "ra2", RelationKind.ADJOINING, "a", "b2")
+        relation(store, "rc", RelationKind.CAUSALITY, "c", "ra2")
+        # q0 ends on q1, which sorts after it: q1's image must be the relation rc ends on
+        template = QueryTemplate(
+            elements=[TemplateElement(id="qa", base="a"), TemplateElement(id="qc", base="c"),
+                      TemplateElement(id="qx", var=True)],
+            relations=[TemplateRelation(id="q0", kind=RelationKind.CAUSALITY, a="qc", b="q1"),
+                       TemplateRelation(id="q1", kind=RelationKind.ADJOINING, a="qa", b="qx")],
+        )
+        assert [b.values for b in query_match(template, store)] == [{"qx": "b2"}]
+
+    def test_relations_ending_on_each_other_in_a_cycle_are_rejected(self):
+        template = QueryTemplate(
+            elements=[TemplateElement(id="qa", base="tom_age"), TemplateElement(id="qx", var=True)],
+            relations=[TemplateRelation(id="q0", kind=RelationKind.EQUAL, a="qa", b="q1"),
+                       TemplateRelation(id="q1", kind=RelationKind.EQUAL, a="qx", b="q0"),
+                       TemplateRelation(id="q2", kind=RelationKind.EQUAL, a="qa", b="qx")],
+        )
+        with pytest.raises(StructureError):
+            query_match(template, _age_store())
+
 
 def _country_template():
     return QueryTemplate(
