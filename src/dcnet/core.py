@@ -269,7 +269,11 @@ class CognitiveNetwork:
     """Heterogeneous element store with referential integrity.
 
     Insertion order is preserved and meaningful: it is the deterministic
-    tie-break everywhere the engine scans elements.
+    tie-break everywhere the engine scans elements.  Besides the incident
+    relations of each element, the store indexes what collapse asks about:
+    each element's insertion serial, the XOR relations, and the relations
+    derived from each base.  Change a stored relation's ``base`` through
+    ``set_base`` so that the last index stays true.
     """
 
     def __init__(self) -> None:
@@ -280,6 +284,10 @@ class CognitiveNetwork:
         self.tree_instances: list[TreeInstance] = []
         self.counters: dict[str, int] = {}
         self._incident: dict[str, list[str]] = {}
+        self._serial: dict[str, int] = {}
+        self._next_serial = 0
+        self._xor: dict[str, None] = {}
+        self._derived: dict[str, dict[str, None]] = {}
 
     # -- element access ----------------------------------------------------
 
@@ -305,12 +313,26 @@ class CognitiveNetwork:
     def element_count(self) -> int:
         return len(self.concepts) + len(self.relations)
 
+    def position_key(self, element_id: str) -> tuple[bool, int]:
+        """Sort key that orders element ids the way ``element_ids()`` lists them."""
+        return element_id in self.relations, self._serial[element_id]
+
+    def xor_relations(self) -> list[str]:
+        """XOR relations, in insertion order."""
+        return list(self._xor)
+
+    def relations_based_on(self, base_id: str) -> list[str]:
+        """Relations whose ``base`` is ``base_id``, in the order they got it."""
+        return list(self._derived.get(base_id, ()))
+
     # -- mutation ----------------------------------------------------------
 
     def add_concept(self, concept: Concept) -> Concept:
         if self.has(concept.id):
             raise StructureError(f"duplicate element id: {concept.id}")
         self.concepts[concept.id] = concept
+        self._serial[concept.id] = self._next_serial
+        self._next_serial += 1
         return concept
 
     def add_relation(self, relation: Relation) -> Relation:
@@ -330,9 +352,23 @@ class CognitiveNetwork:
                 f"belong-to relation {relation.id} would make {relation.a} belong to itself"
             )
         self.relations[relation.id] = relation
+        self._serial[relation.id] = self._next_serial
+        self._next_serial += 1
         self._incident.setdefault(relation.a, []).append(relation.id)
         self._incident.setdefault(relation.b, []).append(relation.id)
+        if relation.kind is RelationKind.XOR:
+            self._xor[relation.id] = None
+        if relation.base is not None:
+            self._derived.setdefault(relation.base, {})[relation.id] = None
         return relation
+
+    def set_base(self, rel_id: str, base_id: Optional[str]) -> None:
+        """Point a stored relation at another base relation (or at none)."""
+        rel = self.relations[rel_id]
+        self._forget_base(rel)
+        rel.base = base_id
+        if base_id is not None:
+            self._derived.setdefault(base_id, {})[rel_id] = None
 
     def add_belong(self, derived: str, base: str, backward: float = 1.0) -> Relation:
         """Belong-to edge derived -> base with the fixed forward probability."""
@@ -358,14 +394,25 @@ class CognitiveNetwork:
                 if bucket and element_id in bucket:
                     bucket.remove(element_id)
             self._incident.pop(element_id, None)
+            del self._serial[element_id]
+            self._xor.pop(element_id, None)
+            self._forget_base(rel)
             return
         if element_id in self.concepts:
             for rel_id in list(self._incident.get(element_id, ())):
                 self.remove_element(rel_id)
             self._incident.pop(element_id, None)
             del self.concepts[element_id]
+            del self._serial[element_id]
             return
         raise LookupMissing(f"unknown element: {element_id}")
+
+    def _forget_base(self, rel: Relation) -> None:
+        derived = self._derived.get(rel.base) if rel.base is not None else None
+        if derived is not None:
+            derived.pop(rel.id, None)
+            if not derived:
+                del self._derived[rel.base]
 
     def next_id(self, base: str) -> str:
         n = self.counters.get(base, 0) + 1
@@ -379,6 +426,20 @@ class CognitiveNetwork:
 
     def copy(self) -> "CognitiveNetwork":
         return copy.deepcopy(self)
+
+    def __deepcopy__(self, memo: dict) -> "CognitiveNetwork":
+        # The indexes hold only ids and numbers, so one level of copying is a deep copy.
+        clone = CognitiveNetwork.__new__(CognitiveNetwork)
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            if name in ("_incident", "_derived"):
+                value = {key: inner.copy() for key, inner in value.items()}
+            elif name in ("_serial", "_xor"):
+                value = dict(value)
+            else:
+                value = copy.deepcopy(value, memo)
+            setattr(clone, name, value)
+        return clone
 
     # -- validation --------------------------------------------------------
 
@@ -516,6 +577,55 @@ def belongs_to(
     if cval is None or bval is None:
         return False
     return value_contained(cval, bval)
+
+
+def up_closure(net: CognitiveNetwork, element_id: str) -> set[str]:
+    """The element and every element it reaches over belong-to, equal and base edges."""
+    seen = {element_id}
+    frontier = [element_id]
+    while frontier:
+        for nxt in _up_neighbors(net, frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def down_closure(net: CognitiveNetwork, element_id: str) -> set[str]:
+    """Every element that belongs to ``element_id``, itself included.
+
+    The converse of ``belongs_to`` on element ids: the edges of
+    ``up_closure`` walked backwards, plus the concepts whose value lies in
+    the element's value.
+    """
+    seen = {element_id}
+    frontier = [element_id]
+    while frontier:
+        for nxt in _down_neighbors(net, frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    value = _as_value(net, element_id)
+    if value is not None:
+        for concept in net.concepts.values():
+            if concept.value is not None and value_contained(concept.value, value):
+                seen.add(concept.id)
+    return seen
+
+
+def _down_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
+    """The elements whose ``_up_neighbors`` include ``element_id``."""
+    yield from net.relations_based_on(element_id)
+    for rel_id in net.incident(element_id):
+        edge = net.relations[rel_id]
+        if edge.kind is RelationKind.BELONG_TO and edge.b == element_id:
+            lower = edge.a
+        elif edge.kind is RelationKind.EQUAL:
+            lower = edge.other_end(element_id)
+        else:
+            continue
+        if net.has(lower):  # an end removed from under the edge no longer walks it
+            yield lower
 
 
 def _up_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:

@@ -124,7 +124,7 @@ def grow_link(
     existing = _find_existing_link(net, end_a, end_b, base_rel)
     if existing is not None:
         if existing.base is None:
-            existing.base = base_rel_id
+            net.set_base(existing.id, base_rel_id)
         return existing.id
 
     rel_id = net.next_id(base_rel_id)
@@ -153,10 +153,7 @@ def _exchange_probability(
     trace: Trace,
 ) -> None:
     """Cancel and redo the launches a new connection invalidates."""
-    touched: set[int] = set()
-    for entry in ledger.entries:
-        if entry.target in (a, b) and not entry.sealed:
-            touched.add(entry.launch_id)
+    touched = ledger.launches_into((a, b))
     affected = [
         rec
         for rec in ledger.launches

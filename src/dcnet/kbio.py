@@ -247,9 +247,16 @@ def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
     return ProbabilityState(
         input_prob=_parse_float(parts[0], line_no, line, "input"),
         result_prob=_parse_float(parts[1], line_no, line, "result"),
-        status=Status(parts[2]),
+        status=_parse_status(parts[2], line_no, line),
         launched=parts[3] == "1",
     )
+
+
+def _parse_status(raw: str, line_no: int, line: str) -> Status:
+    try:
+        return Status(raw)
+    except ValueError:
+        raise ParseError(f"unknown status {raw}", line_no, _column_of(line, raw)) from None
 
 
 def _format_state(state) -> str:
@@ -409,11 +416,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
             kv = _kv(tokens[2:], line_no, line)
             status = None
             if "status" in kv:
-                raw = kv.pop("status")
-                try:
-                    status = Status(raw)
-                except ValueError:
-                    raise ParseError(f"unknown status {raw}", line_no, _column_of(line, raw))
+                status = _parse_status(kv.pop("status"), line_no, line)
             doc.expects.append(
                 Expectation(
                     element=tokens[1],

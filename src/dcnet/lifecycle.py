@@ -502,30 +502,45 @@ class _Reader:
         return self.lines[self.pos]
 
 
-def _read_block(reader: _Reader, name: str) -> list[str]:
+def _read_block(reader: _Reader, name: str) -> list[tuple[int, str]]:
+    """The lines between ``begin name`` and ``end name``, each with its line number."""
     reader.expect(f"begin {name}")
-    body: list[str] = []
+    body: list[tuple[int, str]] = []
     terminator = f"end {name}"
     while True:
         line = reader.next()
         if line == terminator:
             return body
-        body.append(line)
+        body.append((reader.line_no, line))
+
+
+def _parse_block_kb(reader: _Reader, name: str) -> CognitiveNetwork:
+    """A block of KB text; a parse error names its line in the payload."""
+    first = reader.line_no + 2  # the line after ``begin name``
+    body = _read_block(reader, name)
+    try:
+        return parse_kb("\n".join(line for _, line in body))
+    except ParseError as err:
+        raise LoadError(str(err), first + err.line - 1) from err
+
+
+def _number(kind, text: str, line: str, line_no: int):
+    """``kind(text)`` for an int or float field of a payload line; LoadError if malformed."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise LoadError(f"not a number: {text!r} in {line!r}", line_no) from None
 
 
 def _load_state(reader: _Reader, kb_ids: frozenset[str]) -> FitState:
-    net_lines = _read_block(reader, "net")
-    try:
-        net = parse_kb("\n".join(net_lines))
-    except ParseError as err:
-        raise LoadError(str(err), reader.line_no) from err
-    for line in _read_block(reader, "counters"):
+    net = _parse_block_kb(reader, "net")
+    for line_no, line in _read_block(reader, "counters"):
         key, _, value = line.partition("=")
-        net.counters[key] = int(value)
-    for line in _read_block(reader, "instances"):
+        net.counters[key] = _number(int, value, line, line_no)
+    for line_no, line in _read_block(reader, "instances"):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "instance":
-            raise LoadError(f"bad instance line {line!r}", reader.line_no)
+            raise LoadError(f"bad instance line {line!r}", line_no)
         mapping: dict[str, str] = {}
         if parts[3] != "-":
             for pair in parts[3].split(","):
@@ -539,38 +554,43 @@ def _load_state(reader: _Reader, kb_ids: frozenset[str]) -> FitState:
             )
         )
     ledger = ContributionLedger()
-    for line in _read_block(reader, "ledger"):
+    for line_no, line in _read_block(reader, "ledger"):
         parts = line.split()
         if line.startswith("next_launch_id="):
-            ledger.next_launch_id = int(line.partition("=")[2])
-        elif parts[0] == "launch" and len(parts) == 5:
+            ledger.next_launch_id = _number(int, line.partition("=")[2], line, line_no)
+        elif parts[:1] == ["launch"] and len(parts) == 5:
             ledger.launches.append(
-                LaunchRecord(int(parts[1]), parts[2], float(parts[3]), parts[4] == "1")
+                LaunchRecord(
+                    _number(int, parts[1], line, line_no),
+                    parts[2],
+                    _number(float, parts[3], line, line_no),
+                    parts[4] == "1",
+                )
             )
-        elif parts[0] == "launch":
-            raise LoadError(f"bad launch line {line!r}", reader.line_no)
-        elif parts[0] == "entry" and len(parts) == 7:
-            ledger.entries.append(
+        elif parts[:1] == ["launch"]:
+            raise LoadError(f"bad launch line {line!r}", line_no)
+        elif parts[:1] == ["entry"] and len(parts) == 7:
+            ledger.add(
                 LedgerEntry(
-                    launch_id=int(parts[1]),
+                    launch_id=_number(int, parts[1], line, line_no),
                     source=parts[2],
                     target=parts[3],
                     via=parts[4],
-                    contribution=float(parts[5]),
+                    contribution=_number(float, parts[5], line, line_no),
                     sealed=parts[6] == "1",
                 )
             )
         else:
-            raise LoadError(f"bad ledger line {line!r}", reader.line_no)
+            raise LoadError(f"bad ledger line {line!r}", line_no)
     fragments: list[FragmentRecord] = []
-    for line in _read_block(reader, "fragments"):
+    for line_no, line in _read_block(reader, "fragments"):
         parts = line.split()
         if len(parts) != 9 or parts[0] != "fragment":
-            raise LoadError(f"bad fragment line {line!r}", reader.line_no)
+            raise LoadError(f"bad fragment line {line!r}", line_no)
         fragments.append(
             FragmentRecord(
                 element=parts[1],
-                input_prob=float(parts[2]),
+                input_prob=_number(float, parts[2], line, line_no),
                 base=None if parts[3] == "-" else parts[3],
                 var=parts[4] == "1",
                 consumed=parts[5] == "1",
@@ -580,11 +600,11 @@ def _load_state(reader: _Reader, kb_ids: frozenset[str]) -> FitState:
             )
         )
     deferred: list[DeferredGrowth] = []
-    for line in _read_block(reader, "deferred"):
+    for line_no, line in _read_block(reader, "deferred"):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "defer":
-            raise LoadError(f"bad deferred line {line!r}", reader.line_no)
-        deferred.append(DeferredGrowth(int(parts[1]), parts[2]))
+            raise LoadError(f"bad deferred line {line!r}", line_no)
+        deferred.append(DeferredGrowth(_number(int, parts[1], line, line_no), parts[2]))
     return FitState(
         net=net, kb_ids=kb_ids, ledger=ledger, fragments=fragments, deferred=deferred
     )
@@ -607,40 +627,43 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
         raise LoadError(f"bad header {header!r}; expected {SESSION_HEADER!r}", 1)
 
     config_kw: dict[str, object] = {}
-    for line in _read_block(reader, "config"):
+    for line_no, line in _read_block(reader, "config"):
         key, _, value = line.partition("=")
         try:
             config_kw[key] = parse_config_value(key, value)
         except ValueError as err:
-            raise LoadError(f"bad config line {line!r}: {err}", reader.line_no) from err
+            raise LoadError(f"bad config line {line!r}: {err}", line_no) from err
     try:
         config = EngineConfig(**config_kw)
     except DcnetError as err:
         raise LoadError(f"bad config: {err}", reader.line_no) from err
 
     processed = 0
-    for line in _read_block(reader, "task"):
+    for line_no, line in _read_block(reader, "task"):
         key, _, value = line.partition("=")
         if key == "processed":
-            processed = int(value)
+            processed = _number(int, value, line, line_no)
 
-    kb_lines = _read_block(reader, "kb")
-    try:
-        kb = parse_kb("\n".join(kb_lines))
-    except ParseError as err:
-        raise LoadError(str(err), reader.line_no) from err
+    kb = _parse_block_kb(reader, "kb")
     kb_ids = frozenset(kb.element_ids())
 
     trace = Trace()
-    for line in _read_block(reader, "trace"):
+    for line_no, line in _read_block(reader, "trace"):
         if line.startswith("next_step="):
-            trace.next_step = int(line.partition("=")[2])
+            trace.next_step = _number(int, line.partition("=")[2], line, line_no)
             continue
         parts = line.split()
         if len(parts) != 7 or parts[0] != "event":
-            raise LoadError(f"bad trace line {line!r}", reader.line_no)
+            raise LoadError(f"bad trace line {line!r}", line_no)
         trace.events.append(
-            TraceEvent(int(parts[1]), parts[2], parts[3], parts[4], float(parts[5]), float(parts[6]))
+            TraceEvent(
+                _number(int, parts[1], line, line_no),
+                parts[2],
+                parts[3],
+                parts[4],
+                _number(float, parts[5], line, line_no),
+                _number(float, parts[6], line, line_no),
+            )
         )
 
     states: list[FitState] = []
@@ -653,16 +676,17 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
             reader.next()
             break
         parts = line.split()
-        if parts[:2] == ["begin", "state"]:
+        if parts[:2] == ["begin", "state"] and len(parts) == 3:
             reader.next()
             state = _load_state(reader, kb_ids)
             reader.expect(f"end state {parts[2]}")
             states.append(state)
-        elif parts[:2] == ["begin", "fork"]:
+        elif parts[:2] == ["begin", "fork"] and len(parts) == 4:
             reader.next()
+            fragment_index = _number(int, parts[2], line, reader.line_no)
             state = _load_state(reader, kb_ids)
             reader.expect("end fork")
-            forks.append(Fork(state=state, fragment_index=int(parts[2]), base_root=parts[3]))
+            forks.append(Fork(state=state, fragment_index=fragment_index, base_root=parts[3]))
         else:
             raise LoadError(f"unexpected line {line!r}", reader.line_no + 1)
 

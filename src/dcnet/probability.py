@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
+from collections.abc import ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, get_type_hints
 
 from .core import (
     CognitiveNetwork,
+    Concept,
     ConditionalProbabilityPair,
     ConflictError,
     Gaussian,
@@ -27,8 +30,10 @@ from .core import (
     Relation,
     RelationKind,
     Status,
-    belongs_to,
+    down_closure,
     kind_compatible,
+    up_closure,
+    value_contained,
 )
 from .trace import Trace
 
@@ -239,13 +244,25 @@ class ContributionLedger:
     """Ordered log of applied contributions plus the launches that caused them.
 
     Replaying a target's entries over its initial input reproduces its result
-    exactly, because results are only ever produced by that same fold.
+    exactly, because results are only ever produced by that same fold.  The
+    entries keep their append order and are indexed by target, by launch and
+    by the elements they came from or through, so each operation touches only
+    the entries it reads or changes.
     """
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
+        self._entries: dict[int, LedgerEntry] = {}
+        self._by_target: defaultdict[str, dict[int, LedgerEntry]] = defaultdict(dict)
+        self._by_launch: defaultdict[int, dict[int, LedgerEntry]] = defaultdict(dict)
+        self._by_origin: defaultdict[str, dict[int, LedgerEntry]] = defaultdict(dict)  # source, via
+        self._next_seq = 0
         self.launches: list[LaunchRecord] = []
         self.next_launch_id: int = 1
+
+    @property
+    def entries(self) -> ValuesView[LedgerEntry]:
+        """Every entry in append order, as a read-only view."""
+        return self._entries.values()
 
     def open_launch(self, source: str, delta: float) -> LaunchRecord:
         rec = LaunchRecord(self.next_launch_id, source, delta)
@@ -254,36 +271,65 @@ class ContributionLedger:
         return rec
 
     def record(self, launch_id: int, source: str, target: str, via: str, contribution: float) -> None:
-        self.entries.append(LedgerEntry(launch_id, source, target, via, contribution))
+        self.add(LedgerEntry(launch_id, source, target, via, contribution))
+
+    def add(self, entry: LedgerEntry) -> None:
+        """Append an entry as it stands, sealed or not."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._entries[seq] = entry
+        self._by_target[entry.target][seq] = entry
+        self._by_launch[entry.launch_id][seq] = entry
+        self._by_origin[entry.source][seq] = entry
+        self._by_origin[entry.via][seq] = entry
 
     def replay(self, initial: float, target: str, mode: Mode = Mode.EXACT) -> float:
         acc = initial
-        for e in self.entries:
-            if e.target != target:
-                continue
+        for e in self._by_target.get(target, {}).values():
             acc = acc + e.contribution if mode is Mode.SIMPLIFIED else superpose(acc, e.contribution)
         return acc
 
+    def launches_into(self, targets: Iterable[str]) -> set[int]:
+        """Ids of the launches with an unsealed entry aimed at any of the targets."""
+        return {
+            e.launch_id
+            for target in targets
+            for e in self._by_target.get(target, {}).values()
+            if not e.sealed
+        }
+
     def purge_target(self, target: str) -> list[LedgerEntry]:
         """Drop every entry aimed at the target; returns them in original order."""
-        removed = [e for e in self.entries if e.target == target and not e.sealed]
-        self.entries = [e for e in self.entries if e.target != target or e.sealed]
-        return removed
+        return self._drop(self._by_target.get(target, {}), keep_sealed=True)
 
     def remove_launch(self, launch_id: int) -> list[LedgerEntry]:
-        removed = [e for e in self.entries if e.launch_id == launch_id and not e.sealed]
-        self.entries = [e for e in self.entries if e.launch_id != launch_id or e.sealed]
-        return removed
+        return self._drop(self._by_launch.get(launch_id, {}), keep_sealed=True)
 
     def seal_element(self, element_id: str) -> None:
         """Freeze history around a removed element: nothing may undo it later."""
-        self.entries = [e for e in self.entries if e.target != element_id]
-        for e in self.entries:
-            if e.source == element_id or e.via == element_id:
-                e.sealed = True
+        self._drop(self._by_target.get(element_id, {}), keep_sealed=False)
+        for e in self._by_origin.get(element_id, {}).values():
+            e.sealed = True
         for rec in self.launches:
             if rec.source == element_id:
                 rec.sealed = True
+
+    def _drop(self, bucket: dict[int, LedgerEntry], keep_sealed: bool) -> list[LedgerEntry]:
+        """Remove a bucket's entries (its sealed ones stay if asked) from every index."""
+        doomed = [(seq, e) for seq, e in bucket.items() if not (keep_sealed and e.sealed)]
+        for seq, e in doomed:
+            del self._entries[seq]
+            _unindex(self._by_target, e.target, seq)
+            _unindex(self._by_launch, e.launch_id, seq)
+            _unindex(self._by_origin, e.source, seq)
+            _unindex(self._by_origin, e.via, seq)
+        return [e for _, e in doomed]
+
+
+def _unindex(index: dict, key, seq: int) -> None:
+    bucket = index.get(key)
+    if bucket is not None and bucket.pop(seq, None) is not None and not bucket:
+        del index[key]
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +387,15 @@ def pps_launch(
     ledger: ContributionLedger,
     trace: Trace,
     launch: Optional[LaunchRecord] = None,
-) -> None:
+) -> list[str]:
     """Propagate an input increment from ``source`` through the network.
 
     Best-path-first traversal: the frontier is expanded in descending order of
     computed contribution, so the single path allowed to reach each element is
     the highest-valued one.  Termination per target: already reached in this
     launch, collapsed, contribution decayed below epsilon, hop limit, or a
-    kind-specific stop rule.
+    kind-specific stop rule.  Returns the elements that received a
+    contribution, in the order they received it.
     """
     if not 0.0 < delta <= 1.0:
         raise ParameterError(f"launch delta must lie in (0, 1], got {delta}")
@@ -359,6 +406,7 @@ def pps_launch(
     trace.record("launch", source, source, delta, src_state.result_prob)
 
     visited = {source}
+    reached: list[str] = []
     seq = 0
     heap: list[tuple[float, int, str, str, str, float, int]] = []
 
@@ -403,11 +451,14 @@ def pps_launch(
                 net, config, ledger, trace, launch.launch_id, upstream, via, via, contribution,
                 "contribute",
             )
+            reached.append(via)
         _apply_contribution(
             net, config, ledger, trace, launch.launch_id, upstream, target, via, contribution,
             "superpose",
         )
+        reached.append(target)
         push_neighbors(target, contribution, hops + 1)
+    return reached
 
 
 def _restore_result(net: CognitiveNetwork, ledger: ContributionLedger, target: str, mode: Mode) -> None:
@@ -442,48 +493,7 @@ def collapse_element(
         raise ConflictError(f"cannot collapse suppressed element {x}")
     if state.status is Status.COLLAPSED:
         return
-
-    for partner in _xor_partners(net, x):
-        if net.state(partner).status is Status.COLLAPSED:
-            raise ConflictError(
-                f"cannot collapse {x}: mutually exclusive partner {partner} is already certain"
-            )
-
-    # Undo everything that flowed in: dropping the entries returns the result
-    # to the pre-contribution input, after which certainty replaces it.
-    ledger.purge_target(x)
-    state.input_prob = 1.0
-    state.result_prob = 1.0
-    state.status = Status.COLLAPSED
-    trace.record("collapse", x, x, 1.0, 1.0)
-
-    for partner in _xor_partners(net, x):
-        if partner in kb_ids:
-            continue
-        pstate = net.state(partner)
-        if pstate.status is Status.SUPERPOSED:
-            pstate.status = Status.SUPPRESSED
-            trace.record("suppress", x, partner, 0.0, pstate.result_prob)
-
-    pps_launch(net, x, 1.0, config, ledger, trace)
-
-    while True:
-        ready = _first_collapse_ready(net, config, kb_ids)
-        if ready is None:
-            break
-        collapse_element(net, ready, config, ledger, trace, kb_ids)
-
-
-def _first_collapse_ready(
-    net: CognitiveNetwork, config: EngineConfig, kb_ids: frozenset[str]
-) -> Optional[str]:
-    for el_id in net.element_ids():
-        if el_id in kb_ids:
-            continue
-        state = net.state(el_id)
-        if state.status is Status.SUPERPOSED and config.collapse_ready(state.result_prob):
-            return el_id
-    return None
+    _cascade(net, x, _ReadyQueue(net, config, kb_ids), config, ledger, trace, kb_ids)
 
 
 def settle(
@@ -493,31 +503,124 @@ def settle(
     trace: Trace,
     kb_ids: frozenset[str] = frozenset(),
 ) -> list[str]:
-    """Collapse every element at or above the significance threshold; cascades."""
-    collapsed: list[str] = []
-    while True:
-        ready = _first_collapse_ready(net, config, kb_ids)
-        if ready is None:
-            return collapsed
-        collapse_element(net, ready, config, ledger, trace, kb_ids)
-        collapsed.append(ready)
+    """Collapse every element at or above the significance threshold; cascades.
+
+    Returns the element the cascade started from, if any: a cascade runs
+    until nothing is ready, so it is the only one settle itself picks.
+    """
+    ready = _ReadyQueue(net, config, kb_ids)
+    first = ready.pop()
+    if first is None:
+        return []
+    _cascade(net, first, ready, config, ledger, trace, kb_ids)
+    return [first]
+
+
+class _ReadyQueue:
+    """Collapse-ready elements, the one first in ``element_ids()`` order on top.
+
+    One scan fills it.  Inside a cascade only collapsing, suppressing and a
+    launch's contributions change any state, so afterwards only a launch's
+    targets are offered again; an element is re-checked when it reaches the
+    top, which drops the collapsed and the suppressed.
+    """
+
+    def __init__(self, net: CognitiveNetwork, config: EngineConfig, kb_ids: frozenset[str]):
+        self.net, self.config, self.kb_ids = net, config, kb_ids
+        # element_ids() order is position order, so the scan is already a heap
+        self.heap = [(net.position_key(e), e) for e in net.element_ids() if self.ready(e)]
+        self.queued = {e for _, e in self.heap}
+
+    def ready(self, element_id: str) -> bool:
+        if element_id in self.kb_ids:
+            return False
+        state = self.net.state(element_id)
+        return state.status is Status.SUPERPOSED and self.config.collapse_ready(state.result_prob)
+
+    def offer(self, element_ids: Iterable[str]) -> None:
+        for element_id in element_ids:
+            if element_id not in self.queued and self.ready(element_id):
+                self.queued.add(element_id)
+                heapq.heappush(self.heap, (self.net.position_key(element_id), element_id))
+
+    def pop(self) -> Optional[str]:
+        while self.heap:
+            _, element_id = heapq.heappop(self.heap)
+            self.queued.discard(element_id)
+            if self.ready(element_id):
+                return element_id
+        return None
+
+
+def _cascade(
+    net: CognitiveNetwork,
+    x: Optional[str],
+    ready: _ReadyQueue,
+    config: EngineConfig,
+    ledger: ContributionLedger,
+    trace: Trace,
+    kb_ids: frozenset[str],
+) -> None:
+    """Collapse x, then the first ready element, until none is ready."""
+    while x is not None:
+        partners = _xor_partners(net, x)
+        for partner in partners:
+            if net.state(partner).status is Status.COLLAPSED:
+                raise ConflictError(
+                    f"cannot collapse {x}: mutually exclusive partner {partner} is already certain"
+                )
+
+        # Undo everything that flowed in: dropping the entries returns the result
+        # to the pre-contribution input, after which certainty replaces it.
+        ledger.purge_target(x)
+        state = net.state(x)
+        state.input_prob = 1.0
+        state.result_prob = 1.0
+        state.status = Status.COLLAPSED
+        trace.record("collapse", x, x, 1.0, 1.0)
+
+        for partner in partners:
+            if partner in kb_ids:
+                continue
+            pstate = net.state(partner)
+            if pstate.status is Status.SUPERPOSED:
+                pstate.status = Status.SUPPRESSED
+                trace.record("suppress", x, partner, 0.0, pstate.result_prob)
+
+        ready.offer(pps_launch(net, x, 1.0, config, ledger, trace))
+        x = ready.pop()
 
 
 def _xor_partners(net: CognitiveNetwork, x: str) -> list[str]:
-    """Elements tied to x by mutual exclusion, directly or through belong-to lineage."""
+    """Elements tied to x by mutual exclusion, directly or through belong-to lineage.
+
+    For each XOR relation in insertion order, and each of its ends that x
+    belongs to, the elements that belong to the far end follow in
+    ``element_ids()`` order; each partner is listed once.
+    """
+    up = up_closure(net, x)
+    x_value = _value(net, x)
     partners: list[str] = []
-    for rel in net.relations.values():
-        if rel.kind is not RelationKind.XOR:
-            continue
+    listed = {x}
+    for rel_id in net.xor_relations():
+        rel = net.relations[rel_id]
         for near, far in ((rel.a, rel.b), (rel.b, rel.a)):
-            if not belongs_to(net, x, near):
+            near_value = _value(net, near)  # also raises on an end removed from under the XOR
+            if near not in up and not (
+                x_value is not None
+                and near_value is not None
+                and value_contained(x_value, near_value)
+            ):
                 continue
-            for el_id in net.element_ids():
-                if el_id == x or el_id in partners:
-                    continue
-                if el_id == far or belongs_to(net, el_id, far):
-                    partners.append(el_id)
+            fresh = sorted(down_closure(net, far) - listed, key=net.position_key)
+            partners.extend(fresh)
+            listed.update(fresh)
     return partners
+
+
+def _value(net: CognitiveNetwork, element_id: str):
+    element = net.element(element_id)
+    return element.value if isinstance(element, Concept) else None
 
 
 def mean_probability(net: CognitiveNetwork, ids: Optional[Iterable[str]] = None) -> float:

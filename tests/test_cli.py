@@ -97,6 +97,27 @@ def test_fit_session_resume(tmp_path, capsys):
     assert "face1 p=1.000000000 status=collapsed" in capsys.readouterr().out
 
 
+def test_validate_unknown_state_status_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.kb"
+    bad.write_text("concept x state=0.1,0.1,bogus,0\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert "line 1, column 25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix, bad", [("processed=", "processed=zz"), ("next_step=", "next_step=x0")])
+def test_fit_corrupt_session_is_a_load_error(tmp_path, capsys, prefix, bad):
+    session = tmp_path / "run.session"
+    args = ["--scenario", str(DATA / "face.scenario"), "--session", str(session)]
+    assert main(["fit", "--kb", str(DATA / "face.kb"), *args, "--max-fragments", "2"]) == 0
+    lines = session.read_text(encoding="utf-8").split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[at] = bad
+    session.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", *args]) == 2
+    assert f"load error at line {at + 1}" in capsys.readouterr().err
+
+
 def test_match_command(capsys, tmp_path):
     fragment = tmp_path / "frag.scenario"
     fragment.write_text("input eye p=1.0 as=eye1\n", encoding="utf-8")

@@ -1,0 +1,369 @@
+"""Differential test of the indexed collapse path against the scanning code it replaced.
+
+The oracles are the engine's earlier implementations, kept as they were: XOR
+partners found by running ``belongs_to`` for every element against every XOR
+end, a cascade that rescans the whole network after each collapse and
+recurses into each collapse it finds, and a ledger kept as one flat list that
+every lookup scans.  Seeded random networks mix belong-to chains, equal
+2-cycles, derived relations with base chains (some bases set after
+insertion), scalar and interval values, XOR between concepts and between
+relations, removed and re-added elements, knowledge elements and both modes.
+"""
+from __future__ import annotations
+
+import copy
+import random
+from typing import Optional
+
+import pytest
+
+from dcnet.core import (
+    CognitiveNetwork,
+    ConflictError,
+    DcnetError,
+    Interval,
+    RelationKind,
+    Status,
+    StructureError,
+    belongs_to,
+)
+from dcnet.probability import (
+    ContributionLedger,
+    EngineConfig,
+    LaunchRecord,
+    LedgerEntry,
+    Mode,
+    _xor_partners,
+    collapse_element,
+    pps_launch,
+    settle,
+    superpose,
+)
+from dcnet.trace import Trace
+
+from scenes import concept, relation
+
+CASES = 250
+
+
+# ---------------------------------------------------------------------------
+# the oracles
+
+
+def scan_xor_partners(net: CognitiveNetwork, x: str) -> list[str]:
+    partners: list[str] = []
+    for rel in net.relations.values():
+        if rel.kind is not RelationKind.XOR:
+            continue
+        for near, far in ((rel.a, rel.b), (rel.b, rel.a)):
+            if not belongs_to(net, x, near):
+                continue
+            for el_id in net.element_ids():
+                if el_id == x or el_id in partners:
+                    continue
+                if el_id == far or belongs_to(net, el_id, far):
+                    partners.append(el_id)
+    return partners
+
+
+class ScanLedger:
+    """The flat-list ledger."""
+
+    def __init__(self) -> None:
+        self.entries: list[LedgerEntry] = []
+        self.launches: list[LaunchRecord] = []
+        self.next_launch_id = 1
+
+    def open_launch(self, source: str, delta: float) -> LaunchRecord:
+        rec = LaunchRecord(self.next_launch_id, source, delta)
+        self.next_launch_id += 1
+        self.launches.append(rec)
+        return rec
+
+    def record(self, launch_id, source, target, via, contribution) -> None:
+        self.entries.append(LedgerEntry(launch_id, source, target, via, contribution))
+
+    def replay(self, initial: float, target: str, mode: Mode = Mode.EXACT) -> float:
+        acc = initial
+        for e in self.entries:
+            if e.target != target:
+                continue
+            acc = acc + e.contribution if mode is Mode.SIMPLIFIED else superpose(acc, e.contribution)
+        return acc
+
+    def launches_into(self, targets) -> set[int]:
+        return {e.launch_id for e in self.entries if e.target in targets and not e.sealed}
+
+    def purge_target(self, target: str) -> list[LedgerEntry]:
+        removed = [e for e in self.entries if e.target == target and not e.sealed]
+        self.entries = [e for e in self.entries if e.target != target or e.sealed]
+        return removed
+
+    def remove_launch(self, launch_id: int) -> list[LedgerEntry]:
+        removed = [e for e in self.entries if e.launch_id == launch_id and not e.sealed]
+        self.entries = [e for e in self.entries if e.launch_id != launch_id or e.sealed]
+        return removed
+
+    def seal_element(self, element_id: str) -> None:
+        self.entries = [e for e in self.entries if e.target != element_id]
+        for e in self.entries:
+            if e.source == element_id or e.via == element_id:
+                e.sealed = True
+        for rec in self.launches:
+            if rec.source == element_id:
+                rec.sealed = True
+
+
+def scan_first_collapse_ready(net, config, kb_ids) -> Optional[str]:
+    for el_id in net.element_ids():
+        if el_id in kb_ids:
+            continue
+        state = net.state(el_id)
+        if state.status is Status.SUPERPOSED and config.collapse_ready(state.result_prob):
+            return el_id
+    return None
+
+
+def scan_collapse(net, x, config, ledger, trace, kb_ids=frozenset()) -> None:
+    state = net.state(x)
+    if state.status is Status.SUPPRESSED:
+        raise ConflictError(f"cannot collapse suppressed element {x}")
+    if state.status is Status.COLLAPSED:
+        return
+    for partner in scan_xor_partners(net, x):
+        if net.state(partner).status is Status.COLLAPSED:
+            raise ConflictError(
+                f"cannot collapse {x}: mutually exclusive partner {partner} is already certain"
+            )
+    ledger.purge_target(x)
+    state.input_prob = 1.0
+    state.result_prob = 1.0
+    state.status = Status.COLLAPSED
+    trace.record("collapse", x, x, 1.0, 1.0)
+    for partner in scan_xor_partners(net, x):
+        if partner in kb_ids:
+            continue
+        pstate = net.state(partner)
+        if pstate.status is Status.SUPERPOSED:
+            pstate.status = Status.SUPPRESSED
+            trace.record("suppress", x, partner, 0.0, pstate.result_prob)
+    pps_launch(net, x, 1.0, config, ledger, trace)
+    while True:
+        ready = scan_first_collapse_ready(net, config, kb_ids)
+        if ready is None:
+            break
+        scan_collapse(net, ready, config, ledger, trace, kb_ids)
+
+
+def scan_settle(net, config, ledger, trace, kb_ids=frozenset()) -> list[str]:
+    collapsed: list[str] = []
+    while True:
+        ready = scan_first_collapse_ready(net, config, kb_ids)
+        if ready is None:
+            return collapsed
+        scan_collapse(net, ready, config, ledger, trace, kb_ids)
+        collapsed.append(ready)
+
+
+# ---------------------------------------------------------------------------
+# generated networks
+
+FLOW_KINDS = (RelationKind.HAS_PART, RelationKind.ADJOINING)
+
+
+def random_network(rng: random.Random) -> CognitiveNetwork:
+    """Concepts with ids numbered out of order, then edges of every kind the closures walk."""
+    net = CognitiveNetwork()
+    n = rng.randint(4, 11)
+    ids = [f"c{i}" for i in rng.sample(range(n), n)]
+    for cid in ids:
+        roll = rng.random()
+        if roll < 0.25:
+            concept(net, cid, value=float(rng.randint(0, 6)))
+        elif roll < 0.45:
+            lo = rng.randint(0, 5)
+            concept(net, cid, value=Interval(float(lo), float(lo + rng.randint(1, 4))))
+        else:
+            concept(net, cid)
+    for _ in range(rng.randint(1, n)):  # belong-to chains; an edge that would close a cycle is skipped
+        a, b = rng.sample(ids, 2)
+        try:
+            net.add_belong(a, b, backward=rng.choice([1.0, 0.6]))
+        except StructureError:
+            pass
+    for k in range(rng.randint(0, 2)):  # equal 2-cycles
+        a, b = rng.sample(ids, 2)
+        relation(net, f"eq{k}", RelationKind.EQUAL, a, b)
+        if rng.random() < 0.5:
+            relation(net, f"eq{k}r", RelationKind.EQUAL, b, a)
+    flows: list[str] = []
+    for k in range(rng.randint(2, 2 * n)):
+        a, b = rng.sample(ids, 2)
+        kind = rng.choice(FLOW_KINDS)
+        same_kind = [r for r in flows if net.relations[r].kind is kind]
+        base = rng.choice(same_kind) if same_kind and rng.random() < 0.4 else None
+        relation(
+            net, f"f{k}", kind, a, b,
+            pba=rng.choice([1.0, 1.0, 0.95, 0.7, 0.4]),
+            pab=rng.choice([1.0, 0.9, 0.5]),
+            base=base,
+        )
+        flows.append(f"f{k}")
+    for rel_id in rng.sample(flows, min(2, len(flows))):  # a base set after insertion, as growth does
+        rel = net.relations[rel_id]
+        earlier = [r for r in flows[: flows.index(rel_id)] if net.relations[r].kind is rel.kind]
+        if rel.base is None and earlier:
+            net.set_base(rel_id, rng.choice(earlier))
+    for _ in range(rng.randint(0, 2)):  # relations that belong to or equal other elements
+        a, b = rng.choice(flows), rng.choice(ids + flows)
+        try:
+            if rng.random() < 0.7:
+                net.add_belong(a, b)
+            else:
+                relation(net, f"eq_{a}_{b}", RelationKind.EQUAL, a, b)
+        except StructureError:  # a cycle of belong-to, or an edge from an element to itself
+            pass
+    for k in range(rng.randint(1, 4)):
+        pool = ids if rng.random() < 0.6 else flows if rng.random() < 0.6 else ids + flows
+        a, b = rng.sample(pool, 2)
+        relation(net, f"x{k}", RelationKind.XOR, a, b, pba=0.0, pab=0.0)
+    if rng.random() < 0.4:  # removals (which may leave relations dangling), then late additions
+        net.remove_element(rng.choice(flows if rng.random() < 0.5 else net.element_ids()))
+        late = [f"late{k}" for k in range(rng.randint(1, 2))]
+        for cid in late:
+            concept(net, cid)
+        live = [c for c in net.concepts if c not in late]
+        relation(net, "late_part", RelationKind.HAS_PART, late[0], rng.choice(live))
+        relation(net, "late_belong", RelationKind.BELONG_TO, late[-1], rng.choice(live))
+        if net.xor_relations() and rng.random() < 0.5:
+            relation(net, "late_xor", RelationKind.XOR, late[0], rng.choice(live), pba=0.0, pab=0.0)
+    return net
+
+
+def random_config(rng: random.Random) -> EngineConfig:
+    mode = rng.choice([Mode.EXACT, Mode.SIMPLIFIED])
+    return EngineConfig(
+        collapse_threshold=rng.choice([0.9, 0.8]),
+        mode=mode,
+        default_k=rng.choice([1.0, 0.5]) if mode is Mode.SIMPLIFIED else 1.0,
+        max_hops=rng.choice([None, None, 2]),
+    )
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except DcnetError as err:
+        return (type(err).__name__, str(err))
+
+
+def _snapshot(net: CognitiveNetwork, ledger, trace: Trace):
+    states = [(e, net.state(e)) for e in net.element_ids()]
+    entries = [
+        (e.launch_id, e.source, e.target, e.via, e.contribution, e.sealed) for e in ledger.entries
+    ]
+    launches = [(r.launch_id, r.source, r.delta, r.sealed) for r in ledger.launches]
+    return states, entries, launches, list(trace.events)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_xor_partners_match_the_oracle():
+    for seed in range(CASES):
+        net = random_network(random.Random(f"partners/{seed}"))
+        for x in net.element_ids():
+            assert _outcome(lambda: _xor_partners(net, x)) == _outcome(
+                lambda: scan_xor_partners(net, x)
+            ), f"seed {seed}, element {x}"
+
+
+def test_collapse_and_settle_match_the_oracle():
+    """The same inputs, collapses and settles on two copies: every state, entry and event agree."""
+    cascades = conflicts = 0
+    for seed in range(CASES):
+        rng = random.Random(f"collapse/{seed}")
+        net = random_network(rng)
+        config = random_config(rng)
+        ids = net.element_ids()
+        kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 4)))
+        xor_ends = [end for r in net.xor_relations() for end in (net.relations[r].a, net.relations[r].b)]
+        fast = (net, ContributionLedger(), Trace())
+        slow = (copy.deepcopy(net), ScanLedger(), Trace())
+        for step in range(rng.randint(4, 10)):
+            roll = rng.random()
+            x = rng.choice(xor_ends if xor_ends and rng.random() < 0.4 else ids)
+            if not net.has(x):
+                continue
+            if roll < 0.45:
+                delta = rng.choice([1.0, 0.9, 0.6, 0.3])
+                ops = [lambda n, l, t: pps_launch(n, x, delta, config, l, t)] * 2
+            elif roll < 0.75:
+                ops = [
+                    lambda n, l, t: collapse_element(n, x, config, l, t, kb_ids),
+                    lambda n, l, t: scan_collapse(n, x, config, l, t, kb_ids),
+                ]
+            else:
+                ops = [
+                    lambda n, l, t: settle(n, config, l, t, kb_ids),
+                    lambda n, l, t: scan_settle(n, config, l, t, kb_ids),
+                ]
+            before = len(fast[2].events)
+            got = _outcome(lambda: ops[0](*fast))
+            want = _outcome(lambda: ops[1](*slow))
+            where = f"seed {seed}, step {step}"
+            assert got == want, where
+            assert _snapshot(*fast) == _snapshot(*slow), where
+            conflicts += got[0] == "ConflictError"
+            cascades += sum(ev.event == "collapse" for ev in fast[2].events[before:]) > 1
+    assert conflicts >= 40 and cascades >= 80  # the cases reach conflicts and cascades
+
+
+def test_ledger_matches_the_flat_list_oracle():
+    """Random record, add, purge, launch removal, sealing and replay on both ledgers."""
+    elements = ["a", "b", "c", "r1", "r2"]
+    for seed in range(CASES):
+        rng = random.Random(f"ledger/{seed}")
+        fast, slow = ContributionLedger(), ScanLedger()
+        for step in range(40):
+            roll = rng.random()
+            where = f"seed {seed}, step {step}"
+            if roll < 0.45:
+                args = (rng.randint(1, 5), rng.choice(elements), rng.choice(elements),
+                        rng.choice(elements), rng.choice([0.1, 0.25, 0.5]))
+                fast.record(*args)
+                slow.record(*args)
+            elif roll < 0.5:
+                entry = LedgerEntry(rng.randint(1, 5), "a", rng.choice(elements), "r1", 0.2, sealed=True)
+                fast.add(entry)
+                slow.entries.append(copy.copy(entry))
+            elif roll < 0.6:
+                target = rng.choice(elements)
+                assert fast.purge_target(target) == slow.purge_target(target), where
+            elif roll < 0.7:
+                launch = rng.randint(1, 5)
+                assert fast.remove_launch(launch) == slow.remove_launch(launch), where
+            elif roll < 0.75:
+                element = rng.choice(elements)
+                fast.seal_element(element)
+                slow.seal_element(element)
+            elif roll < 0.8:
+                source = rng.choice(elements)
+                fast.open_launch(source, 0.5)
+                slow.open_launch(source, 0.5)
+            else:
+                target, mode = rng.choice(elements), rng.choice(list(Mode))
+                assert fast.replay(0.1, target, mode) == slow.replay(0.1, target, mode), where
+                pair = rng.sample(elements, 2)
+                assert fast.launches_into(pair) == slow.launches_into(pair), where
+            assert list(fast.entries) == slow.entries, where
+            assert fast.launches == slow.launches, where
+
+
+def test_entries_view_is_read_only():
+    ledger = ContributionLedger()
+    ledger.record(1, "a", "b", "r", 0.5)
+    with pytest.raises(AttributeError):
+        ledger.entries.append(LedgerEntry(2, "a", "b", "r", 0.5))
+    assert [e.target for e in ledger.entries] == ["b"]

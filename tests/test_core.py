@@ -204,6 +204,25 @@ class TestDerivedNetwork:
         assert mapping.pairs["r0"] == "r0a" and mapping.pairs["r1"] == "r1b"
 
 
+class TestCopy:
+    def test_a_copy_and_its_indexes_change_apart_from_the_original(self):
+        net = CognitiveNetwork()
+        for cid in ("a", "b", "c"):
+            _concept(net, cid)
+        _rel(net, "r", RelationKind.HAS_PART, "a", "b")
+        _rel(net, "r2", RelationKind.HAS_PART, "b", "c", base="r")
+        _rel(net, "x", RelationKind.XOR, "a", "c", pba=0.0, pab=0.0)
+        clone = net.copy()
+        clone.remove_element("x")
+        clone.remove_element("r2")
+        _rel(clone, "s", RelationKind.HAS_PART, "a", "c", base="r")
+        assert net.incident("a") == ["r", "x"] and net.incident("c") == ["r2", "x"]
+        assert net.xor_relations() == ["x"] and net.relations_based_on("r") == ["r2"]
+        assert clone.incident("a") == ["r", "s"] and clone.relations_based_on("r") == ["s"]
+        assert clone.position_key("s") > clone.position_key("r") > clone.position_key("c")
+        assert "s" not in net.relations and clone.relations["r"] is not net.relations["r"]
+
+
 class TestValidation:
     def test_element_count(self, chain_net):
         assert element_count(CognitiveNetwork()) == 0

@@ -82,6 +82,12 @@ class TestParseKb:
             parse_kb("concept a\nconcept b\nrelation r kind=WIBBLE a=a b=b\n")
         assert err.value.line == 3
 
+    def test_unknown_state_status_is_located(self):
+        with pytest.raises(ParseError) as err:
+            parse_kb("concept a\nconcept x state=0.1,0.1,bogus,0\n")
+        assert (err.value.line, err.value.column) == (2, 25)
+        assert "unknown status bogus" in str(err.value)
+
     def test_dangling_reference(self):
         with pytest.raises(ParseError) as err:
             parse_kb("concept a\nrelation r kind=HAS_COMPONENT a=a b=ghost\n")

@@ -1,4 +1,4 @@
-"""Module layering: no dcnet module reaches into another module's private names."""
+"""Module layering: no dcnet module reaches into another module's or object's private names."""
 from __future__ import annotations
 
 import ast
@@ -20,4 +20,19 @@ def test_no_module_imports_another_modules_private_name():
             for alias in node.names:
                 if alias.name.startswith("_"):
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert offenders == []
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    """Only ``self`` and ``cls`` may be asked for an underscore attribute (dunders aside)."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__") and node.attr.endswith("__"):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+                continue
+            offenders.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
     assert offenders == []

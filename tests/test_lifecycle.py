@@ -258,3 +258,43 @@ class TestSessions:
         with pytest.raises(LoadError) as err:
             session_load("NOT-A-SESSION\n")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "anchor, bad",
+        [
+            ("next_launch_id=", "next_launch_id=q"),
+            ("launch 1 ", "launch z eye1 0.6 0"),
+            ("launch 1 ", "launch 1 eye1 much 0"),
+            ("entry ", "entry L1 eye1 face1 r_fe#1 0.5 0"),
+            ("entry ", "entry 1 eye1 face1 r_fe#1 half 0"),
+            ("entry ", ""),  # a blank ledger line
+            ("next_step=", "next_step=x0"),
+            ("event ", "event 1 launch eye1 eye1 0.6 high"),
+            ("processed=", "processed=zz"),
+            ("begin counters", "x=notint"),  # inserted after the marker
+            ("fragment ", "fragment eye1 most - 0 0 0 - -"),
+        ],
+    )
+    def test_malformed_line_names_its_line(self, anchor, bad):
+        task = face_task()
+        fit_step(task)
+        lines = session_save(task).split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(anchor))
+        if anchor.startswith("begin"):
+            at += 1
+            lines.insert(at, bad)
+        else:
+            lines[at] = bad
+        with pytest.raises(LoadError) as err:
+            session_load("\n".join(lines))
+        assert err.value.line == at + 1
+        assert repr(bad) in str(err.value)
+
+    def test_kb_block_error_names_its_payload_line(self):
+        lines = session_save(face_task()).split("\n")
+        at = lines.index("begin kb") + 2
+        lines[at] = "concept x state=0.1,0.1,bogus,0"
+        with pytest.raises(LoadError) as err:
+            session_load("\n".join(lines))
+        assert err.value.line == at + 1
+        assert "unknown status bogus" in str(err.value)

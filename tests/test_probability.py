@@ -329,6 +329,19 @@ class TestCollapse:
         assert net.state("b").status is Status.COLLAPSED
         assert net.state("c").status is Status.COLLAPSED
 
+    def test_deep_cascade_runs_to_the_end_of_the_chain(self):
+        """A cascade of 3,000 collapses is a loop, not 3,000 nested calls."""
+        net = CognitiveNetwork()
+        n = 3000
+        for i in range(n):
+            _concept(net, f"c{i}")
+        for i in range(n - 1):
+            _rel(net, f"r{i}", f"c{i}", f"c{i + 1}", kind=RelationKind.HAS_PART)
+        ledger, trace = ContributionLedger(), Trace()
+        collapse_element(net, "c0", _engine(max_hops=2), ledger, trace)
+        assert net.state(f"c{n - 1}").status is Status.COLLAPSED
+        assert sum(ev.event == "collapse" for ev in trace.events) == 2 * n - 1
+
     def test_collapse_suppresses_exclusive_partner(self):
         net = CognitiveNetwork()
         _concept(net, "face", 0.95)
