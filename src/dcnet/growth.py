@@ -25,6 +25,7 @@ from .core import (
     TreeInstance,
     TreeNetworkView,
     belongs_to,
+    down_closure,
     kind_compatible,
     relation_subsumes,
 )
@@ -208,15 +209,38 @@ def _existing_instance(
     mapped: set[str],
     kb_ids: frozenset[str],
 ) -> Optional[str]:
-    for cid in net.concepts:
-        if cid in kb_ids or cid in mapped or cid == base:
-            continue
-        state = net.state(cid)
-        if state.status is Status.SUPPRESSED:
-            continue
-        if belongs_to(net, cid, base):
-            return cid
-    return None
+    """The first live instance concept of ``base`` (in ``element_ids()`` order) not yet mapped."""
+    found = (
+        e for e in down_closure(net, base)
+        if e in net.concepts and e != base and e not in kb_ids and e not in mapped
+        and net.state(e).status is not Status.SUPPRESSED
+    )
+    return min(found, key=net.position_key, default=None)
+
+
+def _place_member(
+    net: CognitiveNetwork,
+    tree: TreeNetworkView,
+    mapping: dict[str, str],
+    member: str,
+    config: EngineConfig,
+    ledger: ContributionLedger,
+    trace: Trace,
+    kb_ids: frozenset[str],
+) -> bool:
+    """Map a base member to an existing or a new instance and link it; False defers it.
+
+    A member is deferred while both its projected inflow and the result
+    probability of the instance it would reuse stay below activation.
+    """
+    existing = _existing_instance(net, member, set(mapping.values()), kb_ids)
+    own = net.state(existing).result_prob if existing is not None else 0.0
+    projected = _projection(net, tree, member, mapping)
+    if projected < config.activation_threshold and own < config.activation_threshold:
+        return False
+    mapping[member] = existing if existing is not None else grow_concept(net, member, trace)
+    _link_mapped_relations(net, tree, mapping, config, ledger, trace)
+    return True
 
 
 def grow_tree(
@@ -253,20 +277,11 @@ def grow_tree(
     mapping.update(seed_mapping)
 
     deferred: list[str] = []
-    mapped_values = set(mapping.values())
     for member in base_tree.concepts:
-        if member in mapping:
-            continue
-        projected = _projection(net, base_tree, member, mapping)
-        existing = _existing_instance(net, member, mapped_values, kb_ids)
-        own = net.state(existing).result_prob if existing is not None else 0.0
-        if projected < config.activation_threshold and own < config.activation_threshold:
+        if member not in mapping and not _place_member(
+            net, base_tree, mapping, member, config, ledger, trace, kb_ids
+        ):
             deferred.append(member)
-            continue
-        inst_el = existing if existing is not None else grow_concept(net, member, trace)
-        mapping[member] = inst_el
-        mapped_values.add(inst_el)
-        _link_mapped_relations(net, base_tree, mapping, config, ledger, trace)
 
     _link_mapped_relations(net, base_tree, mapping, config, ledger, trace)
     instance.root = mapping.get(base_tree.root, instance.root)
@@ -340,6 +355,11 @@ class FitState:
 
     def all_consumed(self) -> bool:
         return all(f.consumed for f in self.fragments)
+
+    def fully_collapsed(self) -> bool:
+        """Every content element collapsed or suppressed, and at least one collapsed."""
+        seen = {self.net.state(e).status for e in self.content_ids()}
+        return Status.COLLAPSED in seen and seen <= {Status.COLLAPSED, Status.SUPPRESSED}
 
 
 @dataclass
@@ -482,7 +502,7 @@ def _candidates(
 
 
 def _tree_instance_for(state: FitState, base_root: str, mapping_hint: dict[str, str]):
-    for idx, inst in enumerate(state.net.tree_instances):
+    for inst in state.net.tree_instances:
         if inst.base_root != base_root:
             continue
         if any(inst.mapping.get(b) == d for b, d in mapping_hint.items()):
@@ -490,12 +510,12 @@ def _tree_instance_for(state: FitState, base_root: str, mapping_hint: dict[str, 
     return None
 
 
-def _grow_candidate(
+def _commit(
     task: FitTask, state: FitState, frag: FragmentRecord, candidate: MatchResult
 ) -> None:
+    """Grow the chosen interpretation, launch the fragment's input once and settle."""
     tree = state.net.trees[candidate.base]
     seed = dict(candidate.mapping.pairs)
-    instance = _tree_instance_for(state, candidate.base, seed)
     instance, deferred = grow_tree(
         state.net,
         seed,
@@ -504,7 +524,7 @@ def _grow_candidate(
         ledger=state.ledger,
         trace=task.trace,
         kb_ids=state.kb_ids,
-        instance=instance,
+        instance=_tree_instance_for(state, candidate.base, seed),
     )
     idx = state.net.tree_instances.index(instance)
     known = {(d.instance_index, d.base_member) for d in state.deferred}
@@ -512,6 +532,11 @@ def _grow_candidate(
         if (idx, member) not in known:
             state.deferred.append(DeferredGrowth(idx, member))
     frag.grown_root = candidate.base
+    if frag.input_prob > 0.0 and not state.net.state(frag.element).launched:
+        pps_launch(
+            state.net, frag.element, frag.input_prob, task.config, state.ledger, task.trace
+        )
+    _settle_state(task, state)
 
 
 def _process_deferred(task: FitTask, state: FitState) -> bool:
@@ -521,23 +546,13 @@ def _process_deferred(task: FitTask, state: FitState) -> bool:
         instance = state.net.tree_instances[entry.instance_index]
         tree = state.net.trees[instance.base_root]
         member = entry.base_member
-        if member in instance.mapping:
+        if member in instance.mapping or _place_member(
+            state.net, tree, instance.mapping, member,
+            task.config, state.ledger, task.trace, state.kb_ids,
+        ):
             progressed = True
-            continue
-        projected = _projection(state.net, tree, member, instance.mapping)
-        existing = _existing_instance(
-            state.net, member, set(instance.mapping.values()), state.kb_ids
-        )
-        own = state.net.state(existing).result_prob if existing is not None else 0.0
-        if projected < task.config.activation_threshold and own < task.config.activation_threshold:
+        else:
             remaining.append(entry)
-            continue
-        inst_el = existing if existing is not None else grow_concept(state.net, member, task.trace)
-        instance.mapping[member] = inst_el
-        _link_mapped_relations(
-            state.net, tree, instance.mapping, task.config, state.ledger, task.trace
-        )
-        progressed = True
     state.deferred = remaining
     return progressed
 
@@ -595,46 +610,30 @@ def _process_fragment(task: FitTask, state: FitState, frag: FragmentRecord) -> N
         task.forks.append(Fork(snapshot, frag_index, alt.base))
         budget -= 1
     frag.consumed = True
-    _grow_candidate(task, state, frag, candidates[0])
-    if frag.input_prob > 0.0 and not state.net.state(frag.element).launched:
-        pps_launch(
-            state.net, frag.element, frag.input_prob, task.config, state.ledger, task.trace
-        )
-    _settle_state(task, state)
+    _commit(task, state, frag, candidates[0])
 
 
 def fit_step(task: FitTask) -> bool:
     """Advance by one fragment; returns False when nothing is pending anywhere."""
     for state in task.states:
         frag = _next_fragment(state)
-        if frag is None:
-            continue
-        _process_fragment(task, state, frag)
-        task.processed += 1
-        return True
-    if task.forks:
+        if frag is not None:
+            _process_fragment(task, state, frag)
+            break
+    else:
+        if not task.forks:
+            return False
+        # a fork resumes its snapshot with the alternative it was made for
         fork = task.forks.pop(0)
         task.states.append(fork.state)
         frag = fork.state.fragments[fork.fragment_index]
         frag.consumed = True
-        candidates = [
-            c for c in _candidates(fork.state, frag, task.config) if c.base == fork.base_root
-        ]
-        if candidates:
-            _grow_candidate(task, fork.state, frag, candidates[0])
-            if frag.input_prob > 0.0 and not fork.state.net.state(frag.element).launched:
-                pps_launch(
-                    fork.state.net,
-                    frag.element,
-                    frag.input_prob,
-                    task.config,
-                    fork.state.ledger,
-                    task.trace,
-                )
-            _settle_state(task, fork.state)
-        task.processed += 1
-        return True
-    return False
+        for candidate in _candidates(fork.state, frag, task.config):
+            if candidate.base == fork.base_root:
+                _commit(task, fork.state, frag, candidate)
+                break
+    task.processed += 1
+    return True
 
 
 @dataclass
@@ -672,18 +671,10 @@ def fit_run(task: FitTask, limit: Optional[int] = None) -> FitReport:
         steps += 1
     complete = not task.forks and all(s.all_consumed() for s in task.states)
 
-    def all_collapsed(state: FitState) -> bool:
-        ids = state.content_ids()
-        return bool(ids) and all(
-            state.net.state(e).status is Status.COLLAPSED
-            or state.net.state(e).status is Status.SUPPRESSED
-            for e in ids
-        ) and any(state.net.state(e).status is Status.COLLAPSED for e in ids)
-
     means = [mean_probability(s.net, s.content_ids()) for s in task.states]
     order = sorted(
         range(len(task.states)),
-        key=lambda i: (not all_collapsed(task.states[i]), -means[i], i),
+        key=lambda i: (not task.states[i].fully_collapsed(), -means[i], i),
     )
     selected = order[0] if order else 0
     unmatched = [
@@ -695,7 +686,7 @@ def fit_run(task: FitTask, limit: Optional[int] = None) -> FitReport:
         task=task,
         ranking=order,
         selected=selected,
-        absolute=bool(task.states) and all_collapsed(task.states[selected]),
+        absolute=bool(task.states) and task.states[selected].fully_collapsed(),
         complete=complete,
         unmatched=unmatched,
     )

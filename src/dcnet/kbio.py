@@ -163,18 +163,8 @@ def _parse_concept_line(net, tokens, line_no, line) -> Concept:
         raise ParseError("concept needs an id", line_no)
     concept = Concept(id=tokens[1])
     for key, value in _kv(tokens[2:], line_no, line).items():
-        if key == "value":
-            parsed = parse_param_value(value, line_no, line)
-            if isinstance(parsed, float):
-                concept.value = parsed
-            else:
-                concept.params["value"] = parsed
-        elif key == "interval":
-            lo, _, hi = value.partition(",")
-            concept.value = Interval(
-                _parse_float(lo, line_no, line, "interval lo"),
-                _parse_float(hi, line_no, line, "interval hi"),
-            )
+        if key in ("value", "interval"):
+            _set_value(concept, key, value, line_no, line)
         elif key == "name":
             concept.name = value
         elif key == "state":
@@ -200,28 +190,46 @@ def _parse_belong_line(net, tokens, line_no, line) -> None:
 
 
 def _parse_relation_line(net, tokens, line_no, line) -> Relation:
-    if len(tokens) < 2:
-        raise ParseError("relation needs an id", line_no)
-    kv = _kv(tokens[2:], line_no, line)
-    for required in ("kind", "a", "b"):
-        if required not in kv:
-            raise ParseError(f"relation {tokens[1]} missing {required}=", line_no)
+    kind, a, b, pba, pab, base, kv = _relation_statement(tokens, line_no, line)
     relation = Relation(
-        id=tokens[1],
-        kind=_kind(kv.pop("kind"), line_no, line),
-        a=kv.pop("a"),
-        b=kv.pop("b"),
-        cond=ConditionalProbabilityPair(
-            forward=_parse_prob_spec(kv.pop("pba", "1.0"), line_no, line),
-            backward=_parse_prob_spec(kv.pop("pab", "1.0"), line_no, line),
-        ),
-        base=kv.pop("base", None),
+        id=tokens[1], kind=kind, a=a, b=b,
+        cond=ConditionalProbabilityPair(forward=pba, backward=pab), base=base,
     )
     if "state" in kv:
         relation.state = _parse_state(kv.pop("state"), line_no, line)
     for key, value in kv.items():
         relation.params[key] = parse_param_value(value, line_no, line)
     return net.add_relation(relation)
+
+
+def _relation_statement(tokens, line_no, line):
+    """A relation statement's kind, ends, conditional specs and base, then its other keys raw."""
+    if len(tokens) < 2:
+        raise ParseError("relation needs an id", line_no)
+    kv = _kv(tokens[2:], line_no, line)
+    for required in ("kind", "a", "b"):
+        if required not in kv:
+            raise ParseError(f"relation {tokens[1]} missing {required}=", line_no)
+    kind = _kind(kv.pop("kind"), line_no, line)
+    pba = _parse_prob_spec(kv.pop("pba", "1.0"), line_no, line)
+    pab = _parse_prob_spec(kv.pop("pab", "1.0"), line_no, line)
+    return kind, kv.pop("a"), kv.pop("b"), pba, pab, kv.pop("base", None), kv
+
+
+def _set_value(target, key: str, raw: str, line_no: int, line: str) -> None:
+    """Apply a ``value=`` or ``interval=`` token; a non-number ``value`` becomes a param."""
+    if key == "interval":
+        lo, _, hi = raw.partition(",")
+        target.value = Interval(
+            _parse_float(lo, line_no, line, "interval lo"),
+            _parse_float(hi, line_no, line, "interval hi"),
+        )
+        return
+    parsed = parse_param_value(raw, line_no, line)
+    if isinstance(parsed, float):
+        target.value = parsed
+    else:
+        target.params["value"] = parsed
 
 
 def _parse_tree_line(net, tokens, line_no, line) -> None:
@@ -376,36 +384,17 @@ def parse_scenario(text: str) -> ScenarioDoc:
             )
             if not 0.0 <= spec.p <= 1.0:
                 raise ParseError(f"input probability out of range: {spec.p}", line_no)
-            if "value" in kv:
-                parsed = parse_param_value(kv.pop("value"), line_no, line)
-                if isinstance(parsed, float):
-                    spec.value = parsed
-                else:
-                    spec.params["value"] = parsed
-            if "interval" in kv:
-                lo, _, hi = kv.pop("interval").partition(",")
-                spec.value = Interval(
-                    _parse_float(lo, line_no, line, "lo"), _parse_float(hi, line_no, line, "hi")
-                )
+            for key in ("value", "interval"):
+                if key in kv:
+                    _set_value(spec, key, kv.pop(key), line_no, line)
             for key, value in kv.items():
                 spec.params[key] = parse_param_value(value, line_no, line)
             doc.concepts.append(spec)
         elif head == "relation":
-            if len(tokens) < 2:
-                raise ParseError("relation needs an id", line_no)
-            kv = _kv(tokens[2:], line_no, line)
-            for required in ("kind", "a", "b"):
-                if required not in kv:
-                    raise ParseError(f"relation {tokens[1]} missing {required}=", line_no)
+            kind, a, b, pba, pab, base, kv = _relation_statement(tokens, line_no, line)
+            p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p")
             spec = RelationSpec(
-                rel_id=tokens[1],
-                kind=_kind(kv.pop("kind"), line_no, line),
-                a=kv.pop("a"),
-                b=kv.pop("b"),
-                pba=_parse_prob_spec(kv.pop("pba", "1.0"), line_no, line),
-                pab=_parse_prob_spec(kv.pop("pab", "1.0"), line_no, line),
-                p=_parse_float(kv.pop("p", "0.0"), line_no, line, "p"),
-                base=kv.pop("base", None),
+                rel_id=tokens[1], kind=kind, a=a, b=b, pba=pba, pab=pab, p=p, base=base
             )
             for key, value in kv.items():
                 spec.params[key] = parse_param_value(value, line_no, line)

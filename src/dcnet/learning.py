@@ -22,7 +22,7 @@ from .core import (
     Status,
     classify_tree_network,
 )
-from .growth import ConceptSpec, FitReport, RelationSpec, fit_run, make_task
+from .growth import ConceptSpec, FitReport, FitState, RelationSpec, fit_run, make_task
 from .probability import EngineConfig, gaussian_membership, param_membership
 
 
@@ -170,10 +170,9 @@ def _adjacency_components(
     return components
 
 
-def _placements_of(report: FitReport) -> dict[str, tuple[str, str]]:
+def _placements_of(state: FitState) -> dict[str, tuple[str, str]]:
     """fragment element -> (base root, base member) in the selected state."""
     out: dict[str, tuple[str, str]] = {}
-    state = _select(report)
     fragment_elements = {f.element for f in state.fragments}
     for instance in state.net.tree_instances:
         for base_el, inst_el in instance.mapping.items():
@@ -182,31 +181,19 @@ def _placements_of(report: FitReport) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _select(report: FitReport):
+def _select(report: FitReport) -> FitState:
     """The optimization principle: among collapsed results, the smallest wins.
 
     Falls back to the fit ranking when no result is fully collapsed.
     """
-    best_index = report.selected
-    best_size = None
-    for index in report.ranking:
-        state = report.task.states[index]
-        ids = state.content_ids()
-        fully = bool(ids) and all(
-            state.net.state(e).status in (Status.COLLAPSED, Status.SUPPRESSED) for e in ids
-        ) and any(state.net.state(e).status is Status.COLLAPSED for e in ids)
-        if not fully:
-            continue
-        size = len(state.instance_ids())
-        if best_size is None or size < best_size:
-            best_size = size
-            best_index = index
-    return report.task.states[best_index]
+    states = report.task.states
+    collapsed = [i for i in report.ranking if states[i].fully_collapsed()]
+    best = min(collapsed, key=lambda i: len(states[i].instance_ids()), default=report.selected)
+    return states[best]
 
 
-def _unexplained(report: FitReport) -> list[str]:
+def _unexplained(state: FitState) -> list[str]:
     """Fragments no grown interpretation absorbed; probability flow alone is not an explanation."""
-    state = _select(report)
     absorbed: set[str] = set()
     for instance in state.net.tree_instances:
         absorbed.update(instance.mapping.values())
@@ -262,6 +249,20 @@ def _declare_tree(kb: CognitiveNetwork, root: str) -> None:
     kb.trees[root] = classify_tree_network(kb, root, restrict=scope)
 
 
+def _add_certain(
+    kb: CognitiveNetwork,
+    rel_id: str,
+    kind: RelationKind,
+    a: str,
+    b: str,
+    params: Optional[dict] = None,
+) -> None:
+    """Add a relation certain in both directions unless its id is taken."""
+    if not kb.has(rel_id):
+        cond = ConditionalProbabilityPair(1.0, 1.0)
+        kb.add_relation(Relation(id=rel_id, kind=kind, a=a, b=b, cond=cond, params=dict(params or {})))
+
+
 def hypothesize_scene(
     kb: CognitiveNetwork,
     scene,
@@ -276,18 +277,28 @@ def hypothesize_scene(
     under the observed adjacency relations; a cluster adjacent to an explained
     instance extends that instance's tree instead of founding a new root.
     """
-    priors = {**DEFAULT_PRIORS, **(priors or {})}
-    kinds = frozenset(priors["adjacency_kinds"])
-    standard: Optional[DeviationStandard] = priors.get("deviation")
-    state = _select(report)
-    spec_by_element: dict[str, ConceptSpec] = {}
-    for frag, spec in zip(state.fragments, scene.concepts):
-        spec_by_element[frag.element] = spec
-    unexplained = _unexplained(report)
+    return _hypothesize(kb, scene, _select(report), priors, registry, scene_index)
+
+
+def _hypothesize(
+    kb: CognitiveNetwork,
+    scene,
+    state: FitState,
+    priors: Optional[dict],
+    registry: Optional[dict[str, KnowledgeCandidate]],
+    scene_index: int,
+) -> tuple[list[str], list[str]]:
+    unexplained = _unexplained(state)
     if not unexplained:
         return [], []
 
-    placements = _placements_of(report)
+    priors = {**DEFAULT_PRIORS, **(priors or {})}
+    kinds = frozenset(priors["adjacency_kinds"])
+    standard: Optional[DeviationStandard] = priors.get("deviation")
+    spec_by_element: dict[str, ConceptSpec] = {}
+    for frag, spec in zip(state.fragments, scene.concepts):
+        spec_by_element[frag.element] = spec
+    placements = _placements_of(state)
     new_roots: list[str] = []
     extended: list[str] = []
     for cluster in _adjacency_components(unexplained, scene.relations, kinds):
@@ -316,69 +327,24 @@ def hypothesize_scene(
             spec = spec_by_element.get(element)
             base_id = _ensure_member_base(kb, spec or ConceptSpec(base=None), standard)
             member_bases[element] = base_id
-            link_id = f"r:{root_id}:{base_id}"
-            if not kb.has(link_id):
-                kb.add_relation(
-                    Relation(
-                        id=link_id,
-                        kind=RelationKind.HAS_COMPONENT,
-                        a=root_id,
-                        b=base_id,
-                        cond=ConditionalProbabilityPair(1.0, 1.0),
-                    )
-                )
+            _add_certain(kb, f"r:{root_id}:{base_id}", RelationKind.HAS_COMPONENT, root_id, base_id)
         for spec in scene.relations:
             if spec.kind not in kinds:
                 continue
             if spec.a in member_bases and spec.b in member_bases:
-                adj_id = f"adj:{member_bases[spec.a]}:{member_bases[spec.b]}"
-                if not kb.has(adj_id):
-                    kb.add_relation(
-                        Relation(
-                            id=adj_id,
-                            kind=RelationKind.ADJOINING,
-                            a=member_bases[spec.a],
-                            b=member_bases[spec.b],
-                            cond=ConditionalProbabilityPair(1.0, 1.0),
-                            params=dict(
-                                next(
-                                    (
-                                        s.params
-                                        for s in scene.relations
-                                        if {s.a, s.b} == {spec.a, spec.b}
-                                    ),
-                                    {},
-                                )
-                            ),
-                        )
-                    )
+                a, b = member_bases[spec.a], member_bases[spec.b]
+                observed = next(s.params for s in scene.relations if {s.a, s.b} == {spec.a, spec.b})
+                _add_certain(kb, f"adj:{a}:{b}", RelationKind.ADJOINING, a, b, observed)
         for member, element in bridges:
             other = member_bases.get(element)
-            if other is None or other == member:
-                continue
-            adj_id = f"adj:{member}:{other}"
-            if not kb.has(adj_id):
-                kb.add_relation(
-                    Relation(
-                        id=adj_id,
-                        kind=RelationKind.ADJOINING,
-                        a=member,
-                        b=other,
-                        cond=ConditionalProbabilityPair(1.0, 1.0),
-                    )
-                )
+            if other is not None and other != member:
+                _add_certain(kb, f"adj:{member}:{other}", RelationKind.ADJOINING, member, other)
         _declare_tree(kb, root_id)
 
         if registry is not None:
-            if root_id in registry:
-                candidate = registry[root_id]
-                for base_id in member_bases.values():
-                    candidate.member_counts.setdefault(base_id, 0)
-            else:
-                registry[root_id] = KnowledgeCandidate(
-                    tree_root=root_id, created_at=scene_index
-                )
-                candidate = registry[root_id]
+            candidate = registry.setdefault(
+                root_id, KnowledgeCandidate(tree_root=root_id, created_at=scene_index)
+            )
             for base_id in member_bases.values():
                 candidate.member_counts[base_id] = candidate.member_counts.get(base_id, 0) + 1
             members_now = sorted(member_bases.values())
@@ -433,21 +399,13 @@ def cnl_run(
         if not scene.concepts:
             report.scenes += 1
             continue
-        task = make_task(kb, config, scene.concepts, scene.relations)
-        fit_report = fit_run(task)
-        fit_report = _apply_deviation_gate(fit_report, standard)
-        created_this_scene: set[str] = set()
-        if _unexplained(fit_report):
-            new_roots, extended = hypothesize_scene(
-                kb, scene, fit_report, priors, registry, scene_index=index
-            )
-            created_this_scene = set(new_roots)
+        state = _fit_scene(kb, scene, config, standard)
+        new_roots, extended = _hypothesize(kb, scene, state, priors, registry, index)
+        if new_roots or extended:
             report.learned_roots.extend(new_roots)
             report.extended_roots.extend(r for r in extended if r not in report.extended_roots)
-            task = make_task(kb, config, scene.concepts, scene.relations)
-            fit_report = fit_run(task)
-            fit_report = _apply_deviation_gate(fit_report, standard)
-        _count_applications(fit_report, registry, created_this_scene)
+            state = _fit_scene(kb, scene, config, standard)
+        _count_applications(state, registry, set(new_roots))
         report.scenes += 1
 
     _reestimate(kb, registry, report)
@@ -460,29 +418,30 @@ def cnl_run(
     return report
 
 
-def _apply_deviation_gate(
-    fit_report: FitReport, standard: Optional[DeviationStandard]
-) -> FitReport:
-    """Instances whose observed parameters deviate beyond the standard stay unexplained."""
-    if standard is None:
-        return fit_report
-    state = _select(fit_report)
-    for frag in state.fragments:
-        if frag.unmatched or frag.element in fit_report.unmatched:
-            continue
-        membership = deviation_membership(state.net, [frag.element], standard=standard)
-        if not standard.meets(membership):
-            frag.unmatched = True
-            fit_report.unmatched.append(frag.element)
-    return fit_report
+def _fit_scene(
+    kb: CognitiveNetwork,
+    scene,
+    config: EngineConfig,
+    standard: Optional[DeviationStandard],
+) -> FitState:
+    """Fit a scene and select its result; instances deviating beyond the standard are unmatched."""
+    report = fit_run(make_task(kb, config, scene.concepts, scene.relations))
+    state = _select(report)
+    if standard is not None:
+        for frag in state.fragments:
+            if frag.unmatched or frag.element in report.unmatched:
+                continue
+            membership = deviation_membership(state.net, [frag.element], standard=standard)
+            if not standard.meets(membership):
+                frag.unmatched = True
+    return state
 
 
 def _count_applications(
-    fit_report: FitReport,
+    state: FitState,
     registry: dict[str, KnowledgeCandidate],
     created_this_scene: set[str],
 ) -> None:
-    state = _select(fit_report)
     fragment_elements = {f.element for f in state.fragments if not f.unmatched}
     applied_roots: set[str] = set()
     for instance in state.net.tree_instances:
@@ -696,8 +655,10 @@ def _absorb_tree(
         for name in set(pa) & set(pb):
             pa[name] = _pool_params(pa[name], weight_a, pb[name], weight_b)
     view_b = kb.trees.pop(root_b)
-    for rel_id in list(view_b.longitudinal) + list(view_b.additional):
-        if kb.has(rel_id):
+    # adjacency ids are named after member bases, so another tree may list one of b's
+    still_listed = {r for view in kb.trees.values() for r in view.longitudinal + view.additional}
+    for rel_id in view_b.longitudinal + view_b.additional:
+        if kb.has(rel_id) and rel_id not in still_listed:
             kb.remove_element(rel_id)
     for m_a, m_b in pairs:
         if m_a != m_b and kb.has(m_b):

@@ -1,12 +1,16 @@
 """Shared network builders for the test suite."""
 from __future__ import annotations
 
+import random
+
 from dcnet.core import (
     CognitiveNetwork,
     Concept,
     ConditionalProbabilityPair,
+    Interval,
     Relation,
     RelationKind,
+    StructureError,
     classify_tree_network,
 )
 from dcnet.growth import ConceptSpec, FitTask, make_task
@@ -94,3 +98,75 @@ def member_tree_kb(n_members: int = 5, pba=1.0, pab=1.0) -> CognitiveNetwork:
         ids += [f"m{i}", f"r{i}"]
     declare_tree(kb, "root", ids)
     return kb
+
+
+FLOW_KINDS = (RelationKind.HAS_PART, RelationKind.ADJOINING)
+
+
+def random_network(rng: random.Random) -> CognitiveNetwork:
+    """Concepts with ids numbered out of order, then edges of every kind the closures walk."""
+    net = CognitiveNetwork()
+    n = rng.randint(4, 11)
+    ids = [f"c{i}" for i in rng.sample(range(n), n)]
+    for cid in ids:
+        roll = rng.random()
+        if roll < 0.25:
+            concept(net, cid, value=float(rng.randint(0, 6)))
+        elif roll < 0.45:
+            lo = rng.randint(0, 5)
+            concept(net, cid, value=Interval(float(lo), float(lo + rng.randint(1, 4))))
+        else:
+            concept(net, cid)
+    for _ in range(rng.randint(1, n)):  # belong-to chains; an edge that would close a cycle is skipped
+        a, b = rng.sample(ids, 2)
+        try:
+            net.add_belong(a, b, backward=rng.choice([1.0, 0.6]))
+        except StructureError:
+            pass
+    for k in range(rng.randint(0, 2)):  # equal 2-cycles
+        a, b = rng.sample(ids, 2)
+        relation(net, f"eq{k}", RelationKind.EQUAL, a, b)
+        if rng.random() < 0.5:
+            relation(net, f"eq{k}r", RelationKind.EQUAL, b, a)
+    flows: list[str] = []
+    for k in range(rng.randint(2, 2 * n)):
+        a, b = rng.sample(ids, 2)
+        kind = rng.choice(FLOW_KINDS)
+        same_kind = [r for r in flows if net.relations[r].kind is kind]
+        base = rng.choice(same_kind) if same_kind and rng.random() < 0.4 else None
+        relation(
+            net, f"f{k}", kind, a, b,
+            pba=rng.choice([1.0, 1.0, 0.95, 0.7, 0.4]),
+            pab=rng.choice([1.0, 0.9, 0.5]),
+            base=base,
+        )
+        flows.append(f"f{k}")
+    for rel_id in rng.sample(flows, min(2, len(flows))):  # a base set after insertion, as growth does
+        rel = net.relations[rel_id]
+        earlier = [r for r in flows[: flows.index(rel_id)] if net.relations[r].kind is rel.kind]
+        if rel.base is None and earlier:
+            net.set_base(rel_id, rng.choice(earlier))
+    for _ in range(rng.randint(0, 2)):  # relations that belong to or equal other elements
+        a, b = rng.choice(flows), rng.choice(ids + flows)
+        try:
+            if rng.random() < 0.7:
+                net.add_belong(a, b)
+            else:
+                relation(net, f"eq_{a}_{b}", RelationKind.EQUAL, a, b)
+        except StructureError:  # a cycle of belong-to, or an edge from an element to itself
+            pass
+    for k in range(rng.randint(1, 4)):
+        pool = ids if rng.random() < 0.6 else flows if rng.random() < 0.6 else ids + flows
+        a, b = rng.sample(pool, 2)
+        relation(net, f"x{k}", RelationKind.XOR, a, b, pba=0.0, pab=0.0)
+    if rng.random() < 0.4:  # removals (which may leave relations dangling), then late additions
+        net.remove_element(rng.choice(flows if rng.random() < 0.5 else net.element_ids()))
+        late = [f"late{k}" for k in range(rng.randint(1, 2))]
+        for cid in late:
+            concept(net, cid)
+        live = [c for c in net.concepts if c not in late]
+        relation(net, "late_part", RelationKind.HAS_PART, late[0], rng.choice(live))
+        relation(net, "late_belong", RelationKind.BELONG_TO, late[-1], rng.choice(live))
+        if net.xor_relations() and rng.random() < 0.5:
+            relation(net, "late_xor", RelationKind.XOR, late[0], rng.choice(live), pba=0.0, pab=0.0)
+    return net

@@ -171,6 +171,36 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario("config collapse_threshold=0.8\n")
 
+    def test_inputs_and_relations_parse_like_knowledge_lines(self):
+        doc = parse_scenario(
+            "input n value=15.0\n"
+            "input span interval=20.0,30.0 w=2\n"
+            "input h value=gauss:1.7,0.1\n"
+            "relation r kind=HAS_PART a=n b=h pba=0.5 pab=gauss:1,2 p=0.3 base=q w=interval:1,2\n"
+        )
+        n, span, h = doc.concepts
+        assert n.value == 15.0
+        assert span.value == Interval(20.0, 30.0) and span.params == {"w": 2.0}
+        assert h.value is None and h.params == {"value": Gaussian(1.7, 0.1)}
+        rel = doc.relations[0]
+        assert (rel.rel_id, rel.kind, rel.base) == ("r", RelationKind.HAS_PART, "q")
+        assert (rel.a, rel.b) == ("n", "h")
+        assert (rel.pba, rel.pab, rel.p) == (0.5, Gaussian(1.0, 2.0), 0.3)
+        assert rel.params == {"w": Interval(1.0, 2.0)}
+
+    @pytest.mark.parametrize(
+        "parse, text, label",
+        [
+            (parse_kb, "concept c interval=q,2\n", "interval lo: not a number: q"),
+            (parse_kb, "concept c interval=1,z\n", "interval hi: not a number: z"),
+            (parse_scenario, "input c interval=q,2\n", "interval lo: not a number: q"),
+            (parse_scenario, "input c interval=1,z\n", "interval hi: not a number: z"),
+        ],
+    )
+    def test_bad_interval_bound_is_named_alike(self, parse, text, label):
+        with pytest.raises(ParseError, match=label):
+            parse(text)
+
     def test_input_probability_range(self):
         with pytest.raises(ParseError):
             parse_scenario("input eye p=1.5\n")

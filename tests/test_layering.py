@@ -1,4 +1,5 @@
-"""Module layering: no dcnet module reaches into another module's or object's private names."""
+"""Module layering: imports run one way, and no dcnet module reaches into another module's or
+object's private names."""
 from __future__ import annotations
 
 import ast
@@ -35,4 +36,45 @@ def test_no_module_reads_another_objects_private_attribute():
             if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
                 continue
             offenders.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert offenders == []
+
+
+LAYERS = [
+    "trace", "core", "probability", "matching", "growth", "kbio", "lifecycle", "query", "learning", "cli"
+]
+
+
+def _dcnet_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) for every dcnet module a file imports, relatively or by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif (node.module or "").startswith("dcnet."):
+                base = node.module.split(".")[1]
+            elif node.module == "dcnet":
+                base = None
+            else:
+                continue
+            names = [base] if base else [alias.name for alias in node.names]
+            found.extend((node.lineno, name) for name in names)
+        elif isinstance(node, ast.Import):
+            found.extend(
+                (node.lineno, alias.name.split(".")[1])
+                for alias in node.names
+                if alias.name.startswith("dcnet.")
+            )
+    return found
+
+
+def test_every_module_imports_only_earlier_layers():
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert sorted(LAYERS) == modules  # a new module must be given its place in the order
+    offenders = []
+    for layer, name in enumerate(LAYERS):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        for line, imported in _dcnet_imports(tree):
+            if imported not in LAYERS[:layer]:
+                offenders.append(f"{name}.py:{line} imports {imported}")
     assert offenders == []

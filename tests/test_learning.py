@@ -241,3 +241,25 @@ class TestMergeSimilar:
         kb, registry = self._learned_pair(mu_a=1.0, mu_b=9.0)
         report = merge_similar(kb, EngineConfig(), registry)
         assert report.merged == []
+
+    def test_merge_keeps_relations_another_tree_still_lists(self):
+        """Adjacency ids are named after member bases, so trees over the same bases share them."""
+        kb = CognitiveNetwork()
+        registry = {}
+        for member in ("p0", "p1"):
+            concept(kb, member)
+        relation(kb, "adj:p0:p1", RelationKind.ADJOINING, "p0", "p1")
+        for idx in (1, 2, 3):
+            root = f"learned#{idx}"
+            concept(kb, root)
+            links = [f"r:{root}:{m}" for m in ("p0", "p1")]
+            for link, member in zip(links, ("p0", "p1")):
+                relation(kb, link, RelationKind.HAS_COMPONENT, root, member)
+            declare_tree(kb, root, [root, "p0", "p1", *links, "adj:p0:p1"])
+            registry[root] = KnowledgeCandidate(tree_root=root, success_count=2, trial_count=2)
+        report = merge_similar(kb, EngineConfig(), registry)
+        assert report.merged == [("learned#1", "learned#2"), ("learned#1", "learned#3")]
+        assert list(kb.trees) == ["learned#1"]
+        listed = [r for view in kb.trees.values() for r in view.longitudinal + view.additional]
+        assert "adj:p0:p1" in listed
+        assert all(kb.has(r) for r in listed)
