@@ -265,6 +265,14 @@ class TreeInstance:
 # network
 
 
+def _check_id(element_id: str) -> None:
+    """Keep an id one token of the text formats: they split on whitespace, ``=`` and ``,``."""
+    if element_id == "-" or "=" in element_id or "," in element_id or element_id.split() != [element_id]:
+        raise StructureError(
+            f"bad element id {element_id!r}: empty, holds whitespace, '=' or ',', or is '-' (none)"
+        )
+
+
 class CognitiveNetwork:
     """Heterogeneous element store with referential integrity.
 
@@ -328,6 +336,7 @@ class CognitiveNetwork:
     # -- mutation ----------------------------------------------------------
 
     def add_concept(self, concept: Concept) -> Concept:
+        _check_id(concept.id)
         if self.has(concept.id):
             raise StructureError(f"duplicate element id: {concept.id}")
         self.concepts[concept.id] = concept
@@ -336,6 +345,7 @@ class CognitiveNetwork:
         return concept
 
     def add_relation(self, relation: Relation) -> Relation:
+        _check_id(relation.id)
         if self.has(relation.id):
             raise StructureError(f"duplicate element id: {relation.id}")
         if not self.has(relation.a):
@@ -385,27 +395,34 @@ class CognitiveNetwork:
             )
         )
 
-    def remove_element(self, element_id: str) -> None:
-        """Remove an element and, for concepts, every relation touching it."""
-        if element_id in self.relations:
-            rel = self.relations.pop(element_id)
+    def remove_element(self, element_id: str) -> list[str]:
+        """Remove an element and every relation that ends on a removed element.
+
+        Returns the removed ids: the element first, then the relations in the
+        order they were reached, each relation's own incident relations after
+        it, so no relation is left with a dangling end.
+        """
+        if not self.has(element_id):
+            raise LookupMissing(f"unknown element: {element_id}")
+        removed = [element_id]
+        listed = {element_id}
+        for cur in removed:  # the list grows as it is walked
+            for rel_id in self._incident.pop(cur, ()):
+                if rel_id not in listed:
+                    listed.add(rel_id)
+                    removed.append(rel_id)
+        for el_id in removed:
+            del self._serial[el_id]
+            if el_id in self.concepts:
+                del self.concepts[el_id]
+                continue
+            rel = self.relations.pop(el_id)
             for end in (rel.a, rel.b):
-                bucket = self._incident.get(end)
-                if bucket and element_id in bucket:
-                    bucket.remove(element_id)
-            self._incident.pop(element_id, None)
-            del self._serial[element_id]
-            self._xor.pop(element_id, None)
+                if end not in listed:
+                    self._incident[end].remove(el_id)
+            self._xor.pop(el_id, None)
             self._forget_base(rel)
-            return
-        if element_id in self.concepts:
-            for rel_id in list(self._incident.get(element_id, ())):
-                self.remove_element(rel_id)
-            self._incident.pop(element_id, None)
-            del self.concepts[element_id]
-            del self._serial[element_id]
-            return
-        raise LookupMissing(f"unknown element: {element_id}")
+        return removed
 
     def _forget_base(self, rel: Relation) -> None:
         derived = self._derived.get(rel.base) if rel.base is not None else None
@@ -579,15 +596,19 @@ def belongs_to(
     return value_contained(cval, bval)
 
 
-def up_closure(net: CognitiveNetwork, element_id: str) -> set[str]:
-    """The element and every element it reaches over belong-to, equal and base edges."""
-    seen = {element_id}
-    frontier = [element_id]
-    while frontier:
-        for nxt in _up_neighbors(net, frontier.pop()):
+def up_closure(net: CognitiveNetwork, element_id: str) -> dict[str, None]:
+    """The element and every element it reaches over base, belong-to and equal edges.
+
+    Keys come breadth-first, nearest first: the element, then its base, then
+    the far ends of its belong-to and equal edges in incidence order, and so on.
+    """
+    seen = {element_id: None}
+    order = [element_id]
+    for cur in order:  # the list grows as it is walked
+        for nxt in _up_neighbors(net, cur):
             if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+                seen[nxt] = None
+                order.append(nxt)
     return seen
 
 
@@ -619,13 +640,9 @@ def _down_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
     for rel_id in net.incident(element_id):
         edge = net.relations[rel_id]
         if edge.kind is RelationKind.BELONG_TO and edge.b == element_id:
-            lower = edge.a
+            yield edge.a
         elif edge.kind is RelationKind.EQUAL:
-            lower = edge.other_end(element_id)
-        else:
-            continue
-        if net.has(lower):  # an end removed from under the edge no longer walks it
-            yield lower
+            yield edge.other_end(element_id)
 
 
 def _up_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
@@ -681,8 +698,27 @@ def relation_subsumes(net: CognitiveNetwork, derived_id: str, base_id: str) -> b
     return True
 
 
+def fits(net: CognitiveNetwork, instance: str, base: str) -> bool:
+    """Instance-of: ``instance`` belongs to ``base``, or as a relation is subsumed by it."""
+    return relation_subsumes(net, instance, base) or belongs_to(net, instance, base)
+
+
 # ---------------------------------------------------------------------------
 # tree networks
+
+
+def declare_tree(net: CognitiveNetwork, root: str, members: Iterable[str]) -> None:
+    """Record the tree over ``root``, ``members`` and every non-XOR relation among them.
+
+    A relation joins when both its ends are already in the scope, so one that
+    ends on a joined relation joins too.  This is what a ``tree`` statement
+    declares; raises StructureError when the scope is no tree.
+    """
+    scope = {root, *members}
+    for rel in net.relations.values():
+        if rel.a in scope and rel.b in scope and rel.kind is not RelationKind.XOR:
+            scope.add(rel.id)
+    net.trees[root] = classify_tree_network(net, root, restrict=scope)
 
 
 def classify_tree_network(
@@ -934,11 +970,9 @@ def check_derived_network(
         return b in wildcards or belongs_to(net, d, b)
 
     def relation_ok(base: PatternRelation, image: Relation) -> bool:
-        if base.kind is not image.kind and base.id not in lineage(net, image.id):
+        if not kind_compatible(net, image.id, base.id):
             return False
-        if base.id in wildcards:
-            return True
-        return relation_subsumes(net, image.id, base.id) or belongs_to(net, image.id, base.id)
+        return base.id in wildcards or fits(net, image.id, base.id)
 
     search = match_pattern(
         net,

@@ -26,8 +26,8 @@ from .core import (
     TreeNetworkView,
     belongs_to,
     down_closure,
+    fits,
     kind_compatible,
-    relation_subsumes,
 )
 from .matching import MatchResult, match_nested
 from .probability import (
@@ -65,12 +65,16 @@ def grow_concept(
     return new_id
 
 
-def fits_end(net: CognitiveNetwork, instance: str, end: str) -> bool:
-    if belongs_to(net, instance, end):
-        return True
-    if instance in net.relations and end in net.relations:
-        return relation_subsumes(net, instance, end)
-    return False
+def grow_relation(net: CognitiveNetwork, base_rel_id: str, a: str, b: str, trace: Trace) -> str:
+    """Copy a template relation between two ends: fresh id, copied kind, conditionals and params."""
+    base_rel = net.relations[base_rel_id]
+    rel_id = net.next_id(base_rel_id)
+    net.add_relation(Relation(
+        id=rel_id, kind=base_rel.kind, a=a, b=b, cond=base_rel.cond.copy(),
+        base=base_rel_id, params=dict(base_rel.params),
+    ))
+    trace.record("grow", base_rel_id, rel_id, 0.0, 0.0)
+    return rel_id
 
 
 def _find_existing_link(
@@ -107,9 +111,9 @@ def grow_link(
     if net.state(a).status is Status.SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {a} is blocked")
 
-    if fits_end(net, a, base_rel.a):
+    if fits(net, a, base_rel.a):
         a_slot, far_base = True, base_rel.b
-    elif fits_end(net, a, base_rel.b):
+    elif fits(net, a, base_rel.b):
         a_slot, far_base = False, base_rel.a
     else:
         raise StructureError(
@@ -128,19 +132,7 @@ def grow_link(
             net.set_base(existing.id, base_rel_id)
         return existing.id
 
-    rel_id = net.next_id(base_rel_id)
-    net.add_relation(
-        Relation(
-            id=rel_id,
-            kind=base_rel.kind,
-            a=end_a,
-            b=end_b,
-            cond=base_rel.cond.copy(),
-            base=base_rel_id,
-            params=dict(base_rel.params),
-        )
-    )
-    trace.record("grow", base_rel_id, rel_id, 0.0, 0.0)
+    rel_id = grow_relation(net, base_rel_id, end_a, end_b, trace)
     _exchange_probability(net, a, b, config, ledger, trace)
     return rel_id
 

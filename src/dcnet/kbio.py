@@ -22,7 +22,7 @@ from .core import (
     Relation,
     RelationKind,
     Status,
-    classify_tree_network,
+    declare_tree,
 )
 from .growth import ConceptSpec, FitTask, RelationSpec, make_task
 from .probability import EngineConfig, parse_config_value
@@ -236,16 +236,7 @@ def _parse_tree_line(net, tokens, line_no, line) -> None:
     if len(tokens) < 3:
         raise ParseError("tree needs a root and members=", line_no)
     kv = _kv(tokens[2:], line_no, line)
-    root = tokens[1]
-    members = [m for m in kv.get("members", "").split(",") if m]
-    scope = {root, *members}
-    for rel in net.relations.values():
-        if rel.a in scope and rel.b in scope and rel.kind is not RelationKind.XOR:
-            scope.add(rel.id)
-    try:
-        net.trees[root] = classify_tree_network(net, root, restrict=scope)
-    except DcnetError as err:
-        raise ParseError(str(err), line_no) from err
+    declare_tree(net, tokens[1], [m for m in kv.get("members", "").split(",") if m])
 
 
 def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:

@@ -20,7 +20,8 @@ from .core import (
     Relation,
     RelationKind,
     Status,
-    classify_tree_network,
+    declare_tree,
+    up_closure,
 )
 from .growth import ConceptSpec, FitReport, FitState, RelationSpec, fit_run, make_task
 from .probability import EngineConfig, gaussian_membership, param_membership
@@ -80,26 +81,10 @@ DEFAULT_PRIORS: dict = {"adjacency_kinds": frozenset({RelationKind.ADJOINING})}
 def _spec_params(net: CognitiveNetwork, element_id: str) -> dict[str, object]:
     """Declared parameter specs gathered from the element's bases, nearest first."""
     specs: dict[str, object] = {}
-    seen: set[str] = set()
-    frontier = [element_id]
-    while frontier:
-        cur = frontier.pop(0)
-        if cur in seen:
-            continue
-        seen.add(cur)
-        el = net.element(cur)
+    for cur in up_closure(net, element_id):
         if cur != element_id:
-            for name, value in el.params.items():
+            for name, value in net.element(cur).params.items():
                 specs.setdefault(name, value)
-        rel = net.relations.get(cur)
-        if rel is not None and rel.base is not None and rel.base not in seen:
-            frontier.append(rel.base)
-        for rel_id in net.incident(cur):
-            edge = net.relations[rel_id]
-            if edge.kind is RelationKind.BELONG_TO and edge.a == cur:
-                frontier.append(edge.b)
-            elif edge.kind is RelationKind.EQUAL:
-                frontier.append(edge.other_end(cur))
     return specs
 
 
@@ -235,20 +220,6 @@ def _ensure_member_base(
     return base_id
 
 
-def _declare_tree(kb: CognitiveNetwork, root: str) -> None:
-    scope = {root}
-    grew = True
-    while grew:
-        grew = False
-        for rel in kb.relations.values():
-            if rel.kind is RelationKind.XOR or rel.id in scope:
-                continue
-            if rel.a in scope and rel.kind is not RelationKind.BELONG_TO:
-                scope.update((rel.id, rel.b))
-                grew = True
-    kb.trees[root] = classify_tree_network(kb, root, restrict=scope)
-
-
 def _add_certain(
     kb: CognitiveNetwork,
     rel_id: str,
@@ -339,7 +310,8 @@ def _hypothesize(
             other = member_bases.get(element)
             if other is not None and other != member:
                 _add_certain(kb, f"adj:{member}:{other}", RelationKind.ADJOINING, member, other)
-        _declare_tree(kb, root_id)
+        known = kb.trees[root_id].concepts if root_id in kb.trees else []
+        declare_tree(kb, root_id, [*known, *member_bases.values()])
 
         if registry is not None:
             candidate = registry.setdefault(
@@ -529,7 +501,7 @@ def _discard_starved(
             candidate.member_counts.pop(member, None)
             report.discarded.append(rel_id)
         if candidate.member_counts:
-            _declare_tree(kb, root)
+            declare_tree(kb, root, [c for c in kb.trees[root].concepts if c not in doomed_members])
         else:
             kb.trees.pop(root, None)
             if kb.has(root):
@@ -662,8 +634,7 @@ def _absorb_tree(
             kb.remove_element(rel_id)
     for m_a, m_b in pairs:
         if m_a != m_b and kb.has(m_b):
-            incident = [r for r in kb.incident(m_b) if kb.has(r)]
-            if not incident:
+            if not kb.incident(m_b):
                 kb.remove_element(m_b)
     if kb.has(root_b):
         kb.remove_element(root_b)

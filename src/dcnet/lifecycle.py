@@ -16,12 +16,12 @@ from .core import (
     Concept,
     DcnetError,
     KindError,
-    Relation,
     RelationKind,
     Status,
     StructureError,
     TreeInstance,
     belongs_to,
+    fits,
     is_lateral,
 )
 from .growth import (
@@ -30,9 +30,9 @@ from .growth import (
     FitTask,
     Fork,
     FragmentRecord,
-    fits_end,
     grow_concept,
     grow_link,
+    grow_relation,
 )
 from .kbio import ParseError, parse_kb, serialize_kb
 from .probability import (
@@ -113,16 +113,12 @@ def prune(
         for inst_el in removable:
             if not net.has(inst_el):
                 continue
-            doomed = [inst_el]
-            if inst_el in net.concepts:
-                doomed.extend(net.incident(inst_el))
-            for el in doomed:
+            for el in net.remove_element(inst_el):
                 if ledger is not None:
                     ledger.seal_element(el)
                 if trace is not None:
                     trace.record("prune", el, el, 0.0, 0.0)
                 report.removed.append(el)
-            net.remove_element(inst_el)
         instance.mapping = {
             b: e for b, e in instance.mapping.items() if net.has(e)
         }
@@ -182,10 +178,10 @@ def lateral_candidates(
         fwd = rel.cond.forward
         bwd = rel.cond.backward
         if direction in ("forward", "both") and not isinstance(fwd, Gaussian):
-            if fits_end(net, current, rel.a) and float(fwd) > 0.0:
+            if fits(net, current, rel.a) and float(fwd) > 0.0:
                 out.append((float(fwd), rel.id, True))
         if direction in ("backward", "both") and not isinstance(bwd, Gaussian):
-            if fits_end(net, current, rel.b) and float(bwd) > 0.0:
+            if fits(net, current, rel.b) and float(bwd) > 0.0:
                 out.append((float(bwd), rel.id, False))
     out.sort(key=lambda item: (-item[0], item[1], not item[2]))
     return out
@@ -222,20 +218,7 @@ def grow_across(
                         reuse = candidate
                         break
             ends.append(reuse if reuse is not None else grow_concept(net, end, trace))
-        far_id = net.next_id(far_base.id)
-        net.add_relation(
-            Relation(
-                id=far_id,
-                kind=far_base.kind,
-                a=ends[0],
-                b=ends[1],
-                cond=far_base.cond.copy(),
-                base=far_base.id,
-                params=dict(far_base.params),
-            )
-        )
-        trace.record("grow", far_base.id, far_id, 0.0, 0.0)
-        far_instance = far_id
+        far_instance = grow_relation(net, far_base.id, ends[0], ends[1], trace)
     link = grow_link(
         net,
         instance,
@@ -363,15 +346,12 @@ def iterate_step(
     )
 
     if not keep_history:
-        doomed = [e for e in old_mapping.values() if net.has(e)]
-        for el in doomed:
-            extras = net.incident(el) if el in net.concepts else []
-            for extra in (el, *extras):
-                ledger.seal_element(extra)
-                trace.record("prune", extra, extra, 0.0, 0.0)
-        for el in doomed:
-            if net.has(el):
-                net.remove_element(el)
+        for el in old_mapping.values():
+            if not net.has(el):
+                continue
+            for gone in net.remove_element(el):
+                ledger.seal_element(gone)
+                trace.record("prune", gone, gone, 0.0, 0.0)
         net.tree_instances.remove(instance)
     return new_root
 

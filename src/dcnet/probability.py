@@ -605,7 +605,7 @@ def _xor_partners(net: CognitiveNetwork, x: str) -> list[str]:
     for rel_id in net.xor_relations():
         rel = net.relations[rel_id]
         for near, far in ((rel.a, rel.b), (rel.b, rel.a)):
-            near_value = _value(net, near)  # also raises on an end removed from under the XOR
+            near_value = _value(net, near)
             if near not in up and not (
                 x_value is not None
                 and near_value is not None

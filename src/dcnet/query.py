@@ -14,9 +14,9 @@ from .core import (
     Relation,
     RelationKind,
     StructureError,
-    belongs_to,
+    down_closure,
+    fits,
     match_pattern,
-    relation_subsumes,
 )
 from .lifecycle import grow_across, lateral_candidates
 from .probability import ContributionLedger, EngineConfig, param_membership
@@ -82,18 +82,6 @@ class QueryOutcome:
     budget_exhausted: bool = False
 
 
-def _element_ok(net: CognitiveNetwork, element: TemplateElement, image: str) -> bool:
-    if element.var:
-        if element.base is None:
-            return image in net.concepts or image in net.relations
-        return net.has(element.base) and belongs_to(net, image, element.base)
-    if element.base is None:
-        return False
-    if not net.has(element.base):
-        return False
-    return image == element.base or belongs_to(net, image, element.base)
-
-
 def _relation_ok(net: CognitiveNetwork, template_rel: TemplateRelation, image: Relation) -> bool:
     if image.kind is not template_rel.kind:
         return False
@@ -101,9 +89,7 @@ def _relation_ok(net: CognitiveNetwork, template_rel: TemplateRelation, image: R
         if param_membership(spec, image.params.get(name)) < 1.0:
             return False
     if template_rel.base is not None and net.has(template_rel.base):
-        return relation_subsumes(net, image.id, template_rel.base) or belongs_to(
-            net, image.id, template_rel.base
-        )
+        return fits(net, image.id, template_rel.base)
     return True
 
 
@@ -114,21 +100,22 @@ def query_match(template: QueryTemplate, store: CognitiveNetwork) -> list[Bindin
     order of the bound element ids.
     """
     template.validate()
-    elements = {e.id: e for e in template.elements}
     concepts = sorted(store.concepts)
     relations = sorted(store.relations)
 
-    def pool(element: TemplateElement) -> list[str]:
-        if element.var and element.base is None:
-            return concepts + relations
-        if element.base is not None and element.base in store.relations:
-            return relations
-        return concepts
+    def candidates(element: TemplateElement) -> list[str]:
+        """Untyped variables range over everything; the rest over what belongs to their base."""
+        if element.base is None:
+            return concepts + relations if element.var else []
+        if not store.has(element.base):
+            return []
+        pool = store.relations if element.base in store.relations else store.concepts
+        return sorted(e for e in down_closure(store, element.base) if e in pool)
 
     search = match_pattern(
         store,
-        [(e.id, pool(e)) for e in sorted(template.elements, key=lambda e: e.id)],
-        lambda node, image: _element_ok(store, elements[node], image),
+        [(e.id, candidates(e)) for e in sorted(template.elements, key=lambda e: e.id)],
+        lambda node, image: True,
         sorted(template.relations, key=lambda r: r.id),
         relations,
         lambda rel, image: _relation_ok(store, rel, image),

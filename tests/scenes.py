@@ -159,7 +159,7 @@ def random_network(rng: random.Random) -> CognitiveNetwork:
         pool = ids if rng.random() < 0.6 else flows if rng.random() < 0.6 else ids + flows
         a, b = rng.sample(pool, 2)
         relation(net, f"x{k}", RelationKind.XOR, a, b, pba=0.0, pab=0.0)
-    if rng.random() < 0.4:  # removals (which may leave relations dangling), then late additions
+    if rng.random() < 0.4:  # a removal (with every relation ending on what it removes), then late additions
         net.remove_element(rng.choice(flows if rng.random() < 0.5 else net.element_ids()))
         late = [f"late{k}" for k in range(rng.randint(1, 2))]
         for cid in late:

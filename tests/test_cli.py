@@ -23,6 +23,13 @@ def test_validate_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_validate_bad_id_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.kb"
+    bad.write_text("concept x=y\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert "bad element id" in capsys.readouterr().err
+
+
 def test_fit_meets_expectations(tmp_path, capsys):
     trace_file = tmp_path / "run.trace"
     code = main([

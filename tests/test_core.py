@@ -12,12 +12,15 @@ from dcnet.core import (
     ParameterError,
     Relation,
     RelationKind,
+    Status,
     StructureError,
     belongs_to,
     check_derived_network,
     classify_tree_network,
     element_count,
 )
+from dcnet.probability import ContributionLedger, EngineConfig, collapse_element
+from dcnet.trace import Trace
 
 
 def _concept(net, cid, **kw):
@@ -221,6 +224,57 @@ class TestCopy:
         assert clone.incident("a") == ["r", "s"] and clone.relations_based_on("r") == ["s"]
         assert clone.position_key("s") > clone.position_key("r") > clone.position_key("c")
         assert "s" not in net.relations and clone.relations["r"] is not net.relations["r"]
+
+
+class TestRemoval:
+    def test_relations_ending_on_a_removed_relation_go_with_it(self):
+        net = CognitiveNetwork()
+        for cid in ("a", "b", "c", "d"):
+            _concept(net, cid)
+        _rel(net, "r", RelationKind.HAS_PART, "a", "b")
+        _rel(net, "x", RelationKind.XOR, "r", "c", pba=0.0, pab=0.0)
+        assert net.remove_element("r") == ["r", "x"]
+        net.validate()
+        assert net.xor_relations() == [] and net.incident("c") == []
+        collapse_element(net, "d", EngineConfig(), ContributionLedger(), Trace())
+        assert net.state("d").status is Status.COLLAPSED
+
+    def test_removed_ids_come_element_first_then_in_the_order_reached(self):
+        net = CognitiveNetwork()
+        for cid in ("a", "b", "c"):
+            _concept(net, cid)
+        _rel(net, "r1", RelationKind.HAS_PART, "a", "b")
+        _rel(net, "r2", RelationKind.HAS_PART, "a", "c")
+        _rel(net, "s", RelationKind.ADJOINING, "r1", "c")
+        _rel(net, "t", RelationKind.CAUSALITY, "s", "b")
+        assert net.remove_element("a") == ["a", "r1", "r2", "s", "t"]
+        assert net.element_ids() == ["b", "c"]
+        assert net.incident("b") == [] and net.incident("c") == []
+        net.validate()
+
+    def test_unknown_element_raises(self):
+        with pytest.raises(LookupMissing):
+            CognitiveNetwork().remove_element("ghost")
+
+
+class TestIds:
+    @pytest.mark.parametrize("bad", ["", "x=y", "a,b", "a b", "a\tb", "-"])
+    def test_an_id_the_text_formats_cannot_hold_is_rejected(self, bad):
+        net = CognitiveNetwork()
+        with pytest.raises(StructureError, match="bad element id"):
+            _concept(net, bad)
+        _concept(net, "a")
+        _concept(net, "b")
+        with pytest.raises(StructureError, match="bad element id"):
+            _rel(net, bad, RelationKind.ADJOINING, "a", "b")
+        assert net.element_ids() == ["a", "b"]
+
+    def test_hash_colon_dot_and_tilde_are_legal(self):
+        net = CognitiveNetwork()
+        for cid in ("#ghost", "x#1", "r:a:b", "s0.k1p2", "a~b", "-x"):
+            _concept(net, cid)
+        _rel(net, "a~b#2", RelationKind.ADJOINING, "x#1", "s0.k1p2")
+        assert len(net.element_ids()) == 7
 
 
 class TestValidation:

@@ -88,6 +88,12 @@ class TestParseKb:
         assert (err.value.line, err.value.column) == (2, 25)
         assert "unknown status bogus" in str(err.value)
 
+    def test_an_id_with_an_equals_sign_is_located(self):
+        with pytest.raises(ParseError) as err:
+            parse_kb("concept a\nconcept x=y\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert "bad element id 'x=y'" in str(err.value)
+
     def test_dangling_reference(self):
         with pytest.raises(ParseError) as err:
             parse_kb("concept a\nrelation r kind=HAS_COMPONENT a=a b=ghost\n")

@@ -78,3 +78,31 @@ def test_every_module_imports_only_earlier_layers():
             if imported not in LAYERS[:layer]:
                 offenders.append(f"{name}.py:{line} imports {imported}")
     assert offenders == []
+
+
+def test_every_module_level_import_is_used():
+    """A name a module imports at module level is used there, or re-exported through ``__all__``.
+
+    ``__init__`` only re-exports, so it is not checked.
+    """
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        imported.pop("annotations", None)  # ``from __future__ import annotations`` is a switch
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        offenders.extend(
+            f"{path.name}:{line} imports {name}" for name, line in imported.items() if name not in used
+        )
+    assert offenders == []

@@ -12,6 +12,7 @@ from dcnet.core import (
     element_count,
 )
 from dcnet.growth import fit_run, fit_step
+from dcnet.kbio import build_task, parse_kb, parse_scenario
 from dcnet.lifecycle import (
     LoadError,
     PrunePolicy,
@@ -184,6 +185,18 @@ class TestIterateStep:
             (root, second), (second, third)
         }
 
+    def test_pure_iteration_prunes_each_element_once(self):
+        net, root, (config, ledger, trace) = _versioned_tree()
+        start = len(trace.events)
+        existed = set(net.element_ids())
+        iterate_step(net, root, RelationKind.MOVE, keep_history=False,
+                     config=config, ledger=ledger, trace=trace)
+        events = trace.events[start:]
+        existed |= {ev.dst for ev in events if ev.event == "grow"}
+        pruned = [ev.src for ev in events if ev.event == "prune"]
+        assert sorted(pruned) == sorted(existed - set(net.element_ids()))
+        assert pruned.count("r_tp#1") == 1
+
     def test_missing_lateral_template_is_kind_error(self):
         net, root, (config, ledger, trace) = _versioned_tree()
         with pytest.raises(KindError):
@@ -198,6 +211,23 @@ class TestSessions:
         first = session_save(task)
         second = session_save(session_load(first))
         assert first == second
+
+    def test_ids_with_hash_colon_dot_and_tilde_round_trip(self):
+        kb = parse_kb(
+            "concept top.v~1\n"
+            "concept part:a#1\n"
+            "relation r#a:b.c~d kind=HAS_PART a=top.v~1 b=part:a#1 pba=0.9 pab=0.9\n"
+            "tree top.v~1 members=part:a#1\n"
+        )
+        task = build_task(kb, parse_scenario("input part:a#1 p=0.8 as=s0.part:a~1\n"))
+        fit_run(task)
+        first = session_save(task)
+        loaded = session_load(first)
+        assert session_save(loaded) == first
+        net, again = task.states[0].net, loaded.states[0].net
+        assert again.element_ids() == net.element_ids()
+        assert [i.mapping for i in again.tree_instances] == [i.mapping for i in net.tree_instances]
+        assert "s0.part:a~1" in net.tree_instances[0].mapping.values()
 
     def test_empty_session_round_trip(self):
         task = face_task()

@@ -4,6 +4,9 @@ A brute-force oracle tries every injective assignment of pattern elements to
 network elements that pass the same acceptance rules one by one, keeps those
 whose relations join the images of their ends, and is compared with
 ``check_derived_network`` and ``query_match`` on seeded random networks.
+For queries the oracle tests every store element against a template
+element with ``belongs_to`` (``element_ok``), where the engine takes the
+candidates from the down-closure of the element's base.
 Pattern relations may end on other pattern relations, including ones that
 sort after them.
 """
@@ -26,7 +29,6 @@ from dcnet.query import (
     QueryTemplate,
     TemplateElement,
     TemplateRelation,
-    _element_ok,
     _relation_ok,
     query_match,
 )
@@ -99,6 +101,19 @@ def derived_oracle(net, derived_ids, base_ids, wildcards):
     return found, first
 
 
+def element_ok(net: CognitiveNetwork, element: TemplateElement, image: str) -> bool:
+    """A template element accepts an image that belongs to its base (any, for an untyped variable)."""
+    if element.var:
+        if element.base is None:
+            return image in net.concepts or image in net.relations
+        return net.has(element.base) and belongs_to(net, image, element.base)
+    if element.base is None:
+        return False
+    if not net.has(element.base):
+        return False
+    return image == element.base or belongs_to(net, image, element.base)
+
+
 def query_oracle(template: QueryTemplate, store: CognitiveNetwork) -> list[dict[str, str]]:
     everything = list(store.concepts) + list(store.relations)
     candidates = {}
@@ -107,7 +122,7 @@ def query_oracle(template: QueryTemplate, store: CognitiveNetwork) -> list[dict[
         candidates[el.id] = [
             d for d in everything
             if ((el.var and el.base is None) or (d in store.relations) == wants_relation)
-            and _element_ok(store, el, d)
+            and element_ok(store, el, d)
         ]
     for rel in template.relations:
         candidates[rel.id] = [
