@@ -400,7 +400,8 @@ class CognitiveNetwork:
 
         Returns the removed ids: the element first, then the relations in the
         order they were reached, each relation's own incident relations after
-        it, so no relation is left with a dangling end.
+        it, so no relation is left with a dangling end.  A surviving relation
+        derived from a removed one loses its base, so none names a removed id.
         """
         if not self.has(element_id):
             raise LookupMissing(f"unknown element: {element_id}")
@@ -422,6 +423,9 @@ class CognitiveNetwork:
                     self._incident[end].remove(el_id)
             self._xor.pop(el_id, None)
             self._forget_base(rel)
+            for derived in self.relations_based_on(el_id):
+                if derived not in listed:
+                    self.set_base(derived, None)
         return removed
 
     def _forget_base(self, rel: Relation) -> None:
@@ -527,6 +531,8 @@ class CognitiveNetwork:
         for rel in self.relations.values():
             if not self.has(rel.a) or not self.has(rel.b):
                 raise LookupMissing(f"relation {rel.id} has a dangling endpoint")
+            if rel.base is not None and rel.base not in self.relations:
+                raise LookupMissing(f"relation {rel.id}: unknown base relation {rel.base}")
         for view in self.trees.values():
             classify_tree_network(self, view.root, restrict=set(view.element_ids()))
 

@@ -29,7 +29,7 @@ from .core import (
     fits,
     kind_compatible,
 )
-from .matching import MatchResult, match_nested
+from .matching import MatchResult, match_nested, trees_taking
 from .probability import (
     ContributionLedger,
     EngineConfig,
@@ -480,7 +480,8 @@ def _candidates(
 ) -> list[MatchResult]:
     context = _combine_context(state, frag.element)
     found: list[MatchResult] = []
-    for root in state.net.trees:
+    # a result counts only if it maps the fragment, so trees that cannot take it are skipped
+    for root in trees_taking(state.net, frag.element, config):
         if root in frag.excluded:
             continue
         result = match_nested(state.net, context, state.net.trees[root], config)

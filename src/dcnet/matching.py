@@ -1,9 +1,12 @@
 """Membership of known fragments against base knowledge trees.
 
 Matching is pure: it never mutates the knowledge network or the fragment.
-Structure placement is an exhaustive backtracking search; membership is then
-computed by propagating per-element memberships over a scratch copy of the
-base tree and reading the root's result.
+Structure placement is an exhaustive backtracking search; each fragment
+concept's up-closure is taken once per call and decides the tree concepts it
+can take.  Membership is then the root's own input folded, in sorted source
+order, with what each placed element's launch over a zero-state scratch copy
+of the base tree brings the root.  Such a launch reads nothing another launch
+changes, so one launch per distinct source and input serves every placement.
 """
 from __future__ import annotations
 
@@ -25,10 +28,12 @@ from .core import (
     belongs_to,
     check_derived_network,
     kind_compatible,
+    up_closure,
 )
 from .probability import (
     ContributionLedger,
     EngineConfig,
+    Mode,
     gaussian_membership,
     param_membership,
     pps_launch,
@@ -68,21 +73,90 @@ def match_concept(
     return 1.0 if belongs_to(net, candidate, base) else 0.0
 
 
-# ---------------------------------------------------------------------------
-# structure placement
+def _membership(net: CognitiveNetwork, candidate: str, base_id: str, up: dict[str, None]) -> float:
+    """``match_concept`` of a concept id; its up-closure ``up`` answers an unvalued base."""
+    base = net.concepts.get(base_id)
+    if base is not None and base.value is None and "value" not in base.params:
+        return 1.0 if base_id in up else 0.0
+    return match_concept(net, candidate, base_id)
 
 
-def _concept_candidates(net: CognitiveNetwork, fragment_el: str, tree: TreeNetworkView) -> list[str]:
-    return sorted(
-        base_id for base_id in tree.concepts if match_concept(net, fragment_el, base_id) > 0.0
-    )
+def trees_taking(net: CognitiveNetwork, element: str, config: EngineConfig) -> list[str]:
+    """Roots, in ``net.trees`` order, of the trees whose ``match_nested`` may map ``element``.
+
+    One of the tree's concepts, or of a member tree nested in it, must take
+    the element.  The trees whose matching can raise qualify too: nesting past
+    ``match_depth_limit`` (DepthError), a root that is no concept, and in
+    Mode.SIMPLIFIED any member tree, whose membership may pass 1.
+    """
+    if element not in net.concepts:
+        return list(net.trees)
+    up = up_closure(net, element)
+
+    def lands(tree: TreeNetworkView, depth: int) -> bool:
+        if depth > config.match_depth_limit or tree.root not in net.concepts:
+            return True
+        for cid in tree.concepts:
+            if _membership(net, element, cid, up) > 0.0:
+                return True
+            if cid != tree.root and cid in net.trees and (
+                config.mode is Mode.SIMPLIFIED or lands(net.trees[cid], depth + 1)
+            ):
+                return True
+        return False
+
+    return [root for root, tree in net.trees.items() if lands(tree, 0)]
 
 
-def _placements(
-    net: CognitiveNetwork,
-    fragment_ids: list[str],
-    tree: TreeNetworkView,
-) -> list[dict[str, str]]:
+class _TreeMatch:
+    """One tree's matching work, shared by every placement of one call.
+
+    Each fragment concept's up-closure is taken once.  Membership is the
+    root's own input folded with what each placed source's launch brings the
+    root, in sorted source order.  A launch into a zero-state scratch reads no
+    result or status that another launch changes, so each distinct (degrees,
+    source, input) launches once, and the fold equals launching every source
+    of a placement into a fresh scratch of its own.
+    """
+
+    def __init__(self, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig):
+        self.net, self.tree, self.config = net, tree, config
+        self._taken: dict[str, dict[str, float]] = {}
+        self._scratches: dict[frozenset, CognitiveNetwork] = {}
+        self._launches: dict[tuple, list[float]] = {}
+
+    def takes(self, fragment_el: str) -> dict[str, float]:
+        """The tree concepts a fragment concept can take, sorted, with its membership in each."""
+        found = self._taken.get(fragment_el)
+        if found is None:
+            up = up_closure(self.net, fragment_el)
+            scores = {b: _membership(self.net, fragment_el, b, up) for b in self.tree.concepts}
+            found = self._taken[fragment_el] = {b: scores[b] for b in sorted(scores) if scores[b] > 0.0}
+        return found
+
+    def membership(self, inputs: dict[str, float], degrees: dict[str, float]) -> float:
+        key = frozenset((rel_id, d) for rel_id, d in degrees.items() if d != 1.0)
+        scratch = self._scratches.get(key)
+        if scratch is None:
+            scratch = self._scratches[key] = _scratch_tree(self.net, self.tree, dict(key))
+        scratch.element(self.tree.root)  # LookupMissing for a root the scratch lacks (a lateral relation)
+        acc = inputs.get(self.tree.root, 0.0)
+        for source in sorted(inputs):
+            delta = inputs[source]
+            if delta <= 0.0:
+                continue
+            arrivals = self._launches.get((key, source, delta))
+            if arrivals is None:
+                ledger = ContributionLedger()
+                pps_launch(scratch, source, delta, self.config, ledger, NullTrace())
+                arrivals = [e.contribution for e in ledger.entries if e.target == self.tree.root]
+                self._launches[(key, source, delta)] = arrivals
+            for contribution in arrivals:
+                acc = self.config.mode.fold(acc, contribution)
+        return acc
+
+
+def _placements(match: _TreeMatch, fragment_ids: list[str]) -> list[dict[str, str]]:
     """All structure-consistent assignments fragment element -> base element.
 
     Fragment elements may stay unplaced (they are then simply not evidence) and
@@ -91,6 +165,7 @@ def _placements(
     both placed is a hard constraint: some compatible base relation must
     connect their images, otherwise that combination of placements is invalid.
     """
+    net, tree = match.net, match.tree
     concepts = sorted(f for f in fragment_ids if f in net.concepts)
     relations = sorted(f for f in fragment_ids if f in net.relations)
     tree_relations = sorted(tree.longitudinal + tree.additional)
@@ -121,7 +196,7 @@ def _placements(
             place_relation(0)
             return
         f = concepts[idx]
-        for opt in [None, *_concept_candidates(net, f, tree)]:
+        for opt in [None, *match.takes(f)]:
             if opt is None:
                 place_concept(idx + 1)
             else:
@@ -140,7 +215,7 @@ def _placements(
 def _scratch_tree(
     net: CognitiveNetwork,
     tree: TreeNetworkView,
-    degrees: Optional[dict[str, float]] = None,
+    degrees: dict[str, float],
 ) -> CognitiveNetwork:
     """Zero-state copy of the tree; relation degrees fold into the copied conditionals."""
     scratch = CognitiveNetwork()
@@ -151,17 +226,10 @@ def _scratch_tree(
         src = net.relations[rel_id]
         if not (scratch.has(src.a) and scratch.has(src.b)):
             continue
-        rel = scratch.add_relation(
-            Relation(
-                id=rel_id,
-                kind=src.kind,
-                a=src.a,
-                b=src.b,
-                cond=src.cond.copy(),
-                params=dict(src.params),
-            )
-        )
-        degree = 1.0 if degrees is None else degrees.get(rel_id, 1.0)
+        rel = scratch.add_relation(Relation(
+            id=rel_id, kind=src.kind, a=src.a, b=src.b, cond=src.cond.copy(), params=dict(src.params)
+        ))
+        degree = degrees.get(rel_id, 1.0)
         if degree != 1.0:
             fwd = rel.cond.forward
             bwd = rel.cond.backward
@@ -172,38 +240,16 @@ def _scratch_tree(
     return scratch
 
 
-def _propagate_membership(
-    net: CognitiveNetwork,
-    tree: TreeNetworkView,
-    inputs: dict[str, float],
-    degrees: dict[str, float],
-    config: EngineConfig,
-) -> float:
-    scratch = _scratch_tree(net, tree, degrees)
-    ledger = ContributionLedger()
-    trace = NullTrace()
-    for base_el in sorted(inputs):
-        p = inputs[base_el]
-        if p <= 0.0 or not scratch.has(base_el):
-            continue
-        state = scratch.state(base_el)
-        state.input_prob = p
-        state.result_prob = p
-    for base_el in sorted(inputs):
-        if inputs[base_el] > 0.0 and scratch.has(base_el):
-            pps_launch(scratch, base_el, inputs[base_el], config, ledger, trace)
-    return scratch.state(tree.root).result_prob
-
-
 def _placement_inputs(
-    net: CognitiveNetwork, placement: dict[str, str]
+    match: _TreeMatch, placement: dict[str, str]
 ) -> tuple[dict[str, float], dict[str, float]]:
+    net = match.net
     inputs: dict[str, float] = {}
     degrees: dict[str, float] = {}
     for frag_el in sorted(placement):
         base_el = placement[frag_el]
         if frag_el in net.concepts:
-            p = match_concept(net, frag_el, base_el)
+            p = match.takes(frag_el)[base_el]
             inputs[base_el] = superpose(inputs.get(base_el, 0.0), p)
         else:
             frel = net.relations[frag_el]
@@ -227,24 +273,29 @@ def match_tree(
     """Two steps: structure match by backtracking, then membership by propagation.
 
     Among structurally valid placements the one maximizing membership wins;
-    ties resolve to the lexicographically smallest assignment.
+    ties resolve to the lexicographically smallest assignment.  A placement's
+    membership is the root's own input superposed with the root's share of
+    each placed source's launch, folded in sorted source order; each distinct
+    source and input launches once per call.
     """
-    if not net.has(base_tree.root):
-        raise StructureError(f"base tree root {base_tree.root} does not resolve")
-    best = MatchResult(base=base_tree.root, membership=0.0)
+    return _match_flat(_TreeMatch(net, base_tree, config), fragment_ids)
+
+
+def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
+    root = match.tree.root
+    if not match.net.has(root):
+        raise StructureError(f"base tree root {root} does not resolve")
+    best = MatchResult(base=root, membership=0.0)
     best_score = (-1.0, -1)
-    for placement in _placements(net, list(fragment_ids), base_tree):
+    for placement in _placements(match, list(fragment_ids)):
         if not placement:
             continue
-        inputs, degrees = _placement_inputs(net, placement)
-        membership = _propagate_membership(net, base_tree, inputs, degrees, config)
+        membership = match.membership(*_placement_inputs(match, placement))
         # equal membership prefers the placement explaining more of the fragment
         score = (membership, len(placement))
         if score > best_score:
             best_score = score
-            best = MatchResult(
-                base=base_tree.root, mapping=_invert(placement), membership=membership
-            )
+            best = MatchResult(base=root, mapping=_invert(placement), membership=membership)
     return best
 
 
@@ -278,13 +329,13 @@ def match_nested(
             inner_used.update(inner.mapping.pairs.values())
             inner_maps.update(inner.mapping.pairs)
 
-    remaining = [f for f in fragment_ids if f not in inner_used]
-    flat = match_tree(net, remaining, base_tree, config)
+    match = _TreeMatch(net, base_tree, config)
+    flat = _match_flat(match, [f for f in fragment_ids if f not in inner_used])
     if not inner_inputs:
         return flat
 
     placement = {frag: base for base, frag in flat.mapping.pairs.items()}
-    inputs, degrees = _placement_inputs(net, placement)
+    inputs, degrees = _placement_inputs(match, placement)
     for member, p in inner_inputs.items():
         inputs[member] = superpose(inputs.get(member, 0.0), p)
 
@@ -293,7 +344,7 @@ def match_nested(
     return MatchResult(
         base=base_tree.root,
         mapping=mapping,
-        membership=_propagate_membership(net, base_tree, inputs, degrees, config),
+        membership=match.membership(inputs, degrees),
     )
 
 

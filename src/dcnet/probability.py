@@ -74,6 +74,10 @@ class Mode(Enum):
     EXACT = "exact"
     SIMPLIFIED = "simplified"
 
+    def fold(self, result: float, contribution: float) -> float:
+        """A result with one more contribution: superposed, or in SIMPLIFIED mode added."""
+        return result + contribution if self is Mode.SIMPLIFIED else superpose(result, contribution)
+
 
 @dataclass
 class EngineConfig:
@@ -286,7 +290,7 @@ class ContributionLedger:
     def replay(self, initial: float, target: str, mode: Mode = Mode.EXACT) -> float:
         acc = initial
         for e in self._by_target.get(target, {}).values():
-            acc = acc + e.contribution if mode is Mode.SIMPLIFIED else superpose(acc, e.contribution)
+            acc = mode.fold(acc, e.contribution)
         return acc
 
     def launches_into(self, targets: Iterable[str]) -> set[int]:
@@ -365,15 +369,13 @@ def _apply_contribution(
     event: str,
 ) -> float:
     state = net.state(target)
+    applied = contribution
     if config.mode is Mode.SIMPLIFIED:
         applied = config.default_k * contribution
         rel = net.relations.get(via)
         if rel is not None and isinstance(rel.params.get("k"), (int, float)):
             applied = float(rel.params["k"]) * contribution
-        state.result_prob = state.result_prob + applied
-    else:
-        applied = contribution
-        state.result_prob = superpose(state.result_prob, applied)
+    state.result_prob = config.mode.fold(state.result_prob, applied)
     ledger.record(launch_id, source, target, via, applied)
     trace.record(event, source, target, applied, state.result_prob)
     return applied

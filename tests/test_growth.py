@@ -11,18 +11,22 @@ from dcnet.core import (
     belongs_to,
     element_count,
 )
+from dcnet import growth
 from dcnet.growth import (
     ConceptSpec,
     fit_run,
+    fit_step,
     grow_concept,
     grow_link,
     grow_tree,
     make_task,
 )
+from dcnet.matching import trees_taking
 from dcnet.probability import ContributionLedger, EngineConfig, collapse_element, pps_launch
 from dcnet.trace import Trace
 
 from scenes import concept, declare_tree, face_kb, face_task, member_tree_kb, relation
+from test_matching_oracle import oracle_candidates
 
 
 def _env(net=None):
@@ -253,6 +257,37 @@ class TestCompetingInterpretations:
         assert not report.absolute
         means = report.state_means()
         assert means[0] == pytest.approx(means[1], abs=1e-12)
+
+    def test_a_resumed_fork_commits_the_candidate_it_was_made_for(self, monkeypatch):
+        kb = self._two_reading_kb()
+        concept(kb, "cup")
+        concept(kb, "handle")
+        relation(kb, "r_ch", RelationKind.HAS_COMPONENT, "cup", "handle")
+        declare_tree(kb, "cup", ["cup", "handle", "r_ch"])
+        task = make_task(kb, EngineConfig(), [ConceptSpec(base="oval", p=0.5, as_id="oval1")])
+        committed = []
+        commit = growth._commit
+
+        def spy(task, state, frag, candidate):
+            committed.append((state, frag.element, candidate))
+            commit(task, state, frag, candidate)
+
+        monkeypatch.setattr(growth, "_commit", spy)
+        assert fit_step(task) and len(task.forks) == 1
+        fork = task.forks[0]
+        frag = fork.state.fragments[fork.fragment_index]
+        # the oval cannot land in the cup tree, so matching skips it
+        assert trees_taking(fork.state.net, "oval1", task.config) == ["face", "egg"]
+        (want,) = [c for c in oracle_candidates(fork.state, frag, task.config) if c.base == fork.base_root]
+        while fit_step(task):
+            pass
+        assert [(s, e, c.base) for s, e, c in committed] == [
+            (task.states[0], "oval1", "egg"), (fork.state, "oval1", "face")
+        ]
+        got = committed[1][2]
+        assert (got.base, list(got.mapping.pairs.items()), got.membership) == (
+            want.base, list(want.mapping.pairs.items()), want.membership
+        )
 
     def test_branch_limit_one_grows_best_only(self):
         task = make_task(self._two_reading_kb(), EngineConfig(branch_limit=1),

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
-from dcnet.core import Gaussian, Interval, RelationKind, Status
+from dcnet.core import Gaussian, Interval, LookupMissing, RelationKind, Status
 from dcnet.growth import fit_run
 from dcnet.probability import Mode
 from dcnet.kbio import (
@@ -19,6 +20,8 @@ from dcnet.kbio import (
     trace_text,
 )
 from dcnet.trace import Trace, TraceEvent
+
+from scenes import random_network
 
 FACE_KB = """\
 # face / egg / cup knowledge
@@ -125,6 +128,40 @@ class TestParseKb:
         text = serialize_kb(net)
         assert "belong apple fruit pab=0.2" in text
         assert serialize_kb(parse_kb(text)) == text
+
+
+class TestRemovalKeepsTheTextLoadable:
+    def test_a_relation_derived_from_a_removed_base_loses_its_base(self):
+        net = parse_kb(
+            "concept a\nconcept b\nrelation r kind=HAS_PART a=a b=b\n"
+            "relation r2 kind=HAS_PART a=a b=b base=r\n"
+        )
+        assert net.remove_element("r") == ["r"]
+        assert net.relations["r2"].base is None and net.relations_based_on("r") == []
+        net.validate()
+        text = serialize_kb(net)
+        assert serialize_kb(parse_kb(text)) == text
+
+    def test_a_base_that_names_no_relation_fails_validation(self):
+        net = parse_kb("concept a\nconcept b\nrelation r kind=HAS_PART a=a b=b\n")
+        net.set_base("r", "ghost")
+        with pytest.raises(LookupMissing, match="unknown base relation ghost"):
+            net.validate()
+
+    def test_random_removals_keep_the_text_loadable(self):
+        lost_bases = 0
+        for seed in range(200):
+            rng = random.Random(f"removal/{seed}")
+            net = random_network(rng)
+            for _ in range(rng.randint(1, 3)):
+                if net.element_ids():
+                    doomed = rng.choice(net.element_ids())
+                    lost_bases += bool(net.relations_based_on(doomed))
+                    net.remove_element(doomed)
+            net.validate()
+            text = serialize_kb(net)
+            assert serialize_kb(parse_kb(text)) == text, f"seed {seed}"
+        assert lost_bases >= 20
 
 
 class TestParseScenario:
