@@ -202,6 +202,9 @@ class Concept:
     params: dict[str, ParamValue] = field(default_factory=dict)
     state: ProbabilityState = field(default_factory=ProbabilityState)
 
+    def copy(self) -> "Concept":
+        return Concept(self.id, self.name, self.value, dict(self.params), self.state.copy())
+
 
 @dataclass
 class Relation:
@@ -213,6 +216,12 @@ class Relation:
     base: Optional[str] = None
     params: dict[str, ParamValue] = field(default_factory=dict)
     state: ProbabilityState = field(default_factory=ProbabilityState)
+
+    def copy(self) -> "Relation":
+        return Relation(
+            self.id, self.kind, self.a, self.b, self.cond.copy(), self.base, dict(self.params),
+            self.state.copy(),
+        )
 
     def other_end(self, end: str) -> str:
         if end == self.a:
@@ -241,6 +250,11 @@ class TreeNetworkView:
     def element_ids(self) -> list[str]:
         return self.concepts + self.longitudinal + self.additional
 
+    def copy(self) -> "TreeNetworkView":
+        return TreeNetworkView(
+            self.root, list(self.longitudinal), list(self.additional), list(self.concepts)
+        )
+
 
 @dataclass
 class DerivedMapping:
@@ -259,6 +273,9 @@ class TreeInstance:
 
     def element_ids(self) -> list[str]:
         return list(self.mapping.values())
+
+    def copy(self) -> "TreeInstance":
+        return TreeInstance(self.base_root, self.root, dict(self.mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +463,28 @@ class CognitiveNetwork:
         return candidate
 
     def copy(self) -> "CognitiveNetwork":
-        return copy.deepcopy(self)
+        """A copy equal to ``copy.deepcopy(self)``, built field by field.
+
+        Every element, state, conditional pair, params dict, tree view and tree
+        instance is new; only immutable values (ids, kinds, numbers, intervals,
+        Gaussians) are shared.  The indexes hold only ids and numbers, so they
+        are copied one level deep.
+        """
+        clone = CognitiveNetwork.__new__(CognitiveNetwork)
+        vars(clone).update(
+            concepts={cid: c.copy() for cid, c in self.concepts.items()},
+            relations={rid: r.copy() for rid, r in self.relations.items()},
+            globals=dict(self.globals),
+            trees={root: view.copy() for root, view in self.trees.items()},
+            tree_instances=[inst.copy() for inst in self.tree_instances],
+            counters=dict(self.counters),
+            _incident={key: ids.copy() for key, ids in self._incident.items()},
+            _serial=dict(self._serial),
+            _next_serial=self._next_serial,
+            _xor=dict(self._xor),
+            _derived={key: ids.copy() for key, ids in self._derived.items()},
+        )
+        return clone
 
     def __deepcopy__(self, memo: dict) -> "CognitiveNetwork":
         # The indexes hold only ids and numbers, so one level of copying is a deep copy.

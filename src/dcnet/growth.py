@@ -424,7 +424,9 @@ def ingest(
         inst_id = spec.as_id or net.next_id(spec.base or "input")
         if net.has(inst_id):
             raise StructureError(f"instance id {inst_id} already taken")
-        concept = Concept(id=inst_id, name=spec.base or inst_id, params=dict(spec.params))
+        # a name equal to the id is left empty, the one form the text formats keep
+        name = spec.base if spec.base and spec.base != inst_id else ""
+        concept = Concept(id=inst_id, name=name, params=dict(spec.params))
         if spec.value is not None:
             concept.value = spec.value
         net.add_concept(concept)
@@ -599,7 +601,8 @@ def _process_fragment(task: FitTask, state: FitState, frag: FragmentRecord) -> N
     for alt in candidates[1:]:
         if budget <= 0:
             break
-        snapshot = copy.deepcopy(state)
+        # the net goes through its field-by-field copy; the rest of the state is small
+        snapshot = copy.deepcopy(state, {id(state.net): state.net.copy()})
         task.forks.append(Fork(snapshot, frag_index, alt.base))
         budget -= 1
     frag.consumed = True

@@ -197,7 +197,7 @@ def _ensure_member_base(
 ) -> str:
     base_id = spec.base or kb.next_id("part")
     if not kb.has(base_id):
-        concept = Concept(id=base_id, name=base_id)
+        concept = Concept(id=base_id)
         concept.params = dict(spec.params)
         kb.add_concept(concept)
         return base_id
@@ -213,7 +213,7 @@ def _ensure_member_base(
                     degree *= param_membership(declared, value)
             if not standard.meets(degree):
                 derived = kb.next_id(base_id)
-                variant = Concept(id=derived, name=derived, params=dict(spec.params))
+                variant = Concept(id=derived, params=dict(spec.params))
                 kb.add_concept(variant)
                 kb.add_belong(derived, base_id)
                 return derived
@@ -287,7 +287,7 @@ def _hypothesize(
 
         if host_root is None:
             root_id = kb.next_id("learned")
-            kb.add_concept(Concept(id=root_id, name=root_id))
+            kb.add_concept(Concept(id=root_id))
             new_roots.append(root_id)
         else:
             root_id = host_root

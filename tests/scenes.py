@@ -7,13 +7,15 @@ from dcnet.core import (
     CognitiveNetwork,
     Concept,
     ConditionalProbabilityPair,
+    ConflictError,
+    GrowthBlockedError,
     Interval,
     Relation,
     RelationKind,
     StructureError,
     classify_tree_network,
 )
-from dcnet.growth import ConceptSpec, FitTask, make_task
+from dcnet.growth import ConceptSpec, FitState, FitTask, fit_step, make_task
 from dcnet.probability import EngineConfig
 
 
@@ -170,3 +172,101 @@ def random_network(rng: random.Random) -> CognitiveNetwork:
         if net.xor_relations() and rng.random() < 0.5:
             relation(net, "late_xor", RelationKind.XOR, late[0], rng.choice(live), pba=0.0, pab=0.0)
     return net
+
+
+def shared_member_kb(rng: random.Random) -> CognitiveNetwork:
+    """Four three-member trees drawn from five parts, two roots XOR-tied.
+
+    Parts are shared between trees, so a fragment of one usually has several
+    candidate trees and the fit loop forks.
+    """
+    kb = CognitiveNetwork()
+    parts = [f"p{i}" for i in range(5)]
+    for part in parts:
+        concept(kb, part)
+    for t in range(4):
+        root = f"t{t}"
+        concept(kb, root)
+        scope = [root]
+        for i, member in enumerate(rng.sample(parts, 3)):
+            rel = relation(
+                kb, f"h{t}.{i}", RelationKind.HAS_COMPONENT, root, member,
+                pba=rng.choice([0.9, 0.8, 0.6]), pab=rng.choice([0.9, 0.7]),
+            )
+            scope += [member, rel.id]
+        declare_tree(kb, root, scope)
+    relation(kb, "x01", RelationKind.XOR, "t0", "t1", pba=0.0, pab=0.0)
+    return kb
+
+
+def fork_task(rng: random.Random) -> FitTask:
+    """A task over ``shared_member_kb``: one to three part fragments, sometimes a stray one."""
+    kb = shared_member_kb(rng)
+    parts = rng.sample(sorted(c for c in kb.concepts if c.startswith("p")), rng.randint(1, 3))
+    specs = [
+        ConceptSpec(base=p, p=round(rng.uniform(0.3, 0.9), 3), as_id=f"in{k}.{p}")
+        for k, p in enumerate(parts)
+    ]
+    if rng.random() < 0.3:  # no knowledge takes it: an unmatched fragment
+        specs.append(ConceptSpec(base=None, p=0.4, as_id="stray"))
+    return make_task(kb, EngineConfig(), specs)
+
+
+def step_fork_task(task: FitTask):
+    """Run ``task`` step by step, yielding after each step; stops at the end or on an XOR failure.
+
+    ``ConflictError`` and ``GrowthBlockedError`` are fit-time XOR conflicts
+    the engine still raises on valid input (ROADMAP item 4); the task is left
+    as the failing step left it.
+    """
+    while True:
+        try:
+            if not fit_step(task):
+                return
+        except (ConflictError, GrowthBlockedError):
+            return
+        yield task
+
+
+def assert_same_network(a: CognitiveNetwork, b: CognitiveNetwork) -> None:
+    """Every element field and every index of ``a`` and ``b`` agree, orders included."""
+    ids = a.element_ids()
+    assert ids == b.element_ids()
+    for el_id in ids:
+        assert a.element(el_id) == b.element(el_id), el_id
+        assert a.incident(el_id) == b.incident(el_id), el_id
+        assert a.relations_based_on(el_id) == b.relations_based_on(el_id), el_id
+    assert sorted(ids, key=a.position_key) == sorted(ids, key=b.position_key) == ids
+    assert a.xor_relations() == b.xor_relations()
+    assert list(a.trees.items()) == list(b.trees.items())
+    assert a.tree_instances == b.tree_instances
+    assert list(a.counters.items()) == list(b.counters.items())
+    assert list(a.globals.items()) == list(b.globals.items())
+
+
+def assert_same_state(a: FitState, b: FitState) -> None:
+    """Net, knowledge ids, ledger entries and launches, fragments and deferred growth agree."""
+    assert_same_network(a.net, b.net)
+    assert a.kb_ids == b.kb_ids
+    assert list(a.ledger.entries) == list(b.ledger.entries)
+    assert a.ledger.launches == b.ledger.launches
+    assert a.ledger.next_launch_id == b.ledger.next_launch_id
+    assert a.fragments == b.fragments
+    assert a.deferred == b.deferred
+
+
+def assert_same_task(a: FitTask, b: FitTask) -> None:
+    """Knowledge, config, trace, progress, states and forks agree field by field."""
+    assert_same_network(a.kb, b.kb)
+    assert a.config == b.config
+    assert a.trace.events == b.trace.events
+    assert a.trace.next_step == b.trace.next_step
+    assert a.processed == b.processed
+    assert len(a.states) == len(b.states)
+    for state_a, state_b in zip(a.states, b.states):
+        assert_same_state(state_a, state_b)
+    assert [(f.fragment_index, f.base_root) for f in a.forks] == [
+        (f.fragment_index, f.base_root) for f in b.forks
+    ]
+    for fork_a, fork_b in zip(a.forks, b.forks):
+        assert_same_state(fork_a.state, fork_b.state)

@@ -1,6 +1,9 @@
 """Growth operations and the probability-driven fit loop."""
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
 
 from dcnet.core import (
@@ -25,7 +28,17 @@ from dcnet.matching import trees_taking
 from dcnet.probability import ContributionLedger, EngineConfig, collapse_element, pps_launch
 from dcnet.trace import Trace
 
-from scenes import concept, declare_tree, face_kb, face_task, member_tree_kb, relation
+from scenes import (
+    assert_same_state,
+    concept,
+    declare_tree,
+    face_kb,
+    face_task,
+    fork_task,
+    member_tree_kb,
+    relation,
+    step_fork_task,
+)
 from test_matching_oracle import oracle_candidates
 
 
@@ -288,6 +301,39 @@ class TestCompetingInterpretations:
         assert (got.base, list(got.mapping.pairs.items()), got.membership) == (
             want.base, list(want.mapping.pairs.items()), want.membership
         )
+
+    def test_each_fork_keeps_the_snapshot_it_was_made_with(self):
+        """The live state runs on after forking; no fork snapshot may change until it resumes."""
+
+        class Forks(list):
+            """Deep-copies each fork as it is made; compares it with that copy as it resumes."""
+
+            def __init__(self):
+                super().__init__()
+                self.made = {}
+                self.resumed = 0
+
+            def append(self, fork):
+                self.made[id(fork)] = copy.deepcopy(fork.state)
+                super().append(fork)
+
+            def pop(self, index=-1):
+                fork = super().pop(index)
+                assert_same_state(fork.state, self.made.pop(id(fork)))
+                self.resumed += 1
+                return fork
+
+        many = 0
+        for seed in range(10):
+            task = fork_task(random.Random(seed))
+            task.forks = forks = Forks()
+            for _ in step_fork_task(task):
+                pass
+            for fork in forks:  # left unresumed by an XOR failure
+                assert_same_state(fork.state, forks.made.pop(id(fork)))
+            assert not forks.made
+            many += forks.resumed >= 2
+        assert many >= 5
 
     def test_branch_limit_one_grows_best_only(self):
         task = make_task(self._two_reading_kb(), EngineConfig(branch_limit=1),

@@ -106,3 +106,44 @@ def test_every_module_level_import_is_used():
             f"{path.name}:{line} imports {name}" for name, line in imported.items() if name not in used
         )
     assert offenders == []
+
+
+def _deepcopy_uses(tree: ast.Module) -> list[str]:
+    """The innermost enclosing function (or ``<module>``) of each ``copy.deepcopy`` use."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module == "copy":
+                found.extend(f"{where} imports {a.name}" for a in child.names if a.name == "deepcopy")
+            elif isinstance(child, ast.Import):
+                found.extend(f"{where} imports copy as {a.asname}" for a in child.names
+                             if a.name == "copy" and a.asname)
+            elif (isinstance(child, ast.Attribute) and child.attr == "deepcopy"
+                  and isinstance(child.value, ast.Name) and child.value.id == "copy"):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_deep_copies_stay_where_they_are_meant_to_be():
+    """``copy.deepcopy`` serves only the reference copy, the fork snapshot and the query overlay.
+
+    Whole-network copies on hot paths go through ``CognitiveNetwork.copy()``.  The fork
+    snapshot keeps calling ``copy.deepcopy`` through growth's ``copy`` name, which
+    ``bench/spans.py`` patches to count forks.
+    """
+    uses = {
+        path.stem: _deepcopy_uses(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: where for name, where in uses.items() if where} == {
+        "core": ["__deepcopy__"],
+        "growth": ["_process_fragment"],
+        "query": ["query_reason"],
+    }

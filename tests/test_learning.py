@@ -205,12 +205,14 @@ class TestCnlRecovery:
         assert kb.trees["learned#1"].concepts == ["learned#1", "p0", "p1"]
 
     def test_learned_trees_read_back_from_their_text(self):
-        """A learned tree is what its ``tree`` statement declares."""
+        """A learned tree is what its ``tree`` statement declares; learned elements read back equal."""
         trees = 0
         for seed in range(10):
             kb = CognitiveNetwork()
             cnl_run(_pattern_scenes(random.Random(f"roundtrip/{seed}"), 20), kb)
             back = parse_kb(serialize_kb(kb))
+            ids = kb.element_ids()
+            assert [back.element(e) for e in ids] == [kb.element(e) for e in ids]
             assert list(back.trees) == list(kb.trees)
             for root, view in kb.trees.items():
                 assert back.trees[root] == view, f"seed {seed}, tree {root}"

@@ -1,6 +1,8 @@
 """Reduction, chained reasoning, version iteration, session persistence."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dcnet.core import (
@@ -26,7 +28,15 @@ from dcnet.lifecycle import (
 from dcnet.probability import ContributionLedger, EngineConfig, Mode
 from dcnet.trace import Trace
 
-from scenes import concept, declare_tree, face_task, relation
+from scenes import (
+    assert_same_task,
+    concept,
+    declare_tree,
+    face_task,
+    fork_task,
+    relation,
+    step_fork_task,
+)
 
 
 class TestPrune:
@@ -228,6 +238,17 @@ class TestSessions:
         assert again.element_ids() == net.element_ids()
         assert [i.mapping for i in again.tree_instances] == [i.mapping for i in net.tree_instances]
         assert "s0.part:a~1" in net.tree_instances[0].mapping.values()
+
+    def test_a_loaded_session_equals_the_saved_task_field_by_field(self):
+        """Nets, ledgers, fragments, knowledge ids, forks, config and trace come back equal."""
+        saved_forks = 0
+        for seed in range(20):
+            task = fork_task(random.Random(seed))
+            for _ in step_fork_task(task):
+                assert_same_task(session_load(session_save(task)), task)
+                saved_forks += len(task.forks)
+            assert_same_task(session_load(session_save(task)), task)
+        assert saved_forks >= 20
 
     def test_empty_session_round_trip(self):
         task = face_task()
