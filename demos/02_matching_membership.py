@@ -55,10 +55,10 @@ def build_store():
             params={"angle": Gaussian(0.0, 10.0)},
         )
     )
-    net.trees["face"] = classify_tree_network(net, "face", restrict={"face", "eye", "r_fe"})
-    net.trees["person"] = classify_tree_network(
+    net.set_tree(classify_tree_network(net, "face", restrict={"face", "eye", "r_fe"}))
+    net.set_tree(classify_tree_network(
         net, "person", restrict={"person", "face", "eye", "r_pf", "r_fe"}
-    )
+    ))
     return net
 
 

@@ -299,12 +299,16 @@ class CognitiveNetwork:
     each element's insertion serial, the XOR relations, and the relations
     derived from each base.  Change a stored relation's ``base`` through
     ``set_base`` so that the last index stays true.
+
+    A generation counter moves with every change of structure: adding or
+    removing an element, ``set_base``, ``set_tree`` and ``drop_tree``.
+    ``validate`` checks a network once per generation, so declare and forget
+    trees through those two methods, not by writing ``trees``.
     """
 
     def __init__(self) -> None:
         self.concepts: dict[str, Concept] = {}
         self.relations: dict[str, Relation] = {}
-        self.globals: dict[str, str] = {}
         self.trees: dict[str, TreeNetworkView] = {}
         self.tree_instances: list[TreeInstance] = []
         self.counters: dict[str, int] = {}
@@ -313,6 +317,8 @@ class CognitiveNetwork:
         self._next_serial = 0
         self._xor: dict[str, None] = {}
         self._derived: dict[str, dict[str, None]] = {}
+        self._generation = 0
+        self._valid_at = -1  # the generation validate() last passed
 
     # -- element access ----------------------------------------------------
 
@@ -334,6 +340,13 @@ class CognitiveNetwork:
     def incident(self, element_id: str) -> list[str]:
         """Relations touching an element, in insertion order."""
         return list(self._incident.get(element_id, ()))
+
+    def incident_view(self, element_id: str) -> Sequence[str]:
+        """``incident(element_id)`` without the copy: the store's own list, to read only.
+
+        Do not change the network while walking it.
+        """
+        return self._incident.get(element_id, ())
 
     def element_count(self) -> int:
         return len(self.concepts) + len(self.relations)
@@ -359,6 +372,7 @@ class CognitiveNetwork:
         self.concepts[concept.id] = concept
         self._serial[concept.id] = self._next_serial
         self._next_serial += 1
+        self._generation += 1
         return concept
 
     def add_relation(self, relation: Relation) -> Relation:
@@ -387,6 +401,7 @@ class CognitiveNetwork:
             self._xor[relation.id] = None
         if relation.base is not None:
             self._derived.setdefault(relation.base, {})[relation.id] = None
+        self._generation += 1
         return relation
 
     def set_base(self, rel_id: str, base_id: Optional[str]) -> None:
@@ -396,6 +411,18 @@ class CognitiveNetwork:
         rel.base = base_id
         if base_id is not None:
             self._derived.setdefault(base_id, {})[rel_id] = None
+        self._generation += 1
+
+    def set_tree(self, view: TreeNetworkView) -> None:
+        """Record a classified tree under its root, in place of any tree declared there."""
+        self.trees[view.root] = view
+        self._generation += 1
+
+    def drop_tree(self, root: str) -> TreeNetworkView:
+        """Forget the tree declared under ``root`` and return it; KeyError if there is none."""
+        view = self.trees.pop(root)
+        self._generation += 1
+        return view
 
     def add_belong(self, derived: str, base: str, backward: float = 1.0) -> Relation:
         """Belong-to edge derived -> base with the fixed forward probability."""
@@ -443,6 +470,7 @@ class CognitiveNetwork:
             for derived in self.relations_based_on(el_id):
                 if derived not in listed:
                     self.set_base(derived, None)
+        self._generation += 1
         return removed
 
     def _forget_base(self, rel: Relation) -> None:
@@ -474,7 +502,6 @@ class CognitiveNetwork:
         vars(clone).update(
             concepts={cid: c.copy() for cid, c in self.concepts.items()},
             relations={rid: r.copy() for rid, r in self.relations.items()},
-            globals=dict(self.globals),
             trees={root: view.copy() for root, view in self.trees.items()},
             tree_instances=[inst.copy() for inst in self.tree_instances],
             counters=dict(self.counters),
@@ -483,6 +510,8 @@ class CognitiveNetwork:
             _next_serial=self._next_serial,
             _xor=dict(self._xor),
             _derived={key: ids.copy() for key, ids in self._derived.items()},
+            _generation=self._generation,
+            _valid_at=self._valid_at,
         )
         return clone
 
@@ -566,6 +595,13 @@ class CognitiveNetwork:
         return False
 
     def validate(self) -> None:
+        """Check every relation's ends and base, and classify every declared tree.
+
+        A network that passed stays valid until its structure changes, so a
+        second call in the same generation returns at once.
+        """
+        if self._valid_at == self._generation:
+            return
         for rel in self.relations.values():
             if not self.has(rel.a) or not self.has(rel.b):
                 raise LookupMissing(f"relation {rel.id} has a dangling endpoint")
@@ -573,6 +609,7 @@ class CognitiveNetwork:
                 raise LookupMissing(f"relation {rel.id}: unknown base relation {rel.base}")
         for view in self.trees.values():
             classify_tree_network(self, view.root, restrict=set(view.element_ids()))
+        self._valid_at = self._generation
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +799,7 @@ def declare_tree(net: CognitiveNetwork, root: str, members: Iterable[str]) -> No
     for rel in net.relations.values():
         if rel.a in scope and rel.b in scope and rel.kind is not RelationKind.XOR:
             scope.add(rel.id)
-    net.trees[root] = classify_tree_network(net, root, restrict=scope)
+    net.set_tree(classify_tree_network(net, root, restrict=scope))
 
 
 def classify_tree_network(

@@ -503,7 +503,8 @@ def _discard_starved(
         if candidate.member_counts:
             declare_tree(kb, root, [c for c in kb.trees[root].concepts if c not in doomed_members])
         else:
-            kb.trees.pop(root, None)
+            if root in kb.trees:
+                kb.drop_tree(root)
             if kb.has(root):
                 kb.remove_element(root)
             registry.pop(root)
@@ -626,7 +627,7 @@ def _absorb_tree(
         pb = kb.concepts[m_b].params
         for name in set(pa) & set(pb):
             pa[name] = _pool_params(pa[name], weight_a, pb[name], weight_b)
-    view_b = kb.trees.pop(root_b)
+    view_b = kb.drop_tree(root_b)
     # adjacency ids are named after member bases, so another tree may list one of b's
     still_listed = {r for view in kb.trees.values() for r in view.longitudinal + view.additional}
     for rel_id in view_b.longitudinal + view_b.additional:

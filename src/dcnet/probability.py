@@ -102,10 +102,13 @@ class EngineConfig:
         if not 0 < self.default_k <= 1:
             raise ParameterError(f"default_k must lie in (0, 1], got {self.default_k}")
 
+    @property
+    def collapse_at(self) -> float:
+        """The least result that is ready to collapse."""
+        return 1.0 if self.mode is Mode.SIMPLIFIED else self.collapse_threshold
+
     def collapse_ready(self, result: float) -> bool:
-        if self.mode is Mode.SIMPLIFIED:
-            return result >= 1.0
-        return result >= self.collapse_threshold
+        return result >= self.collapse_at
 
 
 _CONFIG_TYPES = get_type_hints(EngineConfig)
@@ -155,8 +158,9 @@ def _check_unit(p: float, label: str) -> float:
 
 def superpose(p1: float, p2: float) -> float:
     """p1 + p2 - p1*p2: probability that at least one of two independent causes fires."""
-    _check_unit(p1, "p1")
-    _check_unit(p2, "p2")
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
+        _check_unit(p1, "p1")
+        _check_unit(p2, "p2")
     return p1 + p2 - p1 * p2
 
 
@@ -211,12 +215,14 @@ def relational_membership(net: CognitiveNetwork, instance_rel_id: str, base_rel_
         raise KindError(
             f"relation {instance_rel_id} does not descend from {base_rel_id}"
         )
-    base = net.relations[base_rel_id]
-    inst = net.relations[instance_rel_id]
+    return _param_product(net.relations[base_rel_id], net.relations[instance_rel_id])
+
+
+def _param_product(base: Relation, inst: Relation) -> float:
     degree = 1.0
     for name, spec in base.params.items():
         value = inst.params.get(name)
-        if isinstance(value, (Gaussian,)):
+        if isinstance(value, Gaussian):
             value = None  # a spec on the instance side is a declaration, not evidence
         degree *= param_membership(spec, value)
     return degree
@@ -226,7 +232,7 @@ def relational_membership(net: CognitiveNetwork, instance_rel_id: str, base_rel_
 # ledger
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     launch_id: int
     source: str
@@ -236,7 +242,7 @@ class LedgerEntry:
     sealed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LaunchRecord:
     launch_id: int
     source: str
@@ -340,45 +346,36 @@ def _unindex(index: dict, key, seq: int) -> None:
 # propagation
 
 
-def _cond_value(rel: Relation, source: str, target_concept_value=None) -> float:
-    """Conditional probability for flow source -> far end of the relation."""
-    spec = rel.cond.forward if source == rel.a else rel.cond.backward
-    if isinstance(spec, Gaussian):
-        if isinstance(target_concept_value, (int, float)):
-            return gaussian_membership(float(target_concept_value), spec.mu, spec.sigma)
-        return 0.0
-    return float(spec)
+def _relation_degree(relations: dict[str, Relation], rel: Relation) -> float:
+    """``relational_membership`` against the relation's own base, or 1 without one.
 
-
-def _relation_degree(net: CognitiveNetwork, rel: Relation) -> float:
-    if rel.base is None or rel.base not in net.relations:
-        return 1.0
-    return relational_membership(net, rel.id, rel.base)
+    The kind check is left out: a relation's lineage starts with its own base.
+    """
+    base = relations.get(rel.base)
+    if base is None or not base.params:
+        return 1.0  # the empty product
+    return _param_product(base, rel)
 
 
 def _apply_contribution(
-    net: CognitiveNetwork,
+    state: ProbabilityState,
+    via: Relation,
     config: EngineConfig,
     ledger: ContributionLedger,
     trace: Trace,
     launch_id: int,
     source: str,
     target: str,
-    via: str,
     contribution: float,
     event: str,
-) -> float:
-    state = net.state(target)
+) -> None:
     applied = contribution
     if config.mode is Mode.SIMPLIFIED:
-        applied = config.default_k * contribution
-        rel = net.relations.get(via)
-        if rel is not None and isinstance(rel.params.get("k"), (int, float)):
-            applied = float(rel.params["k"]) * contribution
+        k = via.params.get("k")
+        applied = (float(k) if isinstance(k, (int, float)) else config.default_k) * contribution
     state.result_prob = config.mode.fold(state.result_prob, applied)
-    ledger.record(launch_id, source, target, via, applied)
+    ledger.record(launch_id, source, target, via.id, applied)
     trace.record(event, source, target, applied, state.result_prob)
-    return applied
 
 
 def pps_launch(
@@ -398,64 +395,80 @@ def pps_launch(
     launch, collapsed, contribution decayed below epsilon, hop limit, or a
     kind-specific stop rule.  Returns the elements that received a
     contribution, in the order they received it.
+
+    No state or status changes during a launch except the results it folds,
+    so every stop rule but "already reached" is decided when a target is
+    pushed; the frontier then holds only targets that a pop may reach.
     """
     if not 0.0 < delta <= 1.0:
         raise ParameterError(f"launch delta must lie in (0, 1], got {delta}")
+    relations, concepts = net.relations, net.concepts
     src_state = net.state(source)
     src_state.launched = True
     if launch is None:
         launch = ledger.open_launch(source, delta)
+    launch_id = launch.launch_id
     trace.record("launch", source, source, delta, src_state.result_prob)
 
+    epsilon = config.decay_epsilon
+    hop_limit = math.inf if config.max_hops is None else config.max_hops
     visited = {source}
     reached: list[str] = []
     seq = 0
-    heap: list[tuple[float, int, str, str, str, float, int]] = []
+    # (-contribution, seq, target id, target element, via relation, upstream id, contribution, hops)
+    heap: list[tuple] = []
 
     def push_neighbors(element: str, carried: float, hops: int) -> None:
         nonlocal seq
-        if element in net.relations:
+        if element in relations or hops >= hop_limit:
             return  # relations do not launch flows of their own
-        for rel_id in net.incident(element):
-            rel = net.relations[rel_id]
+        for rel_id in net.incident_view(element):
+            rel = relations[rel_id]
             if rel.kind is RelationKind.BELONG_TO:
                 continue  # set-dimension derivation is not an evidence channel
-            target = rel.other_end(element)
+            if rel.state.status is Status.SUPPRESSED:
+                continue
+            if element == rel.a:
+                target, spec = rel.b, rel.cond.forward
+            else:
+                target, spec = rel.a, rel.cond.backward
+            if target in visited:
+                continue
+            target_el = concepts.get(target)
             tval = None
-            tc = net.concepts.get(target)
-            if tc is not None:
-                tval = tc.value
-            contribution = carried * _relation_degree(net, rel) * _cond_value(rel, element, tval)
-            heapq.heappush(heap, (-contribution, seq, target, rel_id, element, contribution, hops))
+            if target_el is None:
+                target_el = relations[target]
+            else:
+                tval = target_el.value
+            if target_el.state.status is not Status.SUPERPOSED:
+                continue  # collapsed or suppressed
+            if not isinstance(spec, Gaussian):
+                cond = float(spec)
+            elif isinstance(tval, (int, float)):  # a Gaussian conditional scores the far end's value
+                cond = gaussian_membership(float(tval), spec.mu, spec.sigma)
+            else:
+                cond = 0.0
+            contribution = carried * _relation_degree(relations, rel) * cond
+            if contribution < epsilon:
+                continue
+            heapq.heappush(heap, (-contribution, seq, target, target_el, rel, element, contribution, hops))
             seq += 1
 
     push_neighbors(source, delta, 0)
     while heap:
-        neg, _, target, via, upstream, contribution, hops = heapq.heappop(heap)
+        _, _, target, target_el, rel, upstream, contribution, hops = heapq.heappop(heap)
         if target in visited:
             continue
-        tstate = net.state(target)
-        if tstate.status is Status.COLLAPSED:
-            continue
-        if tstate.status is Status.SUPPRESSED:
-            continue
-        if contribution < config.decay_epsilon:
-            continue
-        if config.max_hops is not None and hops >= config.max_hops:
-            continue
-        rel = net.relations[via]
-        if rel.state.status is Status.SUPPRESSED:
-            continue
         visited.add(target)
-        if rel.state.status is Status.SUPERPOSED and via not in visited:
-            visited.add(via)
+        if rel.state.status is Status.SUPERPOSED and rel.id not in visited:
+            visited.add(rel.id)
             _apply_contribution(
-                net, config, ledger, trace, launch.launch_id, upstream, via, via, contribution,
+                rel.state, rel, config, ledger, trace, launch_id, upstream, rel.id, contribution,
                 "contribute",
             )
-            reached.append(via)
+            reached.append(rel.id)
         _apply_contribution(
-            net, config, ledger, trace, launch.launch_id, upstream, target, via, contribution,
+            target_el.state, rel, config, ledger, trace, launch_id, upstream, target, contribution,
             "superpose",
         )
         reached.append(target)
@@ -529,8 +542,18 @@ class _ReadyQueue:
 
     def __init__(self, net: CognitiveNetwork, config: EngineConfig, kb_ids: frozenset[str]):
         self.net, self.config, self.kb_ids = net, config, kb_ids
-        # element_ids() order is position order, so the scan is already a heap
-        self.heap = [(net.position_key(e), e) for e in net.element_ids() if self.ready(e)]
+        # concepts, then relations, each in insertion order: position order, so already a heap
+        self.heap: list[tuple[tuple[bool, int], str]] = []
+        collapse_at = config.collapse_at
+        for table in (net.concepts, net.relations):
+            for element_id, element in table.items():
+                state = element.state
+                if (
+                    state.result_prob >= collapse_at
+                    and state.status is Status.SUPERPOSED
+                    and element_id not in kb_ids
+                ):
+                    self.heap.append((net.position_key(element_id), element_id))
         self.queued = {e for _, e in self.heap}
 
     def ready(self, element_id: str) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-EVENT_KINDS = (
+EVENT_KINDS = frozenset((
     "launch",
     "contribute",
     "superpose",
@@ -19,7 +19,7 @@ EVENT_KINDS = (
     "prune",
     "match",
     "learn",
-)
+))
 
 _PRECISION_ENV = "DCNET_TRACE_PRECISION"
 _BASE_PRECISION = 9
@@ -36,7 +36,7 @@ def trace_precision() -> int:
         return _BASE_PRECISION
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     event: str
@@ -60,13 +60,11 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
     next_step: int = 0
 
-    def record(self, event: str, src: str, dst: str, value: float, result: float) -> TraceEvent:
+    def record(self, event: str, src: str, dst: str, value: float, result: float) -> None:
         if event not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind: {event}")
-        ev = TraceEvent(self.next_step, event, src, dst, float(value), float(result))
+        self.events.append(TraceEvent(self.next_step, event, src, dst, float(value), float(result)))
         self.next_step += 1
-        self.events.append(ev)
-        return ev
 
     def lines(self) -> list[str]:
         return [ev.format() for ev in self.events]
@@ -75,5 +73,5 @@ class Trace:
 class NullTrace(Trace):
     """Trace sink that keeps nothing; used for scratch propagation."""
 
-    def record(self, event: str, src: str, dst: str, value: float, result: float) -> TraceEvent:
-        return TraceEvent(0, event, src, dst, float(value), float(result))
+    def record(self, event: str, src: str, dst: str, value: float, result: float) -> None:
+        pass

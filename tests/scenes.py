@@ -48,7 +48,7 @@ def relation(
 
 
 def declare_tree(net: CognitiveNetwork, root: str, element_ids: list[str]) -> None:
-    net.trees[root] = classify_tree_network(net, root, restrict=set(element_ids) | {root})
+    net.set_tree(classify_tree_network(net, root, restrict=set(element_ids) | {root}))
 
 
 def face_kb() -> CognitiveNetwork:
@@ -241,7 +241,6 @@ def assert_same_network(a: CognitiveNetwork, b: CognitiveNetwork) -> None:
     assert list(a.trees.items()) == list(b.trees.items())
     assert a.tree_instances == b.tree_instances
     assert list(a.counters.items()) == list(b.counters.items())
-    assert list(a.globals.items()) == list(b.globals.items())
 
 
 def assert_same_state(a: FitState, b: FitState) -> None:

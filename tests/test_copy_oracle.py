@@ -1,8 +1,7 @@
 """Differential test of ``CognitiveNetwork.copy()`` against ``copy.deepcopy``, the reference copy.
 
 ``copy()`` builds the clone field by field.  On seeded random networks (with
-declared trees, tree instances, Gaussian conditionals, params, counters and
-globals) and on the networks of fitted tasks with forks, it must equal the
+declared trees, tree instances, Gaussian conditionals, params and counters) and on the networks of fitted tasks with forks, it must equal the
 deep copy, share no mutable object with the original, and stay independent:
 launches, collapses, removals, additions, ``set_base`` calls and direct
 writes on either side leave the other side as it was.
@@ -36,8 +35,8 @@ IMMUTABLE = (str, int, float, bool, type(None), Enum, Interval, Gaussian)
 
 
 def extended_network(rng: random.Random) -> CognitiveNetwork:
-    """``random_network`` plus a declared tree, a tree instance, params, Gaussian conditionals,
-    counters and globals."""
+    """``random_network`` plus a declared tree, a tree instance, params, Gaussian conditionals
+    and counters."""
     net = random_network(rng)
     param_pool = [0.5, "red", Interval(1.0, 3.0), Gaussian(2.0, 0.5)]
     for el_id in rng.sample(net.element_ids(), min(3, net.element_count())):
@@ -61,7 +60,6 @@ def extended_network(rng: random.Random) -> CognitiveNetwork:
         TreeInstance(base_root="tr", root=net.element_ids()[0], mapping={"tr": net.element_ids()[0]})
     )
     net.next_id("tr")
-    net.globals["scene"] = f"s{rng.randrange(10)}"
     return net
 
 
@@ -141,7 +139,6 @@ def mutate(net: CognitiveNetwork, rng: random.Random, step: int) -> None:
             for inst in net.tree_instances:
                 inst.mapping[f"m{step}"] = "x"
             net.counters[f"c{step}"] = step
-            net.globals[f"g{step}"] = "y"
     except DcnetError:
         pass
 

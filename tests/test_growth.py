@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 
 import pytest
 
@@ -11,10 +12,11 @@ from dcnet.core import (
     GrowthBlockedError,
     RelationKind,
     Status,
+    StructureError,
     belongs_to,
     element_count,
 )
-from dcnet import growth
+from dcnet import core, growth
 from dcnet.growth import (
     ConceptSpec,
     fit_run,
@@ -171,6 +173,62 @@ class TestGrowTree:
         settle(net, config, ledger, trace, kb_ids)
         for member in ("eye", "nose", "mouth", "ear"):
             assert net.state(instance.mapping[member]).status is Status.COLLAPSED
+
+
+class TestKnowledgeValidation:
+    """``make_task`` validates the knowledge once per change of its structure."""
+
+    @staticmethod
+    def _classified_roots(monkeypatch) -> list[str]:
+        roots: list[str] = []
+        original = core.classify_tree_network
+
+        def counting(net, root, restrict=None):
+            roots.append(root)
+            return original(net, root, restrict)
+
+        monkeypatch.setattr(core, "classify_tree_network", counting)
+        return roots
+
+    @staticmethod
+    def _task(kb: CognitiveNetwork, k: int = 0):
+        return make_task(kb, EngineConfig(), [ConceptSpec(base="eye", p=0.6, as_id=f"eye{k}")])
+
+    def test_tasks_on_an_unchanged_kb_classify_each_tree_once(self, monkeypatch):
+        kb = face_kb()
+        roots = self._classified_roots(monkeypatch)
+        for k in range(5):
+            self._task(kb, k)
+        kb.copy().validate()  # a copy is as valid as its original
+        assert roots == ["face", "cup"]
+
+    @pytest.mark.parametrize("change", [
+        lambda kb: concept(kb, "brow"),
+        lambda kb: relation(kb, "r_fb", RelationKind.HAS_COMPONENT, "face", "egg"),
+        lambda kb: kb.set_base("r_fn", "r_fe"),
+        lambda kb: kb.remove_element("egg"),
+        lambda kb: core.declare_tree(kb, "cup", ["cup_handle"]),
+        lambda kb: kb.drop_tree("cup"),
+    ])
+    def test_each_change_of_structure_validates_again(self, monkeypatch, change):
+        kb = face_kb()
+        roots = self._classified_roots(monkeypatch)
+        self._task(kb)
+        change(kb)
+        del roots[:]
+        self._task(kb, 1)
+        self._task(kb, 2)
+        assert sorted(roots) == sorted(kb.trees)
+
+    def test_a_tree_that_loses_a_member_link_fails_the_next_task(self):
+        kb = face_kb()
+        self._task(kb)
+        kb.remove_element("r_fe")
+        for k in (1, 2):  # a failed validation is not remembered as a pass
+            with pytest.raises(
+                StructureError, match=re.escape("tree rooted at face: disconnected elements ['eye']")
+            ):
+                self._task(kb, k)
 
 
 class TestReferenceScene:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -24,6 +26,7 @@ from dcnet.probability import (
     ContributionLedger,
     EngineConfig,
     LedgerCorruption,
+    LedgerEntry,
     Mode,
     gaussian_membership,
     collapse_element,
@@ -35,7 +38,10 @@ from dcnet.probability import (
     superpose_n,
     unsuperpose,
 )
-from dcnet.trace import Trace
+from dcnet.growth import fit_run
+from dcnet.trace import Trace, TraceEvent
+
+from scenes import face_kb, face_task
 
 
 def _concept(net, cid, p=0.0):
@@ -414,3 +420,70 @@ class TestSimplifiedMode:
         settle(net, config, ledger, trace)
         assert net.state("root").result_prob == 1.0
         assert net.state("root").status is Status.COLLAPSED
+
+
+class TestCountedEntryPoints:
+    """Every ledger entry enters through ``ContributionLedger.record`` and every trace event
+    through ``Trace.record``: the benchmark's tracer counts those two methods as
+    ``probability.ledger_entries`` and ``trace.events``."""
+
+    @staticmethod
+    def _counts(monkeypatch) -> Counter:
+        counts: Counter = Counter()
+
+        def count_calls(owner, name: str, key: str) -> None:
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def count_builds(cls, key: str) -> type:
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    counts[key] += 1
+                    super().__init__(*args, **kwargs)
+
+            return Counted
+
+        count_calls(ContributionLedger, "record", "record calls")
+        count_calls(Trace, "record", "trace record calls")
+        built = {
+            LedgerEntry: count_builds(LedgerEntry, "entries"),
+            TraceEvent: count_builds(TraceEvent, "events"),
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "dcnet":
+                continue
+            for cls, counted in built.items():
+                if vars(module).get(cls.__name__) is cls:
+                    monkeypatch.setattr(module, cls.__name__, counted)
+        return counts
+
+    @staticmethod
+    def _check(counts: Counter, trace: Trace) -> None:
+        assert counts["record calls"] == counts["entries"] > 0
+        assert counts["trace record calls"] == counts["events"] == len(trace.events) > 0
+
+    def test_a_launch(self, monkeypatch):
+        counts = self._counts(monkeypatch)
+        net, ledger, trace = face_kb(), ContributionLedger(), Trace()
+        pps_launch(net, "eye", 0.8, EngineConfig(), ledger, trace)
+        self._check(counts, trace)
+        assert counts["entries"] == len(ledger.entries)
+
+    def test_a_collapse(self, monkeypatch):
+        counts = self._counts(monkeypatch)
+        net, ledger, trace = face_kb(), ContributionLedger(), Trace()
+        pps_launch(net, "nose", 0.5, EngineConfig(), ledger, trace)
+        collapse_element(net, "eye", EngineConfig(), ledger, trace)
+        self._check(counts, trace)
+
+    def test_a_fit_of_the_face_scene(self, monkeypatch):
+        counts = self._counts(monkeypatch)
+        task = face_task()
+        fit_run(task)
+        self._check(counts, task.trace)
+        assert any(ev.event == "collapse" for ev in task.trace.events)
