@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 
 class DcnetError(Exception):
@@ -296,9 +296,9 @@ class CognitiveNetwork:
     Insertion order is preserved and meaningful: it is the deterministic
     tie-break everywhere the engine scans elements.  Besides the incident
     relations of each element, the store indexes what collapse asks about:
-    each element's insertion serial, the XOR relations, and the relations
-    derived from each base.  Change a stored relation's ``base`` through
-    ``set_base`` so that the last index stays true.
+    each element's insertion serial, the XOR relations at each end, and the
+    relations derived from each base.  Change a stored relation's ``base``
+    through ``set_base`` so that the last index stays true.
 
     A generation counter moves with every change of structure: adding or
     removing an element, ``set_base``, ``set_tree`` and ``drop_tree``.
@@ -315,7 +315,7 @@ class CognitiveNetwork:
         self._incident: dict[str, list[str]] = {}
         self._serial: dict[str, int] = {}
         self._next_serial = 0
-        self._xor: dict[str, None] = {}
+        self._xor_by_end: dict[str, dict[str, None]] = {}
         self._derived: dict[str, dict[str, None]] = {}
         self._generation = 0
         self._valid_at = -1  # the generation validate() last passed
@@ -357,7 +357,15 @@ class CognitiveNetwork:
 
     def xor_relations(self) -> list[str]:
         """XOR relations, in insertion order."""
-        return list(self._xor)
+        return sorted({r for ids in self._xor_by_end.values() for r in ids}, key=self.position_key)
+
+    def xor_ends(self) -> Collection[str]:
+        """The elements an XOR relation ends on, to read only."""
+        return self._xor_by_end.keys()
+
+    def xor_relations_at(self, element_id: str) -> Collection[str]:
+        """XOR relations with an end at ``element_id``, in insertion order, to read only."""
+        return self._xor_by_end.get(element_id, {}).keys()
 
     def relations_based_on(self, base_id: str) -> list[str]:
         """Relations whose ``base`` is ``base_id``, in the order they got it."""
@@ -398,7 +406,8 @@ class CognitiveNetwork:
         self._incident.setdefault(relation.a, []).append(relation.id)
         self._incident.setdefault(relation.b, []).append(relation.id)
         if relation.kind is RelationKind.XOR:
-            self._xor[relation.id] = None
+            self._xor_by_end.setdefault(relation.a, {})[relation.id] = None
+            self._xor_by_end.setdefault(relation.b, {})[relation.id] = None
         if relation.base is not None:
             self._derived.setdefault(relation.base, {})[relation.id] = None
         self._generation += 1
@@ -465,7 +474,12 @@ class CognitiveNetwork:
             for end in (rel.a, rel.b):
                 if end not in listed:
                     self._incident[end].remove(el_id)
-            self._xor.pop(el_id, None)
+            if rel.kind is RelationKind.XOR:
+                for end in (rel.a, rel.b):
+                    at_end = self._xor_by_end[end]
+                    del at_end[el_id]
+                    if not at_end:
+                        del self._xor_by_end[end]
             self._forget_base(rel)
             for derived in self.relations_based_on(el_id):
                 if derived not in listed:
@@ -508,7 +522,7 @@ class CognitiveNetwork:
             _incident={key: ids.copy() for key, ids in self._incident.items()},
             _serial=dict(self._serial),
             _next_serial=self._next_serial,
-            _xor=dict(self._xor),
+            _xor_by_end={key: ids.copy() for key, ids in self._xor_by_end.items()},
             _derived={key: ids.copy() for key, ids in self._derived.items()},
             _generation=self._generation,
             _valid_at=self._valid_at,
@@ -520,9 +534,9 @@ class CognitiveNetwork:
         clone = CognitiveNetwork.__new__(CognitiveNetwork)
         memo[id(self)] = clone
         for name, value in vars(self).items():
-            if name in ("_incident", "_derived"):
+            if name in ("_incident", "_xor_by_end", "_derived"):
                 value = {key: inner.copy() for key, inner in value.items()}
-            elif name in ("_serial", "_xor"):
+            elif name == "_serial":
                 value = dict(value)
             else:
                 value = copy.deepcopy(value, memo)
@@ -716,9 +730,13 @@ def down_closure(net: CognitiveNetwork, element_id: str) -> set[str]:
 
 
 def _down_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
-    """The elements whose ``_up_neighbors`` include ``element_id``."""
+    """The elements whose ``_up_neighbors`` include ``element_id``.
+
+    Both walks read the store's incident lists in place, so nothing may change
+    the network while they run.
+    """
     yield from net.relations_based_on(element_id)
-    for rel_id in net.incident(element_id):
+    for rel_id in net.incident_view(element_id):
         edge = net.relations[rel_id]
         if edge.kind is RelationKind.BELONG_TO and edge.b == element_id:
             yield edge.a
@@ -730,7 +748,7 @@ def _up_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
     rel = net.relations.get(element_id)
     if rel is not None and rel.base is not None:
         yield rel.base
-    for rel_id in net.incident(element_id):
+    for rel_id in net.incident_view(element_id):
         edge = net.relations[rel_id]
         if edge.kind is RelationKind.BELONG_TO and edge.a == element_id:
             yield edge.b

@@ -622,24 +622,36 @@ def _xor_partners(net: CognitiveNetwork, x: str) -> list[str]:
     For each XOR relation in insertion order, and each of its ends that x
     belongs to, the elements that belong to the far end follow in
     ``element_ids()`` order; each partner is listed once.
+
+    Work: in a network with no XOR relation, one lookup.  Otherwise, for an
+    unvalued x, its up-closure, the XOR relations at the elements of that
+    closure and a down-closure per qualifying end, whatever the size of the
+    XOR table.  Only a valued x also reads every XOR end, since an end whose
+    value contains x's value qualifies without any edge between them.
     """
-    up = up_closure(net, x)
     x_value = _value(net, x)
+    xor_ends = net.xor_ends()
+    if not xor_ends:
+        return []
+    up = up_closure(net, x)
+    if x_value is None:
+        near_ends = {end for end in up if end in xor_ends}
+    else:
+        near_ends = set()
+        for end in xor_ends:
+            end_value = _value(net, end)
+            if end in up or (end_value is not None and value_contained(x_value, end_value)):
+                near_ends.add(end)
+    rel_ids = {rel_id for end in near_ends for rel_id in net.xor_relations_at(end)}
     partners: list[str] = []
     listed = {x}
-    for rel_id in net.xor_relations():
+    for rel_id in sorted(rel_ids, key=net.position_key):
         rel = net.relations[rel_id]
         for near, far in ((rel.a, rel.b), (rel.b, rel.a)):
-            near_value = _value(net, near)
-            if near not in up and not (
-                x_value is not None
-                and near_value is not None
-                and value_contained(x_value, near_value)
-            ):
-                continue
-            fresh = sorted(down_closure(net, far) - listed, key=net.position_key)
-            partners.extend(fresh)
-            listed.update(fresh)
+            if near in near_ends:
+                fresh = sorted(down_closure(net, far) - listed, key=net.position_key)
+                partners.extend(fresh)
+                listed.update(fresh)
     return partners
 
 

@@ -8,6 +8,7 @@ every lookup scans.  Seeded random networks mix belong-to chains, equal
 2-cycles, derived relations with base chains (some bases set after
 insertion), scalar and interval values, XOR between concepts and between
 relations, removed and re-added elements, knowledge elements and both modes.
+XOR partners are compared again after each later change of the XOR table.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from dcnet.core import (
     RelationKind,
     Status,
     belongs_to,
+    down_closure,
+    up_closure,
 )
 from dcnet.probability import (
     ContributionLedger,
@@ -39,7 +42,7 @@ from dcnet.probability import (
 )
 from dcnet.trace import Trace
 
-from scenes import random_network
+from scenes import random_network, relation
 
 CASES = 250
 
@@ -197,13 +200,68 @@ def _snapshot(net: CognitiveNetwork, ledger, trace: Trace):
 # tests
 
 
+def partner_routes(net: CognitiveNetwork, x: str) -> dict[str, set[str]]:
+    """How the oracle reaches each of x's partners: over an ``edge`` from x to the near
+    end, by ``value`` containment alone, and whether an XOR relation ending on a
+    relation (``relation end``) leads there."""
+    up = up_closure(net, x)
+    routes: dict[str, set[str]] = {}
+    for rel_id in net.xor_relations():
+        rel = net.relations[rel_id]
+        on_relation = rel.a in net.relations or rel.b in net.relations
+        for near, far in ((rel.a, rel.b), (rel.b, rel.a)):
+            if near in up:
+                route = "edge"
+            elif belongs_to(net, x, near):
+                route = "value"
+            else:
+                continue
+            for partner in down_closure(net, far) - {x}:
+                routes.setdefault(partner, set()).update(
+                    (route, "relation end") if on_relation else (route,)
+                )
+    return routes
+
+
+def change_xor_table(net: CognitiveNetwork, rng: random.Random, step: int) -> bool:
+    """Remove an XOR relation or one of its ends, or add an XOR relation; True for a removal."""
+    xor_ids = net.xor_relations()
+    roll = rng.random()
+    if xor_ids and roll < 0.6:
+        rel = net.relations[rng.choice(xor_ids)]
+        net.remove_element(rel.id if roll < 0.3 else rng.choice((rel.a, rel.b)))
+        return True
+    ids = net.element_ids()
+    if len(ids) >= 2:
+        pool = list(net.relations) if net.relations and rng.random() < 0.4 else ids
+        a = rng.choice(pool)
+        b = rng.choice([e for e in ids if e != a])
+        relation(net, f"xa{step}", RelationKind.XOR, a, b, pba=0.0, pab=0.0)
+    return False
+
+
 def test_xor_partners_match_the_oracle():
+    """Every element's partners, on each network and again after each change of its XOR
+    table: the index must follow removals and additions made after earlier lookups."""
+    value_only = on_relations = removals = 0
     for seed in range(CASES):
-        net = random_network(random.Random(f"partners/{seed}"))
-        for x in net.element_ids():
-            assert _outcome(lambda: _xor_partners(net, x)) == _outcome(
-                lambda: scan_xor_partners(net, x)
-            ), f"seed {seed}, element {x}"
+        rng = random.Random(f"partners/{seed}")
+        net = random_network(rng)
+        for step in range(4):
+            if step:
+                removals += change_xor_table(net, rng, step)
+            for x in net.element_ids():
+                where = f"seed {seed}, step {step}, element {x}"
+                want = _outcome(lambda: scan_xor_partners(net, x))
+                assert _outcome(lambda: _xor_partners(net, x)) == want, where
+                routes = partner_routes(net, x).values()
+                value_only += sum("edge" not in r and "value" in r for r in routes)
+                on_relations += sum("relation end" in r for r in routes)
+    # partners found by value containment alone, through XOR relations on relations, and
+    # lookups after removals of XOR relations or their ends
+    assert value_only >= 250 and on_relations >= 1000 and removals >= 250, (
+        value_only, on_relations, removals,
+    )
 
 
 def test_collapse_and_settle_match_the_oracle():

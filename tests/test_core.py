@@ -1,6 +1,8 @@
 """Structural substrate: belong-to, tree classification, derived-network check."""
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from dcnet.core import (
@@ -209,21 +211,31 @@ class TestDerivedNetwork:
 
 class TestCopy:
     def test_a_copy_and_its_indexes_change_apart_from_the_original(self):
-        net = CognitiveNetwork()
-        for cid in ("a", "b", "c"):
-            _concept(net, cid)
-        _rel(net, "r", RelationKind.HAS_PART, "a", "b")
-        _rel(net, "r2", RelationKind.HAS_PART, "b", "c", base="r")
-        _rel(net, "x", RelationKind.XOR, "a", "c", pba=0.0, pab=0.0)
-        clone = net.copy()
-        clone.remove_element("x")
-        clone.remove_element("r2")
-        _rel(clone, "s", RelationKind.HAS_PART, "a", "c", base="r")
-        assert net.incident("a") == ["r", "x"] and net.incident("c") == ["r2", "x"]
-        assert net.xor_relations() == ["x"] and net.relations_based_on("r") == ["r2"]
-        assert clone.incident("a") == ["r", "s"] and clone.relations_based_on("r") == ["s"]
-        assert clone.position_key("s") > clone.position_key("r") > clone.position_key("c")
-        assert "s" not in net.relations and clone.relations["r"] is not net.relations["r"]
+        for make_copy in (CognitiveNetwork.copy, copy.deepcopy):
+            net = CognitiveNetwork()
+            for cid in ("a", "b", "c"):
+                _concept(net, cid)
+            _rel(net, "r", RelationKind.HAS_PART, "a", "b")
+            _rel(net, "r2", RelationKind.HAS_PART, "b", "c", base="r")
+            _rel(net, "x", RelationKind.XOR, "a", "c", pba=0.0, pab=0.0)
+            _rel(net, "y", RelationKind.XOR, "b", "c", pba=0.0, pab=0.0)
+            clone = make_copy(net)
+            clone.remove_element("x")
+            clone.remove_element("r2")
+            _rel(clone, "s", RelationKind.HAS_PART, "a", "c", base="r")
+            assert net.incident("a") == ["r", "x"] and net.incident("c") == ["r2", "x", "y"]
+            assert net.xor_relations() == ["x", "y"] and net.relations_based_on("r") == ["r2"]
+            assert list(net.xor_relations_at("a")) == ["x"]
+            assert list(net.xor_relations_at("c")) == ["x", "y"]
+            assert clone.incident("a") == ["r", "s"] and clone.relations_based_on("r") == ["s"]
+            assert clone.xor_relations() == ["y"] and set(clone.xor_ends()) == {"b", "c"}
+            assert clone.position_key("s") > clone.position_key("r") > clone.position_key("c")
+            assert "s" not in net.relations and clone.relations["r"] is not net.relations["r"]
+            # an XOR relation removed on the original side leaves the copy's index as it was
+            net.remove_element("y")
+            assert set(net.xor_ends()) == {"a", "c"} and list(net.xor_relations_at("c")) == ["x"]
+            assert list(clone.xor_relations_at("b")) == ["y"]
+            assert list(clone.xor_relations_at("c")) == ["y"]
 
 
 class TestRemoval:

@@ -37,11 +37,13 @@ from dcnet.probability import (
     superpose,
     superpose_n,
     unsuperpose,
+    _xor_partners,
 )
 from dcnet.growth import fit_run
 from dcnet.trace import Trace, TraceEvent
 
 from scenes import face_kb, face_task
+from test_collapse_oracle import scan_xor_partners
 
 
 def _concept(net, cid, p=0.0):
@@ -358,6 +360,52 @@ class TestCollapse:
         egg = net.state("egg")
         assert egg.status is Status.SUPPRESSED
         assert egg.result_prob == pytest.approx(0.5)
+
+    def test_an_unvalued_collapse_reads_only_the_xor_relations_it_reaches(self, monkeypatch):
+        """Partners come from the XOR relations at the collapsing element's up-closure,
+        whatever the size of the XOR table: 2,000 tied chain pairs, no walk over them."""
+
+        def tied_chains(n):
+            net = CognitiveNetwork()
+            for i in range(n):
+                for cid in (f"h{i}", f"t{i}", f"rh{i}", f"rt{i}"):
+                    _concept(net, cid)
+                _rel(net, f"p{i}", f"h{i}", f"t{i}", kind=RelationKind.HAS_PART)
+                _rel(net, f"q{i}", f"rh{i}", f"rt{i}", kind=RelationKind.HAS_PART)
+                _rel(net, f"x{i}", f"t{i}", f"rt{i}", pba=0.0, pab=0.0, kind=RelationKind.XOR)
+            return net
+
+        class NoWalk:
+            """Membership and size of the XOR ends, but no walk over them."""
+
+            def __init__(self, ends):
+                self.ends = ends
+
+            def __contains__(self, element_id):
+                return element_id in self.ends
+
+            def __len__(self):
+                return len(self.ends)
+
+            def __iter__(self):
+                raise AssertionError("walked every XOR end")
+
+        def no_table():
+            raise AssertionError("read every XOR relation")
+
+        net = tied_chains(2000)
+        ends = net.xor_ends()
+        monkeypatch.setattr(net, "xor_relations", no_table)
+        monkeypatch.setattr(net, "xor_ends", lambda: NoWalk(ends))
+        ledger, trace = ContributionLedger(), Trace()
+        collapse_element(net, "h7", _engine(), ledger, trace)
+        changed = [(ev.event, ev.dst) for ev in trace.events if ev.event in ("collapse", "suppress")]
+        assert changed == [("collapse", "h7"), ("collapse", "t7"), ("suppress", "rt7"), ("collapse", "p7")]
+        assert _xor_partners(net, "t7") == ["rt7"] and _xor_partners(net, "rh7") == []
+
+        small = tied_chains(20)
+        for x in small.element_ids():
+            assert _xor_partners(small, x) == scan_xor_partners(small, x), x
 
     def test_collapsing_suppressed_is_conflict(self):
         net = CognitiveNetwork()
