@@ -9,6 +9,7 @@ belong to which.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Iterable, Iterator, Optional, Protocol, Sequence, Union
@@ -152,15 +153,80 @@ class Status(Enum):
     SUPPRESSED = "suppressed"
 
 
-@dataclass
+# A set of element ids that keeps the order they were added in (a dict of ``None``), so that
+# a seeding reads the elements of a new network in the order they were stored.
+Touched = dict[str, None]
+
+
+@dataclass(slots=True, eq=False, repr=False)
 class ProbabilityState:
+    """An element's probability and status.
+
+    A state that a network holds is watched: each write of its
+    ``result_prob`` or ``status`` adds its element's id to the network's
+    touched set, so the settle pass reads only what changed.  Reads stay
+    plain attribute reads.  Only the four public fields take part in
+    equality, ``repr`` and copies; a copy is unwatched unless a touched
+    set is given for it.
+    """
+
     input_prob: float = 0.0
     result_prob: float = 0.0
     status: Status = Status.SUPERPOSED
     launched: bool = False
+    _touched: Optional[Touched] = field(default=None, init=False)
+    _id: str = field(default="", init=False)
 
-    def copy(self) -> "ProbabilityState":
-        return ProbabilityState(self.input_prob, self.result_prob, self.status, self.launched)
+    def copy(self, touched: Optional[Touched] = None, element_id: str = "") -> "ProbabilityState":
+        clone = ProbabilityState(self.input_prob, self.result_prob, self.status, self.launched)
+        if touched is not None:
+            clone.watch(touched, element_id)
+        return clone
+
+    def watch(self, touched: Touched, element_id: str) -> None:
+        """Report every later write of ``result_prob`` or ``status`` as ``element_id`` to ``touched``."""
+        self._touched = touched
+        self._id = element_id
+        self.__class__ = _WatchedState
+
+    def unwatch(self) -> None:
+        self.__class__ = ProbabilityState
+        self._touched = None
+        self._id = ""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProbabilityState):
+            return NotImplemented
+        return (self.input_prob, self.result_prob, self.status, self.launched) == (
+            other.input_prob, other.result_prob, other.status, other.launched
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ProbabilityState(input_prob={self.input_prob!r}, result_prob={self.result_prob!r}, "
+            f"status={self.status!r}, launched={self.launched!r})"
+        )
+
+    def __deepcopy__(self, memo: dict) -> "ProbabilityState":
+        return self.copy()
+
+
+_object_setattr = object.__setattr__
+
+
+class _WatchedState(ProbabilityState):
+    """A state held by a network; ``ProbabilityState.watch`` turns a state into one.
+
+    Changing the class rather than testing a flag keeps construction and the
+    writes of unwatched states free of a Python-level ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        _object_setattr(self, name, value)
+        if name == "result_prob" or name == "status":
+            self._touched[self._id] = None
 
 
 @dataclass
@@ -202,8 +268,9 @@ class Concept:
     params: dict[str, ParamValue] = field(default_factory=dict)
     state: ProbabilityState = field(default_factory=ProbabilityState)
 
-    def copy(self) -> "Concept":
-        return Concept(self.id, self.name, self.value, dict(self.params), self.state.copy())
+    def copy(self, touched: Optional[Touched] = None) -> "Concept":
+        """A copy whose state, if ``touched`` is given, is watched into it."""
+        return Concept(self.id, self.name, self.value, dict(self.params), self.state.copy(touched, self.id))
 
 
 @dataclass
@@ -217,10 +284,11 @@ class Relation:
     params: dict[str, ParamValue] = field(default_factory=dict)
     state: ProbabilityState = field(default_factory=ProbabilityState)
 
-    def copy(self) -> "Relation":
+    def copy(self, touched: Optional[Touched] = None) -> "Relation":
+        """A copy whose state, if ``touched`` is given, is watched into it."""
         return Relation(
             self.id, self.kind, self.a, self.b, self.cond.copy(), self.base, dict(self.params),
-            self.state.copy(),
+            self.state.copy(touched, self.id),
         )
 
     def other_end(self, end: str) -> str:
@@ -282,14 +350,6 @@ class TreeInstance:
 # network
 
 
-def _check_id(element_id: str) -> None:
-    """Keep an id one token of the text formats: they split on whitespace, ``=`` and ``,``."""
-    if element_id == "-" or "=" in element_id or "," in element_id or element_id.split() != [element_id]:
-        raise StructureError(
-            f"bad element id {element_id!r}: empty, holds whitespace, '=' or ',', or is '-' (none)"
-        )
-
-
 class CognitiveNetwork:
     """Heterogeneous element store with referential integrity.
 
@@ -304,6 +364,11 @@ class CognitiveNetwork:
     removing an element, ``set_base``, ``set_tree`` and ``drop_tree``.
     ``validate`` checks a network once per generation, so declare and forget
     trees through those two methods, not by writing ``trees``.
+
+    The network watches its elements' states (see ``ProbabilityState``): the
+    touched set holds the ids whose state may have changed since the last
+    ready seeding (``seed_ready``).  Adding an element touches it too, and
+    ``set_state`` is the way to give a stored element a new state object.
     """
 
     def __init__(self) -> None:
@@ -319,8 +384,19 @@ class CognitiveNetwork:
         self._derived: dict[str, dict[str, None]] = {}
         self._generation = 0
         self._valid_at = -1  # the generation validate() last passed
+        self._touched: Touched = {}
+        self._ready_before: Touched = {}  # the ids the last seeding found ready
+        self._floor = -math.inf  # the collapse_at of the last seeding; none yet, and all touched
 
     # -- element access ----------------------------------------------------
+
+    @staticmethod
+    def check_id(element_id: str) -> None:
+        """Keep an id one token of the text formats: they split on whitespace, ``=`` and ``,``."""
+        if element_id == "-" or "=" in element_id or "," in element_id or element_id.split() != [element_id]:
+            raise StructureError(
+                f"bad element id {element_id!r}: empty, holds whitespace, '=' or ',', or is '-' (none)"
+            )
 
     def has(self, element_id: str) -> bool:
         return element_id in self.concepts or element_id in self.relations
@@ -371,20 +447,55 @@ class CognitiveNetwork:
         """Relations whose ``base`` is ``base_id``, in the order they got it."""
         return list(self._derived.get(base_id, ()))
 
+    # -- ready seeding -----------------------------------------------------
+
+    def touched(self) -> Touched:
+        """The ids whose state may have changed since the last seeding: the store's own set.
+
+        Watched states add to it; a writer that goes around them adds its ids here.
+        """
+        return self._touched
+
+    def seed_ready(self, collapse_at: float) -> tuple[list[str], int]:
+        """The superposed elements whose result is at least ``collapse_at``, in no set order.
+
+        Also returns how many elements were read to find them: only the
+        touched ones and those the last seeding found ready, or every element
+        when ``collapse_at`` is below the last seeding's.  An element that
+        was not ready then and whose state has not been written since cannot
+        be ready now.  The touched set starts empty again.
+        """
+        if collapse_at < self._floor:
+            self._touched.update(dict.fromkeys(self.concepts))
+            self._touched.update(dict.fromkeys(self.relations))
+        self._floor = collapse_at
+        candidates = self._touched | self._ready_before
+        self._touched.clear()
+        concepts, relations = self.concepts, self.relations
+        ready = []
+        for element_id in candidates:
+            state = (concepts.get(element_id) or relations[element_id]).state
+            if state.result_prob >= collapse_at and state.status is Status.SUPERPOSED:
+                ready.append(element_id)
+        self._ready_before = dict.fromkeys(ready)
+        return ready, len(candidates)
+
     # -- mutation ----------------------------------------------------------
 
     def add_concept(self, concept: Concept) -> Concept:
-        _check_id(concept.id)
+        self.check_id(concept.id)
         if self.has(concept.id):
             raise StructureError(f"duplicate element id: {concept.id}")
         self.concepts[concept.id] = concept
+        concept.state.watch(self._touched, concept.id)
+        self._touched[concept.id] = None
         self._serial[concept.id] = self._next_serial
         self._next_serial += 1
         self._generation += 1
         return concept
 
     def add_relation(self, relation: Relation) -> Relation:
-        _check_id(relation.id)
+        self.check_id(relation.id)
         if self.has(relation.id):
             raise StructureError(f"duplicate element id: {relation.id}")
         if not self.has(relation.a):
@@ -401,6 +512,8 @@ class CognitiveNetwork:
                 f"belong-to relation {relation.id} would make {relation.a} belong to itself"
             )
         self.relations[relation.id] = relation
+        relation.state.watch(self._touched, relation.id)
+        self._touched[relation.id] = None
         self._serial[relation.id] = self._next_serial
         self._next_serial += 1
         self._incident.setdefault(relation.a, []).append(relation.id)
@@ -421,6 +534,14 @@ class CognitiveNetwork:
         if base_id is not None:
             self._derived.setdefault(base_id, {})[rel_id] = None
         self._generation += 1
+
+    def set_state(self, element_id: str, state: ProbabilityState) -> None:
+        """Give a stored element ``state`` in place of its own state object."""
+        element = self.element(element_id)
+        element.state.unwatch()
+        element.state = state
+        state.watch(self._touched, element_id)
+        self._touched[element_id] = None
 
     def set_tree(self, view: TreeNetworkView) -> None:
         """Record a classified tree under its root, in place of any tree declared there."""
@@ -467,10 +588,13 @@ class CognitiveNetwork:
                     removed.append(rel_id)
         for el_id in removed:
             del self._serial[el_id]
+            self._touched.pop(el_id, None)
+            self._ready_before.pop(el_id, None)
             if el_id in self.concepts:
-                del self.concepts[el_id]
+                self.concepts.pop(el_id).state.unwatch()
                 continue
             rel = self.relations.pop(el_id)
+            rel.state.unwatch()
             for end in (rel.a, rel.b):
                 if end not in listed:
                     self._incident[end].remove(el_id)
@@ -510,12 +634,13 @@ class CognitiveNetwork:
         Every element, state, conditional pair, params dict, tree view and tree
         instance is new; only immutable values (ids, kinds, numbers, intervals,
         Gaussians) are shared.  The indexes hold only ids and numbers, so they
-        are copied one level deep.
+        are copied one level deep.  The clone watches its own states.
         """
         clone = CognitiveNetwork.__new__(CognitiveNetwork)
+        touched = dict(self._touched)
         vars(clone).update(
-            concepts={cid: c.copy() for cid, c in self.concepts.items()},
-            relations={rid: r.copy() for rid, r in self.relations.items()},
+            concepts={cid: c.copy(touched) for cid, c in self.concepts.items()},
+            relations={rid: r.copy(touched) for rid, r in self.relations.items()},
             trees={root: view.copy() for root, view in self.trees.items()},
             tree_instances=[inst.copy() for inst in self.tree_instances],
             counters=dict(self.counters),
@@ -526,6 +651,9 @@ class CognitiveNetwork:
             _derived={key: ids.copy() for key, ids in self._derived.items()},
             _generation=self._generation,
             _valid_at=self._valid_at,
+            _touched=touched,
+            _ready_before=dict(self._ready_before),
+            _floor=self._floor,
         )
         return clone
 
@@ -533,14 +661,22 @@ class CognitiveNetwork:
         # The indexes hold only ids and numbers, so one level of copying is a deep copy.
         clone = CognitiveNetwork.__new__(CognitiveNetwork)
         memo[id(self)] = clone
+        touched: Touched = {}
         for name, value in vars(self).items():
             if name in ("_incident", "_xor_by_end", "_derived"):
                 value = {key: inner.copy() for key, inner in value.items()}
             elif name == "_serial":
                 value = dict(value)
+            elif name == "_touched":
+                value = touched = dict(value)
+            elif name == "_ready_before":
+                value = dict(value)
             else:
                 value = copy.deepcopy(value, memo)
             setattr(clone, name, value)
+        for table in (clone.concepts, clone.relations):
+            for element_id, element in table.items():
+                element.state.watch(touched, element_id)
         return clone
 
     # -- validation --------------------------------------------------------

@@ -18,6 +18,7 @@ from .core import (
     ConditionalProbabilityPair,
     Gaussian,
     GrowthBlockedError,
+    ProbabilityState,
     Relation,
     RelationKind,
     Status,
@@ -348,9 +349,14 @@ class FitState:
     def all_consumed(self) -> bool:
         return all(f.consumed for f in self.fragments)
 
-    def fully_collapsed(self) -> bool:
-        """Every content element collapsed or suppressed, and at least one collapsed."""
-        seen = {self.net.state(e).status for e in self.content_ids()}
+    def fully_collapsed(self, content_ids: Optional[Sequence[str]] = None) -> bool:
+        """Every content element collapsed or suppressed, and at least one collapsed.
+
+        ``content_ids``, if given, must be what ``content_ids()`` returns now.
+        """
+        if content_ids is None:
+            content_ids = self.content_ids()
+        seen = {self.net.state(e).status for e in content_ids}
         return Status.COLLAPSED in seen and seen <= {Status.COLLAPSED, Status.SUPPRESSED}
 
 
@@ -379,6 +385,7 @@ class ConceptSpec:
     var: bool = False
     value: Optional[object] = None
     params: dict = field(default_factory=dict)
+    line: int = field(default=0, compare=False, repr=False)  # where a scenario declared it
 
 
 @dataclass
@@ -392,6 +399,7 @@ class RelationSpec:
     p: float = 0.0
     base: Optional[str] = None
     params: dict = field(default_factory=dict)
+    line: int = field(default=0, compare=False, repr=False)  # where a scenario declared it
 
 
 def make_task(
@@ -402,6 +410,7 @@ def make_task(
 ) -> FitTask:
     """Ingest input fragments into a fresh fit task over a private copy of the knowledge."""
     kb.validate()
+    kb.seed_ready(config.collapse_at)  # so that the settles of the copy read the scene, not the knowledge
     net = kb.copy()
     state = FitState(net=net, kb_ids=frozenset(kb.element_ids()))
     task = FitTask(kb=kb, config=config, states=[state])
@@ -426,20 +435,20 @@ def ingest(
             raise StructureError(f"instance id {inst_id} already taken")
         # a name equal to the id is left empty, the one form the text formats keep
         name = spec.base if spec.base and spec.base != inst_id else ""
-        concept = Concept(id=inst_id, name=name, params=dict(spec.params))
+        concept = Concept(
+            id=inst_id, name=name, params=dict(spec.params), state=ProbabilityState(spec.p, spec.p)
+        )
         if spec.value is not None:
             concept.value = spec.value
         net.add_concept(concept)
         if base is not None:
             net.add_belong(inst_id, base)
-        concept.state.input_prob = spec.p
-        concept.state.result_prob = spec.p
         state.fragments.append(
             FragmentRecord(element=inst_id, input_prob=spec.p, base=spec.base, var=spec.var)
         )
 
     for spec in relations:
-        rel = net.add_relation(
+        net.add_relation(
             Relation(
                 id=spec.rel_id,
                 kind=spec.kind,
@@ -448,10 +457,9 @@ def ingest(
                 cond=ConditionalProbabilityPair(forward=spec.pba, backward=spec.pab),
                 base=spec.base,
                 params=dict(spec.params),
+                state=ProbabilityState(spec.p, spec.p),
             )
         )
-        rel.state.input_prob = spec.p
-        rel.state.result_prob = spec.p
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +675,10 @@ def fit_run(task: FitTask, limit: Optional[int] = None) -> FitReport:
         steps += 1
     complete = not task.forks and all(s.all_consumed() for s in task.states)
 
-    means = [mean_probability(s.net, s.content_ids()) for s in task.states]
-    order = sorted(
-        range(len(task.states)),
-        key=lambda i: (not task.states[i].fully_collapsed(), -means[i], i),
-    )
+    contents = [s.content_ids() for s in task.states]
+    means = [mean_probability(s.net, ids) for s, ids in zip(task.states, contents)]
+    collapsed = [s.fully_collapsed(ids) for s, ids in zip(task.states, contents)]
+    order = sorted(range(len(task.states)), key=lambda i: (not collapsed[i], -means[i], i))
     selected = order[0] if order else 0
     unmatched = [
         f.element
@@ -682,7 +689,7 @@ def fit_run(task: FitTask, limit: Optional[int] = None) -> FitReport:
         task=task,
         ranking=order,
         selected=selected,
-        absolute=bool(task.states) and task.states[selected].fully_collapsed(),
+        absolute=bool(task.states) and collapsed[selected],
         complete=complete,
         unmatched=unmatched,
     )

@@ -22,6 +22,7 @@ from .core import (
     Relation,
     RelationKind,
     Status,
+    StructureError,
     declare_tree,
 )
 from .growth import ConceptSpec, FitTask, RelationSpec, make_task
@@ -162,16 +163,20 @@ def _parse_concept_line(net, tokens, line_no, line) -> Concept:
     if len(tokens) < 2:
         raise ParseError("concept needs an id", line_no)
     concept = Concept(id=tokens[1])
+    state = None
     for key, value in _kv(tokens[2:], line_no, line).items():
         if key in ("value", "interval"):
             _set_value(concept, key, value, line_no, line)
         elif key == "name":
             concept.name = value
         elif key == "state":
-            concept.state = _parse_state(value, line_no, line)
+            state = _parse_state(value, line_no, line)
         else:
             concept.params[key] = parse_param_value(value, line_no, line)
-    return net.add_concept(concept)
+    net.add_concept(concept)
+    if state is not None:
+        net.set_state(concept.id, state)
+    return concept
 
 
 def _parse_belong_line(net, tokens, line_no, line) -> None:
@@ -186,7 +191,7 @@ def _parse_belong_line(net, tokens, line_no, line) -> None:
             state = _parse_state(value, line_no, line)
     rel = net.add_belong(tokens[1], tokens[2], backward=backward)
     if state is not None:
-        rel.state = state
+        net.set_state(rel.id, state)
 
 
 def _parse_relation_line(net, tokens, line_no, line) -> Relation:
@@ -194,9 +199,8 @@ def _parse_relation_line(net, tokens, line_no, line) -> Relation:
     relation = Relation(
         id=tokens[1], kind=kind, a=a, b=b,
         cond=ConditionalProbabilityPair(forward=pba, backward=pab), base=base,
+        state=_parse_state(kv.pop("state"), line_no, line) if "state" in kv else ProbabilityState(),
     )
-    if "state" in kv:
-        relation.state = _parse_state(kv.pop("state"), line_no, line)
     for key, value in kv.items():
         relation.params[key] = parse_param_value(value, line_no, line)
     return net.add_relation(relation)
@@ -340,8 +344,20 @@ _CONFIG_ALIASES = {
 _CONFIG_KEYS = {_CONFIG_ALIASES.get(f.name, f.name): f.name for f in fields(EngineConfig)}
 
 
+def _declare_id(declared: dict[str, int], element_id: str, line_no: int, line: str, prefix: str) -> None:
+    """Record an element id that a statement declares as ``prefix`` + id; a repeat is a ParseError."""
+    if element_id in declared:
+        column = line.index(prefix + element_id, len(line.split(None, 1)[0])) + 1
+        raise ParseError(
+            f"duplicate id {element_id}, first declared on line {declared[element_id]}", line_no, column
+        )
+    declared[element_id] = line_no
+
+
 def parse_scenario(text: str) -> ScenarioDoc:
+    """Read a scenario; an id declared twice is a ParseError."""
     doc = ScenarioDoc()
+    declared: dict[str, int] = {}  # element id -> the line that declared it
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw_line).strip()
         if not line:
@@ -372,9 +388,12 @@ def parse_scenario(text: str) -> ScenarioDoc:
                 p=_parse_float(kv.pop("p", "0.0"), line_no, line, "p"),
                 as_id=kv.pop("as", None),
                 var=kv.pop("var", "false").lower() == "true",
+                line=line_no,
             )
             if not 0.0 <= spec.p <= 1.0:
                 raise ParseError(f"input probability out of range: {spec.p}", line_no)
+            if spec.as_id is not None:
+                _declare_id(declared, spec.as_id, line_no, line, "as=")
             for key in ("value", "interval"):
                 if key in kv:
                     _set_value(spec, key, kv.pop(key), line_no, line)
@@ -383,9 +402,10 @@ def parse_scenario(text: str) -> ScenarioDoc:
             doc.concepts.append(spec)
         elif head == "relation":
             kind, a, b, pba, pab, base, kv = _relation_statement(tokens, line_no, line)
+            _declare_id(declared, tokens[1], line_no, line, "")
             p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p")
             spec = RelationSpec(
-                rel_id=tokens[1], kind=kind, a=a, b=b, pba=pba, pab=pab, p=p, base=base
+                rel_id=tokens[1], kind=kind, a=a, b=b, pba=pba, pab=pab, p=p, base=base, line=line_no
             )
             for key, value in kv.items():
                 spec.params[key] = parse_param_value(value, line_no, line)
@@ -422,6 +442,19 @@ def engine_config(doc: ScenarioDoc, base: Optional[EngineConfig] = None) -> Engi
 
 
 def build_task(kb: CognitiveNetwork, doc: ScenarioDoc, base_config: Optional[EngineConfig] = None) -> FitTask:
+    """A fit task of the scenario over ``kb``.
+
+    A declared id that is not fit to be an element id, or that ``kb`` holds, is a ParseError.
+    """
+    declared = [(s.as_id, s.line) for s in doc.concepts if s.as_id is not None]
+    declared += [(s.rel_id, s.line) for s in doc.relations]
+    for element_id, line_no in sorted(declared, key=lambda pair: pair[1]):
+        try:
+            CognitiveNetwork.check_id(element_id)
+        except StructureError as err:
+            raise ParseError(str(err), line_no) from None
+        if kb.has(element_id):
+            raise ParseError(f"id {element_id} names an element of the knowledge base", line_no)
     config = engine_config(doc, base_config)
     return make_task(kb, config, doc.concepts, doc.relations)
 

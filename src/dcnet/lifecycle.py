@@ -323,7 +323,7 @@ def iterate_step(
         fresh = net.concepts[new_id]
         fresh.params = dict(old.params)
         fresh.value = old.value
-        fresh.state = old.state.copy()
+        net.set_state(new_id, old.state.copy())
         new_mapping[base_el] = new_id
     for base_el, inst_el in old_mapping.items():
         if base_el not in net.relations:
@@ -334,7 +334,7 @@ def iterate_step(
         if im_a is None or im_b is None:
             continue
         link = grow_link(net, im_a, base_el, im_b, config=config, ledger=ledger, trace=trace)
-        net.relations[link].state = old_rel.state.copy()
+        net.set_state(link, old_rel.state.copy())
         new_mapping[base_el] = link
 
     new_root = new_mapping[instance.base_root]

@@ -15,7 +15,7 @@ from collections import defaultdict
 from collections.abc import ValuesView
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, get_type_hints
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .core import (
     CognitiveNetwork,
@@ -30,6 +30,7 @@ from .core import (
     Relation,
     RelationKind,
     Status,
+    Touched,
     down_closure,
     kind_compatible,
     up_closure,
@@ -345,6 +346,14 @@ def _unindex(index: dict, key, seq: int) -> None:
 # ---------------------------------------------------------------------------
 # propagation
 
+# The kernel writes states through their slots, which skips the hook of a
+# watched state (``ProbabilityState``), and adds what it changed to the
+# network's touched set itself.
+_write_input = ProbabilityState.input_prob.__set__
+_write_result = ProbabilityState.result_prob.__set__
+_write_status = ProbabilityState.status.__set__
+_write_launched = ProbabilityState.launched.__set__
+
 
 def _relation_degree(relations: dict[str, Relation], rel: Relation) -> float:
     """``relational_membership`` against the relation's own base, or 1 without one.
@@ -363,6 +372,7 @@ def _apply_contribution(
     config: EngineConfig,
     ledger: ContributionLedger,
     trace: Trace,
+    touched: Touched,
     launch_id: int,
     source: str,
     target: str,
@@ -373,7 +383,8 @@ def _apply_contribution(
     if config.mode is Mode.SIMPLIFIED:
         k = via.params.get("k")
         applied = (float(k) if isinstance(k, (int, float)) else config.default_k) * contribution
-    state.result_prob = config.mode.fold(state.result_prob, applied)
+    _write_result(state, config.mode.fold(state.result_prob, applied))
+    touched[target] = None
     ledger.record(launch_id, source, target, via.id, applied)
     trace.record(event, source, target, applied, state.result_prob)
 
@@ -402,9 +413,9 @@ def pps_launch(
     """
     if not 0.0 < delta <= 1.0:
         raise ParameterError(f"launch delta must lie in (0, 1], got {delta}")
-    relations, concepts = net.relations, net.concepts
+    relations, concepts, touched = net.relations, net.concepts, net.touched()
     src_state = net.state(source)
-    src_state.launched = True
+    _write_launched(src_state, True)
     if launch is None:
         launch = ledger.open_launch(source, delta)
     launch_id = launch.launch_id
@@ -463,13 +474,13 @@ def pps_launch(
         if rel.state.status is Status.SUPERPOSED and rel.id not in visited:
             visited.add(rel.id)
             _apply_contribution(
-                rel.state, rel, config, ledger, trace, launch_id, upstream, rel.id, contribution,
-                "contribute",
+                rel.state, rel, config, ledger, trace, touched, launch_id, upstream, rel.id,
+                contribution, "contribute",
             )
             reached.append(rel.id)
         _apply_contribution(
-            target_el.state, rel, config, ledger, trace, launch_id, upstream, target, contribution,
-            "superpose",
+            target_el.state, rel, config, ledger, trace, touched, launch_id, upstream, target,
+            contribution, "superpose",
         )
         reached.append(target)
         push_neighbors(target, contribution, hops + 1)
@@ -478,7 +489,8 @@ def pps_launch(
 
 def _restore_result(net: CognitiveNetwork, ledger: ContributionLedger, target: str, mode: Mode) -> None:
     state = net.state(target)
-    state.result_prob = ledger.replay(state.input_prob, target, mode)
+    _write_result(state, ledger.replay(state.input_prob, target, mode))
+    net.touched()[target] = None
 
 
 def undo_launch(net: CognitiveNetwork, ledger: ContributionLedger, launch_id: int, mode: Mode) -> None:
@@ -501,7 +513,9 @@ def collapse_element(
 
     Ledger entries targeting the element are undone, its input becomes 1, a
     fresh unit launch runs, mutually exclusive partners are suppressed, and any
-    neighbor pushed over the threshold collapses in turn.
+    neighbor pushed over the threshold collapses in turn, as does any element
+    that was ready already.  The cost follows what changed since the network's
+    last settle or collapse, not the size of the network (see ``_ReadyQueue``).
     """
     state = net.state(x)
     if state.status is Status.SUPPRESSED:
@@ -521,7 +535,9 @@ def settle(
     """Collapse every element at or above the significance threshold; cascades.
 
     Returns the element the cascade started from, if any: a cascade runs
-    until nothing is ready, so it is the only one settle itself picks.
+    until nothing is ready, so it is the only one settle itself picks.  Only
+    the elements whose state changed since the last settle or collapse are
+    read to find it (see ``_ReadyQueue``).
     """
     ready = _ReadyQueue(net, config, kb_ids)
     first = ready.pop()
@@ -534,26 +550,25 @@ def settle(
 class _ReadyQueue:
     """Collapse-ready elements, the one first in ``element_ids()`` order on top.
 
-    One scan fills it.  Inside a cascade only collapsing, suppressing and a
-    launch's contributions change any state, so afterwards only a launch's
-    targets are offered again; an element is re-checked when it reaches the
-    top, which drops the collapsed and the suppressed.
+    ``CognitiveNetwork.seed_ready`` fills it: it reads only the elements
+    whose state was written since the network's last seeding, or that were
+    added since, and those that the last seeding found ready, kept out by
+    ``kb_ids`` or not.  That finds what a scan of the whole network would,
+    and sorting by ``position_key`` gives the same order.  Inside a cascade
+    only collapsing, suppressing and a launch's contributions change any
+    state, so afterwards only a launch's targets are offered again; an
+    element is re-checked when it reaches the top, which drops the collapsed
+    and the suppressed.  ``examined`` counts the elements whose readiness
+    it checked.
     """
 
     def __init__(self, net: CognitiveNetwork, config: EngineConfig, kb_ids: frozenset[str]):
         self.net, self.config, self.kb_ids = net, config, kb_ids
-        # concepts, then relations, each in insertion order: position order, so already a heap
-        self.heap: list[tuple[tuple[bool, int], str]] = []
-        collapse_at = config.collapse_at
-        for table in (net.concepts, net.relations):
-            for element_id, element in table.items():
-                state = element.state
-                if (
-                    state.result_prob >= collapse_at
-                    and state.status is Status.SUPERPOSED
-                    and element_id not in kb_ids
-                ):
-                    self.heap.append((net.position_key(element_id), element_id))
+        ready, self.examined = net.seed_ready(config.collapse_at)
+        position_key = net.position_key
+        self.heap: list[tuple[tuple[bool, int], str]] = sorted(
+            (position_key(e), e) for e in ready if e not in kb_ids
+        )
         self.queued = {e for _, e in self.heap}
 
     def ready(self, element_id: str) -> bool:
@@ -562,7 +577,8 @@ class _ReadyQueue:
         state = self.net.state(element_id)
         return state.status is Status.SUPERPOSED and self.config.collapse_ready(state.result_prob)
 
-    def offer(self, element_ids: Iterable[str]) -> None:
+    def offer(self, element_ids: Sequence[str]) -> None:
+        self.examined += len(element_ids)
         for element_id in element_ids:
             if element_id not in self.queued and self.ready(element_id):
                 self.queued.add(element_id)
@@ -572,6 +588,7 @@ class _ReadyQueue:
         while self.heap:
             _, element_id = heapq.heappop(self.heap)
             self.queued.discard(element_id)
+            self.examined += 1
             if self.ready(element_id):
                 return element_id
         return None
@@ -587,6 +604,7 @@ def _cascade(
     kb_ids: frozenset[str],
 ) -> None:
     """Collapse x, then the first ready element, until none is ready."""
+    touched = net.touched()
     while x is not None:
         partners = _xor_partners(net, x)
         for partner in partners:
@@ -599,9 +617,10 @@ def _cascade(
         # to the pre-contribution input, after which certainty replaces it.
         ledger.purge_target(x)
         state = net.state(x)
-        state.input_prob = 1.0
-        state.result_prob = 1.0
-        state.status = Status.COLLAPSED
+        _write_input(state, 1.0)
+        _write_result(state, 1.0)
+        _write_status(state, Status.COLLAPSED)
+        touched[x] = None
         trace.record("collapse", x, x, 1.0, 1.0)
 
         for partner in partners:
@@ -609,7 +628,8 @@ def _cascade(
                 continue
             pstate = net.state(partner)
             if pstate.status is Status.SUPERPOSED:
-                pstate.status = Status.SUPPRESSED
+                _write_status(pstate, Status.SUPPRESSED)
+                touched[partner] = None
                 trace.record("suppress", x, partner, 0.0, pstate.result_prob)
 
         ready.offer(pps_launch(net, x, 1.0, config, ledger, trace))

@@ -30,6 +30,23 @@ def test_validate_bad_id_exits_2(tmp_path, capsys):
     assert "bad element id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "input eye p=0.6 as=e1\ninput nose p=0.5 as=e1\n",
+        "input eye p=0.6 as=face\n",
+        "relation r1 kind=ADJOINING a=face b=egg\nrelation r1 kind=ADJOINING a=egg b=face\n",
+        "input eye p=0.6 as=e1\ninput nose p=0.5 as=n1\nrelation e1 kind=ADJOINING a=e1 b=n1\n",
+    ],
+)
+def test_fit_bad_scenario_id_is_a_parse_error(tmp_path, capsys, scenario):
+    path = tmp_path / "ids.scenario"
+    path.write_text(scenario, encoding="utf-8")
+    assert main(["fit", "--kb", str(DATA / "face.kb"), "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and "internal error" not in err
+
+
 def test_fit_meets_expectations(tmp_path, capsys):
     trace_file = tmp_path / "run.trace"
     code = main([

@@ -1,0 +1,83 @@
+"""Mutation fuzz of the command line: damaged input ends in exit 0, 1 or 2, never in exit 3
+or a traceback.
+
+Fixed seeds mutate the face knowledge base, the face scenario and a session saved
+after two fragment steps.  Each mutation drops a line, truncates the text, swaps two
+tokens, garbles a character or duplicates a line; the result goes through
+``dcnet.cli.main`` in this process, as ``fit --kb``, ``fit --scenario`` or
+``fit --session``.
+"""
+from __future__ import annotations
+
+import random
+import re
+import traceback
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from dcnet.cli import main
+
+DATA = Path(__file__).parent / "data"
+KB, SCENARIO = DATA / "face.kb", DATA / "face.scenario"
+GARBLE = "abcxyzAXZ0129 =,.#-_:~\n"
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(5)
+    if kind == 0:  # drop a line
+        del lines[rng.randrange(len(lines))]
+        return "".join(lines)
+    if kind == 1:  # truncate
+        return text[:rng.randrange(len(text))]
+    if kind == 2:  # swap two tokens, anywhere in the text
+        parts = re.split(r"(\s+)", text)
+        tokens = [i for i, part in enumerate(parts) if part and not part.isspace()]
+        i, j = rng.sample(tokens, 2)
+        parts[i], parts[j] = parts[j], parts[i]
+        return "".join(parts)
+    if kind == 3:  # garble a character
+        at = rng.randrange(len(text))
+        return text[:at] + rng.choice(GARBLE) + text[at + 1:]
+    at = rng.randrange(len(lines))  # duplicate a line
+    lines.insert(at, lines[at])
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def session_text(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("session") / "face.session"
+    args = ["fit", "--kb", str(KB), "--scenario", str(SCENARIO), "--session", str(path)]
+    assert main(args + ["--max-fragments", "2"]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("target, count", [("kb", 200), ("scenario", 200), ("session", 200)])
+def test_mutated_input_exits_0_1_or_2(target, count, tmp_path, capsys, request):
+    original = (
+        request.getfixturevalue("session_text") if target == "session"
+        else (KB if target == "kb" else SCENARIO).read_text(encoding="utf-8")
+    )
+    path = tmp_path / f"mutated.{target}"
+    args = {
+        "kb": ["fit", "--kb", str(path), "--scenario", str(SCENARIO)],
+        "scenario": ["fit", "--kb", str(KB), "--scenario", str(path)],
+        "session": ["fit", "--session", str(path), "--scenario", str(SCENARIO)],
+    }[target]
+    codes: Counter = Counter()
+    bad = []
+    for seed in range(count):
+        text = mutate(original, random.Random(f"cli-fuzz/{target}/{seed}"))
+        path.write_text(text, encoding="utf-8")
+        try:
+            code = main(args)
+        except Exception:  # noqa: BLE001 - any escape is a finding
+            code = traceback.format_exc(limit=-1).strip().splitlines()[-1]
+        err = capsys.readouterr().err
+        codes[code] += 1
+        if code not in (0, 1, 2):
+            bad.append((seed, code, err.strip().splitlines()[-1:] if err else []))
+    assert bad == [], bad
+    assert codes[0] + codes[1] >= count // 10 and codes[2] >= count // 10, codes  # both sides reached

@@ -4,7 +4,10 @@
 declared trees, tree instances, Gaussian conditionals, params and counters) and on the networks of fitted tasks with forks, it must equal the
 deep copy, share no mutable object with the original, and stay independent:
 launches, collapses, removals, additions, ``set_base`` calls and direct
-writes on either side leave the other side as it was.
+writes on either side leave the other side as it was.  The comparison takes
+in the record of the last ready seeding (touched set, ready set, threshold)
+and each state's slots, and every state of either copy must report its
+writes to its own network alone.
 """
 from __future__ import annotations
 
@@ -63,6 +66,13 @@ def extended_network(rng: random.Random) -> CognitiveNetwork:
     return net
 
 
+def attributes(obj) -> dict[str, object]:
+    """An object's own attributes: its ``__dict__``, or its slots (a state's touched set and id too)."""
+    if hasattr(obj, "__dict__"):
+        return vars(obj)
+    return {name: getattr(obj, name) for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
+
+
 def mutable_objects(obj, found: dict | None = None) -> dict[int, object]:
     """Every mutable object reachable from ``obj``, by id (tuples are walked, not counted)."""
     found = {} if found is None else found
@@ -77,7 +87,7 @@ def mutable_objects(obj, found: dict | None = None) -> dict[int, object]:
         elif isinstance(obj, (list, set)):
             items = obj
         else:
-            items = vars(obj).values()
+            items = attributes(obj).values()
     for item in items:
         mutable_objects(item, found)
     return found
@@ -93,16 +103,32 @@ def shape(obj):
         return type(obj).__name__, [shape(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
         return type(obj).__name__, sorted(obj)
-    return type(obj).__name__, shape(vars(obj))
+    return type(obj).__name__, shape(attributes(obj))
+
+
+def assert_watched(net: CognitiveNetwork, others: list[CognitiveNetwork]) -> None:
+    """A write of each state's result reaches ``net``'s touched set under its element's id,
+    and no other network's; the touched sets are left as they were, plus those ids."""
+    before = [list(other.touched()) for other in others]
+    kept = dict(net.touched())
+    for el_id in net.element_ids():
+        net.touched().clear()
+        state = net.state(el_id)
+        state.result_prob = state.result_prob
+        assert list(net.touched()) == [el_id], el_id
+    net.touched().update(kept | dict.fromkeys(net.element_ids()))
+    assert [list(other.touched()) for other in others] == before
 
 
 def check_copy(net: CognitiveNetwork) -> CognitiveNetwork:
     clone = net.copy()
     reference = copy.deepcopy(net)
     assert_same_network(clone, reference)
-    assert shape(clone) == shape(reference)  # the private indexes too, in order
+    assert shape(clone) == shape(reference)  # the private indexes and the seeding record too, in order
     shared = mutable_objects(net).keys() & mutable_objects(clone).keys()
     assert not shared, [type(mutable_objects(net)[i]).__name__ for i in shared]
+    assert_watched(clone, [net, reference])
+    assert_watched(reference, [net, clone])
     return clone
 
 

@@ -248,6 +248,48 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario("input eye p=1.5\n")
 
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            (
+                "input eye p=0.6 as=e1\ninput nose p=0.5 as=e1\n",
+                "line 2, column 18", "duplicate id e1, first declared on line 1",
+            ),
+            (
+                "relation r1 kind=ADJOINING a=eye b=nose\nrelation r1 kind=ADJOINING a=nose b=eye\n",
+                "line 2, column 10", "duplicate id r1, first declared on line 1",
+            ),
+            (
+                "input eye as=e1\ninput nose as=n1\nrelation e1 kind=ADJOINING a=e1 b=n1\n",
+                "line 3, column 10", "duplicate id e1, first declared on line 1",
+            ),
+        ],
+    )
+    def test_an_id_declared_twice_is_located(self, text, where, message):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(f"{where}: {message}")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("input eye p=0.6 as=eye1\ninput eye p=0.6 as=face\n", "line 2, column 1"),
+            ("input eye as=e1\nrelation x_fe kind=ADJOINING a=e1 b=face\n", "line 2, column 1"),
+        ],
+    )
+    def test_an_id_that_names_a_knowledge_element_is_located(self, text, where):
+        kb = parse_kb(FACE_KB)
+        doc = parse_scenario(text)
+        with pytest.raises(ParseError) as err:
+            build_task(kb, doc)
+        assert str(err.value).startswith(f"{where}: id ")
+        assert str(err.value).endswith(" names an element of the knowledge base")
+
+    def test_an_id_unfit_to_be_an_element_id_is_located(self):
+        doc = parse_scenario("input eye p=0.6 as=e1\ninput nose as=n,1\n")
+        with pytest.raises(ParseError, match=r"^line 2, column 1: bad element id 'n,1'"):
+            build_task(parse_kb(FACE_KB), doc)
+
     def test_expectations_checked_after_fit(self):
         kb = parse_kb(FACE_KB)
         doc = parse_scenario(FACE_SCENARIO)

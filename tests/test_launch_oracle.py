@@ -11,6 +11,12 @@ add, on top of ``scenes.random_network``: bases that carry params and chained
 bases, Gaussian conditionals aimed at valued concepts, ``k`` params for the
 simplified mode, and collapsed or suppressed concepts and relations.  Launches
 run under both modes, with hop limits and several decay thresholds.
+
+The ready queue seeds from the elements whose state changed since the
+network's last seeding; the scan of every element stays as its oracle, and
+is compared after each of a random series of launches, direct writes,
+collapses, settles, removals, additions, copies, changes of threshold and
+changes of the knowledge ids.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import copy
 import heapq
 import random
 from collections import Counter
+from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -30,20 +37,24 @@ from dcnet.core import (
     Interval,
     KindError,
     ParameterError,
+    ProbabilityState,
     Relation,
     RelationKind,
     Status,
     kind_compatible,
 )
+from dcnet.growth import FitState
 from dcnet.probability import (
     ContributionLedger,
     EngineConfig,
     Mode,
     _ReadyQueue,
+    collapse_element,
     gaussian_membership,
     param_membership,
     pps_launch,
     relational_membership,
+    settle,
 )
 from dcnet.trace import Trace
 
@@ -352,6 +363,98 @@ def test_ready_scan_matches_the_oracle():
         assert queue.queued == {e for _, e in want}, f"seed {seed}"
         readies += len(want)
     assert readies >= CASES // 2
+
+
+SEEDING_STEPS = (
+    "launch", "write result", "write status", "collapse", "settle", "remove", "add", "set state",
+    "copy", "deep copy", "fork snapshot", "threshold", "knowledge ids",
+)
+
+
+def _seeding_step(kind: str, world: dict, rng: random.Random, step: int) -> None:
+    """Apply one change to ``world`` (net, config, ledger, trace, kb_ids); engine errors are kept."""
+    net, config, ledger, trace, kb_ids = (
+        world["net"], world["config"], world["ledger"], world["trace"], world["kb_ids"]
+    )
+    ids = net.element_ids()
+    if kind == "launch":
+        _outcome(lambda: pps_launch(net, rng.choice(ids), rng.choice([1.0, 0.6]), config, ledger, trace))
+    elif kind == "write result":
+        net.state(rng.choice(ids)).result_prob = rng.choice([0.2, 0.85, 0.92, 0.97, 1.0])
+    elif kind == "write status":
+        net.state(rng.choice(ids)).status = rng.choice(list(Status))
+    elif kind == "collapse":
+        _outcome(lambda: collapse_element(net, rng.choice(ids), config, ledger, trace, kb_ids))
+    elif kind == "settle":
+        _outcome(lambda: settle(net, config, ledger, trace, kb_ids))
+    elif kind == "remove" and len(ids) > 6:
+        net.remove_element(rng.choice(ids))
+    elif kind == "add":
+        p = rng.choice([0.5, 0.95, 1.0])
+        new = net.add_concept(Concept(f"new{step}", state=ProbabilityState(p, p)))
+        net.add_relation(Relation(f"new{step}r", RelationKind.HAS_PART, rng.choice(ids), new.id))
+    elif kind == "set state":
+        p = rng.choice([0.5, 0.95])
+        net.set_state(rng.choice(ids), ProbabilityState(p, p, rng.choice(list(Status))))
+    elif kind == "copy":
+        clone = net.copy()
+        if rng.random() < 0.5:
+            world["net"] = clone  # else the original goes on, and the copy must not have moved it
+    elif kind == "deep copy":
+        world["net"] = copy.deepcopy(net)
+    elif kind == "fork snapshot":  # as growth forks a fit state
+        state = FitState(net=net, kb_ids=kb_ids, ledger=ledger)
+        snapshot = copy.deepcopy(state, {id(net): net.copy()})
+        world["net"], world["ledger"] = snapshot.net, snapshot.ledger
+    elif kind == "threshold":
+        if rng.random() < 0.2:
+            world["config"] = replace(config, mode=Mode.SIMPLIFIED)  # ready at 1.0
+        else:
+            threshold = rng.choice([0.8, 0.85, 0.9, 0.95, 1.0])
+            world["config"] = replace(config, mode=Mode.EXACT, collapse_threshold=threshold)
+    elif kind == "knowledge ids":
+        world["kb_ids"] = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 3)))
+
+
+def test_seeded_ready_queue_matches_the_scan_through_every_kind_of_change():
+    """After each change the queue a settle starts from equals the scan of every element.
+
+    The queue reads only the touched elements and those the last seeding found
+    ready, or every element after the threshold dropped; the scan reads all.
+    Some changes run back to back with no seeding between them.
+    """
+    steps: Counter = Counter()
+    carried = dropped = readies = 0
+    for seed in range(CASES):
+        rng = random.Random(f"seeding/{seed}")
+        net = launch_network(rng)
+        world = {
+            "net": net, "config": random_config(rng), "ledger": ContributionLedger(),
+            "trace": Trace(), "kb_ids": frozenset(rng.sample(net.element_ids(), 2)),
+        }
+        floor = None
+        for step in range(rng.randint(8, 16)):
+            kind = rng.choice(SEEDING_STEPS)
+            _seeding_step(kind, world, rng, step)
+            steps[kind] += 1
+            if rng.random() < 0.3:
+                continue  # let the next change pile up on this one
+            net, config, kb_ids = world["net"], world["config"], world["kb_ids"]
+            want = oracle_ready_scan(net, config, kb_ids)
+            lowered = floor is not None and config.collapse_at < floor
+            carried += not lowered and any(e not in net.touched() for _, e in want)
+            dropped += lowered
+            queue = _ReadyQueue(net, config, kb_ids)
+            floor = config.collapse_at
+            where = f"seed {seed}, step {step} ({kind})"
+            assert queue.heap == want, where
+            assert queue.queued == {e for _, e in want}, where
+            readies += len(want)
+    assert min(steps.values()) >= CASES // 2, steps
+    assert readies >= CASES
+    # found only because an earlier seeding found it ready (kept out by the knowledge ids,
+    # or queued and never popped), and seedings after the threshold dropped
+    assert carried >= 300 and dropped >= 50, (carried, dropped)
 
 
 def test_relation_membership_matches_the_oracle():

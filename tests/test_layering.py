@@ -39,6 +39,34 @@ def test_no_module_reads_another_objects_private_attribute():
     assert offenders == []
 
 
+def test_only_core_replaces_an_elements_state_object():
+    """A network watches the state objects it holds, so a new one goes in through ``set_state``.
+
+    Writing ``.state`` (or ``setattr(..., "state", ...)``) anywhere else would hand
+    the network a state whose writes it never sees.
+    """
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+                while targets:
+                    target = targets.pop()
+                    if isinstance(target, (ast.Tuple, ast.List)):
+                        targets.extend(target.elts)
+                    elif isinstance(target, ast.Starred):
+                        targets.append(target.value)
+                    elif isinstance(target, ast.Attribute) and target.attr == "state":
+                        offenders.append(f"{path.name}:{node.lineno} assigns {ast.unparse(target)}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant) and node.args[1].value == "state"):
+                offenders.append(f"{path.name}:{node.lineno} calls setattr(..., 'state', ...)")
+    assert offenders == []
+
+
 LAYERS = [
     "trace", "core", "probability", "matching", "growth", "kbio", "lifecycle", "query", "learning", "cli"
 ]

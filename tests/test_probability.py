@@ -39,10 +39,11 @@ from dcnet.probability import (
     unsuperpose,
     _xor_partners,
 )
-from dcnet.growth import fit_run
+from dcnet import probability
+from dcnet.growth import ConceptSpec, fit_run, make_task
 from dcnet.trace import Trace, TraceEvent
 
-from scenes import face_kb, face_task
+from scenes import FACE_INPUTS, face_kb, face_task
 from test_collapse_oracle import scan_xor_partners
 
 
@@ -69,6 +70,19 @@ def _rel(net, rid, a, b, pba=1.0, pab=1.0, kind=RelationKind.HAS_COMPONENT, para
 
 def _engine(**kw):
     return EngineConfig(**kw)
+
+
+def _recorded_queues(monkeypatch) -> list:
+    """Every ready queue the engine builds from now on, in order."""
+    queues = []
+
+    class Recorded(probability._ReadyQueue):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queues.append(self)
+
+    monkeypatch.setattr(probability, "_ReadyQueue", Recorded)
+    return queues
 
 
 def inclusion_exclusion(ps):
@@ -434,6 +448,50 @@ class TestCollapse:
         collapsed = settle(net, _engine(), ContributionLedger(), Trace())
         assert collapsed == ["hot"]
         assert net.state("cold").status is Status.SUPERPOSED
+
+    def test_a_collapse_examines_as_many_elements_among_8000_chains_as_among_80(self, monkeypatch):
+        """The ready queue reads what the collapse changes, not the network.
+
+        Chains shaped like the ``collapse_chain`` workload's (a HAS_PART chain
+        whose tail is XOR-tied to a rival), 80 and 8,000 of them: after a
+        settle, collapsing one head examines the same elements in both.
+        """
+
+        def chains(n):
+            net = CognitiveNetwork()
+            for c in range(n):
+                ids = [f"c{c}n{i}" for i in range(6)]
+                for cid in ids:
+                    _concept(net, cid)
+                _concept(net, f"r{c}", 0.2 + 0.1 * (c % 6))
+                for a, b in zip(ids, ids[1:]):
+                    _rel(net, f"{a}-{b}", a, b, kind=RelationKind.HAS_PART)
+                _rel(net, f"x{c}", ids[-1], f"r{c}", pba=0.0, pab=0.0, kind=RelationKind.XOR)
+            return net
+
+        queues = _recorded_queues(monkeypatch)
+        examined = []
+        for n in (80, 8000):
+            net, ledger, trace = chains(n), ContributionLedger(), Trace()
+            assert settle(net, _engine(), ledger, trace) == []
+            assert queues[-1].examined == net.element_count()  # a new network: every element
+            collapse_element(net, "c3n0", _engine(), ledger, trace)
+            examined.append(queues[-1].examined)
+            assert net.state("c3n5").status is Status.COLLAPSED
+            assert net.state("r3").status is Status.SUPPRESSED
+        assert examined[0] == examined[1] < 100, examined
+
+    def test_the_settles_of_a_task_read_the_scene_not_the_knowledge(self, monkeypatch):
+        """``make_task`` seeds the knowledge base, so a task's settles never read all of it."""
+        kb = face_kb()
+        for i in range(2000):
+            kb.add_concept(Concept(f"noise{i}"))
+        queues = _recorded_queues(monkeypatch)
+        for _ in range(2):
+            specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
+            report = fit_run(make_task(kb, _engine(), specs))
+            assert report.absolute
+        assert queues and max(q.examined for q in queues) < 100, [q.examined for q in queues]
 
 
 class TestSimplifiedMode:
