@@ -369,6 +369,9 @@ class CognitiveNetwork:
     touched set holds the ids whose state may have changed since the last
     ready seeding (``seed_ready``).  Adding an element touches it too, and
     ``set_state`` is the way to give a stored element a new state object.
+
+    ``knowledge`` holds a fit task's knowledge ids, which the fit rules never
+    collapse, suppress or reuse as instances; it is empty outside a task.
     """
 
     def __init__(self) -> None:
@@ -387,6 +390,7 @@ class CognitiveNetwork:
         self._touched: Touched = {}
         self._ready_before: Touched = {}  # the ids the last seeding found ready
         self._floor = -math.inf  # the collapse_at of the last seeding; none yet, and all touched
+        self.knowledge: frozenset[str] = frozenset()
 
     # -- element access ----------------------------------------------------
 
@@ -633,8 +637,8 @@ class CognitiveNetwork:
 
         Every element, state, conditional pair, params dict, tree view and tree
         instance is new; only immutable values (ids, kinds, numbers, intervals,
-        Gaussians) are shared.  The indexes hold only ids and numbers, so they
-        are copied one level deep.  The clone watches its own states.
+        Gaussians, ``knowledge``) are shared.  The indexes hold ids and numbers,
+        so they are copied one level deep.  The clone watches its own states.
         """
         clone = CognitiveNetwork.__new__(CognitiveNetwork)
         touched = dict(self._touched)
@@ -654,6 +658,7 @@ class CognitiveNetwork:
             _touched=touched,
             _ready_before=dict(self._ready_before),
             _floor=self._floor,
+            knowledge=self.knowledge,
         )
         return clone
 

@@ -85,9 +85,8 @@ def _find_existing_link(
         rel = net.relations[rel_id]
         if rel.kind is not base_rel.kind:
             continue
-        if rel.a == a and rel.b == b:
-            if rel.base in (None, base_rel.id) or base_rel.id in (rel.base,):
-                return rel
+        if rel.a == a and rel.b == b and rel.base in (None, base_rel.id):
+            return rel
     return None
 
 
@@ -200,12 +199,11 @@ def _existing_instance(
     net: CognitiveNetwork,
     base: str,
     mapped: set[str],
-    kb_ids: frozenset[str],
 ) -> Optional[str]:
     """The first live instance concept of ``base`` (in ``element_ids()`` order) not yet mapped."""
     found = (
         e for e in down_closure(net, base)
-        if e in net.concepts and e != base and e not in kb_ids and e not in mapped
+        if e in net.concepts and e != base and e not in net.knowledge and e not in mapped
         and net.state(e).status is not Status.SUPPRESSED
     )
     return min(found, key=net.position_key, default=None)
@@ -219,14 +217,13 @@ def _place_member(
     config: EngineConfig,
     ledger: ContributionLedger,
     trace: Trace,
-    kb_ids: frozenset[str],
 ) -> bool:
     """Map a base member to an existing or a new instance and link it; False defers it.
 
     A member is deferred while both its projected inflow and the result
     probability of the instance it would reuse stay below activation.
     """
-    existing = _existing_instance(net, member, set(mapping.values()), kb_ids)
+    existing = _existing_instance(net, member, set(mapping.values()))
     own = net.state(existing).result_prob if existing is not None else 0.0
     projected = _projection(net, tree, member, mapping)
     if projected < config.activation_threshold and own < config.activation_threshold:
@@ -244,7 +241,6 @@ def grow_tree(
     *,
     ledger: ContributionLedger,
     trace: Trace,
-    kb_ids: frozenset[str] = frozenset(),
     instance: Optional[TreeInstance] = None,
 ) -> tuple[TreeInstance, list[str]]:
     """Instantiate a base tree around seed elements.
@@ -272,7 +268,7 @@ def grow_tree(
     deferred: list[str] = []
     for member in base_tree.concepts:
         if member not in mapping and not _place_member(
-            net, base_tree, mapping, member, config, ledger, trace, kb_ids
+            net, base_tree, mapping, member, config, ledger, trace
         ):
             deferred.append(member)
 
@@ -325,13 +321,17 @@ class DeferredGrowth:
 @dataclass
 class FitState:
     net: CognitiveNetwork
-    kb_ids: frozenset[str]
     ledger: ContributionLedger = field(default_factory=ContributionLedger)
     fragments: list[FragmentRecord] = field(default_factory=list)
     deferred: list[DeferredGrowth] = field(default_factory=list)
 
+    @property
+    def kb_ids(self) -> frozenset[str]:
+        """``net.knowledge``, read-only; kept for callers outside the engine."""
+        return self.net.knowledge
+
     def instance_ids(self) -> list[str]:
-        return [e for e in self.net.element_ids() if e not in self.kb_ids]
+        return [e for e in self.net.element_ids() if e not in self.net.knowledge]
 
     def content_ids(self) -> list[str]:
         """Instance elements minus belong-to glue: the scene content proper."""
@@ -411,8 +411,8 @@ def make_task(
     """Ingest input fragments into a fresh fit task over a private copy of the knowledge."""
     kb.validate()
     kb.seed_ready(config.collapse_at)  # so that the settles of the copy read the scene, not the knowledge
-    net = kb.copy()
-    state = FitState(net=net, kb_ids=frozenset(kb.element_ids()))
+    state = FitState(net=kb.copy())
+    state.net.knowledge = frozenset(kb.element_ids())
     task = FitTask(kb=kb, config=config, states=[state])
     ingest(task, concepts, relations)
     return task
@@ -471,13 +471,13 @@ def _combine_context(state: FitState, element: str) -> list[str]:
     out = [element]
     net = state.net
     for rel_id in net.incident(element):
-        if rel_id in state.kb_ids:
+        if rel_id in net.knowledge:
             continue
         rel = net.relations[rel_id]
         if rel.kind in (RelationKind.BELONG_TO, RelationKind.XOR):
             continue
         far = rel.other_end(element)
-        if far in state.kb_ids:
+        if far in net.knowledge:
             continue
         out.append(rel_id)
         if far not in out:
@@ -526,7 +526,6 @@ def _commit(
         task.config,
         ledger=state.ledger,
         trace=task.trace,
-        kb_ids=state.kb_ids,
         instance=_tree_instance_for(state, candidate.base, seed),
     )
     idx = state.net.tree_instances.index(instance)
@@ -550,8 +549,7 @@ def _process_deferred(task: FitTask, state: FitState) -> bool:
         tree = state.net.trees[instance.base_root]
         member = entry.base_member
         if member in instance.mapping or _place_member(
-            state.net, tree, instance.mapping, member,
-            task.config, state.ledger, task.trace, state.kb_ids,
+            state.net, tree, instance.mapping, member, task.config, state.ledger, task.trace
         ):
             progressed = True
         else:
@@ -562,7 +560,7 @@ def _process_deferred(task: FitTask, state: FitState) -> bool:
 
 def _settle_state(task: FitTask, state: FitState) -> None:
     while True:
-        settle(state.net, task.config, state.ledger, task.trace, state.kb_ids)
+        settle(state.net, task.config, state.ledger, task.trace)
         if not _process_deferred(task, state):
             break
     # interpretations that lost: put their fragments back in play

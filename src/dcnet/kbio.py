@@ -25,7 +25,7 @@ from .core import (
     StructureError,
     declare_tree,
 )
-from .growth import ConceptSpec, FitTask, RelationSpec, make_task
+from .growth import ConceptSpec, FitTask, RelationSpec, ingest, make_task
 from .probability import EngineConfig, parse_config_value
 from .trace import Trace, TraceEvent
 
@@ -155,7 +155,6 @@ def parse_kb(text: str) -> CognitiveNetwork:
             raise
         except DcnetError as err:
             raise ParseError(str(err), line_no) from err
-    net.validate()
     return net
 
 
@@ -444,7 +443,7 @@ def engine_config(doc: ScenarioDoc, base: Optional[EngineConfig] = None) -> Engi
 def build_task(kb: CognitiveNetwork, doc: ScenarioDoc, base_config: Optional[EngineConfig] = None) -> FitTask:
     """A fit task of the scenario over ``kb``.
 
-    A declared id that is not fit to be an element id, or that ``kb`` holds, is a ParseError.
+    A declared id unfit to be an element id or held by ``kb``, or a spec the task refuses, is a ParseError.
     """
     declared = [(s.as_id, s.line) for s in doc.concepts if s.as_id is not None]
     declared += [(s.rel_id, s.line) for s in doc.relations]
@@ -455,8 +454,16 @@ def build_task(kb: CognitiveNetwork, doc: ScenarioDoc, base_config: Optional[Eng
             raise ParseError(str(err), line_no) from None
         if kb.has(element_id):
             raise ParseError(f"id {element_id} names an element of the knowledge base", line_no)
-    config = engine_config(doc, base_config)
-    return make_task(kb, config, doc.concepts, doc.relations)
+    task = make_task(kb, engine_config(doc, base_config))
+    for spec in (*doc.concepts, *doc.relations):  # in the order make_task would ingest them
+        try:
+            if isinstance(spec, ConceptSpec):
+                ingest(task, concepts=[spec])
+            else:
+                ingest(task, relations=[spec])
+        except DcnetError as err:
+            raise ParseError(str(err), spec.line) from err
+    return task
 
 
 def check_expectations(net: CognitiveNetwork, expects: Iterable[Expectation], tol: float = 1e-9) -> list[str]:

@@ -329,8 +329,8 @@ def iterate_step(
         if base_el not in net.relations:
             continue
         old_rel = net.relations[inst_el]
-        im_a = new_mapping.get(_base_of_endpoint(net, old_mapping, old_rel.a))
-        im_b = new_mapping.get(_base_of_endpoint(net, old_mapping, old_rel.b))
+        im_a = new_mapping.get(_base_of_endpoint(old_mapping, old_rel.a))
+        im_b = new_mapping.get(_base_of_endpoint(old_mapping, old_rel.b))
         if im_a is None or im_b is None:
             continue
         link = grow_link(net, im_a, base_el, im_b, config=config, ledger=ledger, trace=trace)
@@ -356,7 +356,7 @@ def iterate_step(
     return new_root
 
 
-def _base_of_endpoint(net: CognitiveNetwork, mapping: dict[str, str], inst_el: str) -> Optional[str]:
+def _base_of_endpoint(mapping: dict[str, str], inst_el: str) -> Optional[str]:
     for base_el, mapped in mapping.items():
         if mapped == inst_el:
             return base_el
@@ -512,7 +512,7 @@ def _number(kind, text: str, line: str, line_no: int):
         raise LoadError(f"not a number: {text!r} in {line!r}", line_no) from None
 
 
-def _load_state(reader: _Reader, kb_ids: frozenset[str]) -> FitState:
+def _load_state(reader: _Reader) -> FitState:
     net = _parse_block_kb(reader, "net")
     for line_no, line in _read_block(reader, "counters"):
         key, _, value = line.partition("=")
@@ -585,9 +585,7 @@ def _load_state(reader: _Reader, kb_ids: frozenset[str]) -> FitState:
         if len(parts) != 3 or parts[0] != "defer":
             raise LoadError(f"bad deferred line {line!r}", line_no)
         deferred.append(DeferredGrowth(_number(int, parts[1], line, line_no), parts[2]))
-    return FitState(
-        net=net, kb_ids=kb_ids, ledger=ledger, fragments=fragments, deferred=deferred
-    )
+    return FitState(net=net, ledger=ledger, fragments=fragments, deferred=deferred)
 
 
 def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
@@ -625,7 +623,7 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
             processed = _number(int, value, line, line_no)
 
     kb = _parse_block_kb(reader, "kb")
-    kb_ids = frozenset(kb.element_ids())
+    knowledge = frozenset(kb.element_ids())
 
     trace = Trace()
     for line_no, line in _read_block(reader, "trace"):
@@ -658,17 +656,18 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
         parts = line.split()
         if parts[:2] == ["begin", "state"] and len(parts) == 3:
             reader.next()
-            state = _load_state(reader, kb_ids)
+            state = _load_state(reader)
             reader.expect(f"end state {parts[2]}")
             states.append(state)
         elif parts[:2] == ["begin", "fork"] and len(parts) == 4:
             reader.next()
             fragment_index = _number(int, parts[2], line, reader.line_no)
-            state = _load_state(reader, kb_ids)
+            state = _load_state(reader)
             reader.expect("end fork")
             forks.append(Fork(state=state, fragment_index=fragment_index, base_root=parts[3]))
         else:
             raise LoadError(f"unexpected line {line!r}", reader.line_no + 1)
+        state.net.knowledge = knowledge
 
     return FitTask(
         kb=kb, config=config, trace=trace, states=states, forks=forks, processed=processed

@@ -507,7 +507,6 @@ def collapse_element(
     config: EngineConfig,
     ledger: ContributionLedger,
     trace: Trace,
-    kb_ids: frozenset[str] = frozenset(),
 ) -> None:
     """Fix an element as certainly present and let certainty re-propagate.
 
@@ -522,7 +521,7 @@ def collapse_element(
         raise ConflictError(f"cannot collapse suppressed element {x}")
     if state.status is Status.COLLAPSED:
         return
-    _cascade(net, x, _ReadyQueue(net, config, kb_ids), config, ledger, trace, kb_ids)
+    _cascade(net, x, _ReadyQueue(net, config), config, ledger, trace)
 
 
 def settle(
@@ -530,7 +529,6 @@ def settle(
     config: EngineConfig,
     ledger: ContributionLedger,
     trace: Trace,
-    kb_ids: frozenset[str] = frozenset(),
 ) -> list[str]:
     """Collapse every element at or above the significance threshold; cascades.
 
@@ -539,11 +537,11 @@ def settle(
     the elements whose state changed since the last settle or collapse are
     read to find it (see ``_ReadyQueue``).
     """
-    ready = _ReadyQueue(net, config, kb_ids)
+    ready = _ReadyQueue(net, config)
     first = ready.pop()
     if first is None:
         return []
-    _cascade(net, first, ready, config, ledger, trace, kb_ids)
+    _cascade(net, first, ready, config, ledger, trace)
     return [first]
 
 
@@ -552,27 +550,27 @@ class _ReadyQueue:
 
     ``CognitiveNetwork.seed_ready`` fills it: it reads only the elements
     whose state was written since the network's last seeding, or that were
-    added since, and those that the last seeding found ready, kept out by
-    ``kb_ids`` or not.  That finds what a scan of the whole network would,
-    and sorting by ``position_key`` gives the same order.  Inside a cascade
-    only collapsing, suppressing and a launch's contributions change any
-    state, so afterwards only a launch's targets are offered again; an
-    element is re-checked when it reaches the top, which drops the collapsed
-    and the suppressed.  ``examined`` counts the elements whose readiness
-    it checked.
+    added since, and those that the last seeding found ready, knowledge or
+    not.  That finds what a scan of the whole network would, and sorting by
+    ``position_key`` gives the same order; ``net.knowledge`` is never queued.
+    Inside a cascade only collapsing, suppressing and a launch's
+    contributions change any state, so afterwards only a launch's targets are
+    offered again; an element is re-checked when it reaches the top, which
+    drops the collapsed and the suppressed.  ``examined`` counts the elements
+    whose readiness it checked.
     """
 
-    def __init__(self, net: CognitiveNetwork, config: EngineConfig, kb_ids: frozenset[str]):
-        self.net, self.config, self.kb_ids = net, config, kb_ids
+    def __init__(self, net: CognitiveNetwork, config: EngineConfig):
+        self.net, self.config = net, config
         ready, self.examined = net.seed_ready(config.collapse_at)
         position_key = net.position_key
         self.heap: list[tuple[tuple[bool, int], str]] = sorted(
-            (position_key(e), e) for e in ready if e not in kb_ids
+            (position_key(e), e) for e in ready if e not in net.knowledge
         )
         self.queued = {e for _, e in self.heap}
 
     def ready(self, element_id: str) -> bool:
-        if element_id in self.kb_ids:
+        if element_id in self.net.knowledge:
             return False
         state = self.net.state(element_id)
         return state.status is Status.SUPERPOSED and self.config.collapse_ready(state.result_prob)
@@ -601,7 +599,6 @@ def _cascade(
     config: EngineConfig,
     ledger: ContributionLedger,
     trace: Trace,
-    kb_ids: frozenset[str],
 ) -> None:
     """Collapse x, then the first ready element, until none is ready."""
     touched = net.touched()
@@ -624,7 +621,7 @@ def _cascade(
         trace.record("collapse", x, x, 1.0, 1.0)
 
         for partner in partners:
-            if partner in kb_ids:
+            if partner in net.knowledge:
                 continue
             pstate = net.state(partner)
             if pstate.status is Status.SUPERPOSED:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+from dcnet import core
 from dcnet.core import (
     CognitiveNetwork,
     Concept,
@@ -49,6 +50,19 @@ def relation(
 
 def declare_tree(net: CognitiveNetwork, root: str, element_ids: list[str]) -> None:
     net.set_tree(classify_tree_network(net, root, restrict=set(element_ids) | {root}))
+
+
+def classified_roots(monkeypatch) -> list[str]:
+    """The roots that ``core.classify_tree_network`` is called on from now on, in call order."""
+    roots: list[str] = []
+    original = core.classify_tree_network
+
+    def counting(net, root, restrict=None):
+        roots.append(root)
+        return original(net, root, restrict)
+
+    monkeypatch.setattr(core, "classify_tree_network", counting)
+    return roots
 
 
 def face_kb() -> CognitiveNetwork:
@@ -241,12 +255,12 @@ def assert_same_network(a: CognitiveNetwork, b: CognitiveNetwork) -> None:
     assert list(a.trees.items()) == list(b.trees.items())
     assert a.tree_instances == b.tree_instances
     assert list(a.counters.items()) == list(b.counters.items())
+    assert a.knowledge == b.knowledge
 
 
 def assert_same_state(a: FitState, b: FitState) -> None:
-    """Net, knowledge ids, ledger entries and launches, fragments and deferred growth agree."""
+    """Net, ledger entries and launches, fragments and deferred growth agree."""
     assert_same_network(a.net, b.net)
-    assert a.kb_ids == b.kb_ids
     assert list(a.ledger.entries) == list(b.ledger.entries)
     assert a.ledger.launches == b.ledger.launches
     assert a.ledger.next_launch_id == b.ledger.next_launch_id

@@ -47,6 +47,29 @@ def test_fit_bad_scenario_id_is_a_parse_error(tmp_path, capsys, scenario):
     assert err.startswith("error: line ") and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "scenario, line, message",
+    [
+        ("input eye p=0.6 as=e1\nrelation r kind=ADJOINING a=e1 b=nope\n", 2, "unknown endpoint nope"),
+        ("input eye p=0.6\ninput nose p=0.5 as=eye#1\n", 2, "instance id eye#1 already taken"),
+        ("input eye as=e1\ninput nose as=n1\nrelation r kind=XOR a=e1 b=n1 pba=1.0\n", 3, "fixes P(B|A)"),
+        ("input eye as=e1\ninput nose as=n1\nrelation r kind=ADJOINING a=e1 b=n1 base=nope\n", 3,
+         "unknown base relation nope"),
+        ("input eye as=e1\ninput nose as=n1\nrelation r kind=ADJOINING a=e1 b=n1 base=r_fe\n", 3,
+         "does not match base r_fe"),
+        ("input eye p=0.6 as=e1\nrelation r kind=BELONG_TO a=eye b=e1\n", 2, "would make eye belong to itself"),
+        ("input eye p=0.6 as=e1\nrelation r kind=ADJOINING a=e1 b=e1\n", 2, "ends on itself"),
+    ],
+)
+def test_fit_scenario_the_task_refuses_is_a_parse_error(tmp_path, capsys, scenario, line, message):
+    path = tmp_path / "refused.scenario"
+    path.write_text(scenario, encoding="utf-8")
+    assert main(["fit", "--kb", str(DATA / "face.kb"), "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}, column 1: ")
+    assert message in err and "internal error" not in err
+
+
 def test_fit_meets_expectations(tmp_path, capsys):
     trace_file = tmp_path / "run.trace"
     code = main([

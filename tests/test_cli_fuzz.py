@@ -1,11 +1,13 @@
 """Mutation fuzz of the command line: damaged input ends in exit 0, 1 or 2, never in exit 3
 or a traceback.
 
-Fixed seeds mutate the face knowledge base, the face scenario and a session saved
-after two fragment steps.  Each mutation drops a line, truncates the text, swaps two
-tokens, garbles a character or duplicates a line; the result goes through
-``dcnet.cli.main`` in this process, as ``fit --kb``, ``fit --scenario`` or
-``fit --session``.
+Fixed seeds mutate the face knowledge base, the face scenario, the face scene written
+with relation lines between named inputs, and a session saved after two fragment steps.
+Each mutation drops a line, truncates the text, swaps two tokens, garbles a character,
+duplicates a line or renames the id after an ``as=``, ``a=``, ``b=`` or ``base=`` to an
+unknown id or to the id that an unnamed input of some base is given (``<base>#1``); the
+result goes through ``dcnet.cli.main`` in this process, as ``fit --kb``,
+``fit --scenario`` or ``fit --session``.
 """
 from __future__ import annotations
 
@@ -20,13 +22,13 @@ import pytest
 from dcnet.cli import main
 
 DATA = Path(__file__).parent / "data"
-KB, SCENARIO = DATA / "face.kb", DATA / "face.scenario"
+KB, SCENARIO, RELATIONS = DATA / "face.kb", DATA / "face.scenario", DATA / "face_relations.scenario"
 GARBLE = "abcxyzAXZ0129 =,.#-_:~\n"
 
 
 def mutate(text: str, rng: random.Random) -> str:
     lines = text.splitlines(keepends=True)
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:  # drop a line
         del lines[rng.randrange(len(lines))]
         return "".join(lines)
@@ -41,9 +43,13 @@ def mutate(text: str, rng: random.Random) -> str:
     if kind == 3:  # garble a character
         at = rng.randrange(len(text))
         return text[:at] + rng.choice(GARBLE) + text[at + 1:]
-    at = rng.randrange(len(lines))  # duplicate a line
-    lines.insert(at, lines[at])
-    return "".join(lines)
+    if kind == 4:  # duplicate a line
+        at = rng.randrange(len(lines))
+        lines.insert(at, lines[at])
+        return "".join(lines)
+    ref = rng.choice(list(re.finditer(r"(?<= )(?:as|a|b|base)=(\S+)", text)))  # rename a reference
+    base = rng.choice(re.findall(r"^(?:input|concept) (\S+)", text, re.M))
+    return text[:ref.start(1)] + rng.choice(["nope", f"{base}#1"]) + text[ref.end(1):]
 
 
 @pytest.fixture(scope="module")
@@ -54,16 +60,19 @@ def session_text(tmp_path_factory) -> str:
     return path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("target, count", [("kb", 200), ("scenario", 200), ("session", 200)])
+@pytest.mark.parametrize(
+    "target, count", [("kb", 200), ("scenario", 200), ("relations", 200), ("session", 200)]
+)
 def test_mutated_input_exits_0_1_or_2(target, count, tmp_path, capsys, request):
     original = (
         request.getfixturevalue("session_text") if target == "session"
-        else (KB if target == "kb" else SCENARIO).read_text(encoding="utf-8")
+        else {"kb": KB, "scenario": SCENARIO, "relations": RELATIONS}[target].read_text(encoding="utf-8")
     )
     path = tmp_path / f"mutated.{target}"
     args = {
         "kb": ["fit", "--kb", str(path), "--scenario", str(SCENARIO)],
         "scenario": ["fit", "--kb", str(KB), "--scenario", str(path)],
+        "relations": ["fit", "--kb", str(KB), "--scenario", str(path)],
         "session": ["fit", "--session", str(path), "--scenario", str(SCENARIO)],
     }[target]
     codes: Counter = Counter()

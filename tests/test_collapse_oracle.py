@@ -272,7 +272,7 @@ def test_collapse_and_settle_match_the_oracle():
         net = random_network(rng)
         config = random_config(rng)
         ids = net.element_ids()
-        kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 4)))
+        net.knowledge = kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 4)))
         xor_ends = [end for r in net.xor_relations() for end in (net.relations[r].a, net.relations[r].b)]
         fast = (net, ContributionLedger(), Trace())
         slow = (copy.deepcopy(net), ScanLedger(), Trace())
@@ -286,12 +286,12 @@ def test_collapse_and_settle_match_the_oracle():
                 ops = [lambda n, l, t: pps_launch(n, x, delta, config, l, t)] * 2
             elif roll < 0.75:
                 ops = [
-                    lambda n, l, t: collapse_element(n, x, config, l, t, kb_ids),
+                    lambda n, l, t: collapse_element(n, x, config, l, t),
                     lambda n, l, t: scan_collapse(n, x, config, l, t, kb_ids),
                 ]
             else:
                 ops = [
-                    lambda n, l, t: settle(n, config, l, t, kb_ids),
+                    lambda n, l, t: settle(n, config, l, t),
                     lambda n, l, t: scan_settle(n, config, l, t, kb_ids),
                 ]
             before = len(fast[2].events)

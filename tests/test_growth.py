@@ -32,6 +32,7 @@ from dcnet.trace import Trace
 
 from scenes import (
     assert_same_state,
+    classified_roots,
     concept,
     declare_tree,
     face_kb,
@@ -112,6 +113,7 @@ class TestGrowLink:
 class TestGrowTree:
     def test_unseeded_low_projection_members_defer(self):
         net = face_kb()
+        net.knowledge = frozenset(face_kb().element_ids())
         config, ledger, trace = _env()
         seeds = {}
         for base, inst_id, p in (("eye", "eye1", 0.6), ("nose", "nose1", 0.5), ("mouth", "mouth1", 0.4)):
@@ -119,10 +121,7 @@ class TestGrowTree:
             net.add_belong(inst_id, base)
             net.state(inst_id).input_prob = net.state(inst_id).result_prob = p
             seeds[base] = inst_id
-        instance, deferred = grow_tree(
-            net, seeds, net.trees["face"], config, ledger=ledger, trace=trace,
-            kb_ids=frozenset(face_kb().element_ids()),
-        )
+        instance, deferred = grow_tree(net, seeds, net.trees["face"], config, ledger=ledger, trace=trace)
         assert instance.root.startswith("face#")
         # the freshly created root has probability zero, so the last member waits
         assert deferred == ["ear"]
@@ -130,7 +129,7 @@ class TestGrowTree:
     def test_total_seed_adds_nothing(self):
         net = face_kb()
         config, ledger, trace = _env()
-        kb_ids = frozenset(net.element_ids())
+        net.knowledge = frozenset(net.element_ids())
         seeds = {}
         for base in ("face", "eye", "nose", "mouth", "ear"):
             inst = grow_concept(net, base, trace)
@@ -146,9 +145,7 @@ class TestGrowTree:
                 net, seeds[a], rel_base, seeds[b], config=config, ledger=ledger, trace=trace
             )
         count = element_count(net)
-        instance, deferred = grow_tree(
-            net, seeds, net.trees["face"], config, ledger=ledger, trace=trace, kb_ids=kb_ids
-        )
+        instance, deferred = grow_tree(net, seeds, net.trees["face"], config, ledger=ledger, trace=trace)
         assert element_count(net) == count
         assert deferred == []
         assert set(instance.mapping) == {"face", "eye", "nose", "mouth", "ear",
@@ -157,12 +154,11 @@ class TestGrowTree:
     def test_pure_generation_from_collapsed_root(self):
         net = face_kb()
         config, ledger, trace = _env()
-        kb_ids = frozenset(face_kb().element_ids())
+        net.knowledge = frozenset(face_kb().element_ids())
         root = grow_concept(net, "face", trace)
-        collapse_element(net, root, config, ledger, trace, kb_ids)
+        collapse_element(net, root, config, ledger, trace)
         instance, deferred = grow_tree(
-            net, {"face": root}, net.trees["face"], config,
-            ledger=ledger, trace=trace, kb_ids=kb_ids,
+            net, {"face": root}, net.trees["face"], config, ledger=ledger, trace=trace
         )
         assert deferred == []
         assert set(instance.mapping) >= {"face", "eye", "nose", "mouth", "ear"}
@@ -170,7 +166,7 @@ class TestGrowTree:
             assert net.state(instance.mapping[member]).result_prob == pytest.approx(1.0)
         from dcnet.probability import settle
 
-        settle(net, config, ledger, trace, kb_ids)
+        settle(net, config, ledger, trace)
         for member in ("eye", "nose", "mouth", "ear"):
             assert net.state(instance.mapping[member]).status is Status.COLLAPSED
 
@@ -179,24 +175,12 @@ class TestKnowledgeValidation:
     """``make_task`` validates the knowledge once per change of its structure."""
 
     @staticmethod
-    def _classified_roots(monkeypatch) -> list[str]:
-        roots: list[str] = []
-        original = core.classify_tree_network
-
-        def counting(net, root, restrict=None):
-            roots.append(root)
-            return original(net, root, restrict)
-
-        monkeypatch.setattr(core, "classify_tree_network", counting)
-        return roots
-
-    @staticmethod
     def _task(kb: CognitiveNetwork, k: int = 0):
         return make_task(kb, EngineConfig(), [ConceptSpec(base="eye", p=0.6, as_id=f"eye{k}")])
 
     def test_tasks_on_an_unchanged_kb_classify_each_tree_once(self, monkeypatch):
         kb = face_kb()
-        roots = self._classified_roots(monkeypatch)
+        roots = classified_roots(monkeypatch)
         for k in range(5):
             self._task(kb, k)
         kb.copy().validate()  # a copy is as valid as its original
@@ -212,7 +196,7 @@ class TestKnowledgeValidation:
     ])
     def test_each_change_of_structure_validates_again(self, monkeypatch, change):
         kb = face_kb()
-        roots = self._classified_roots(monkeypatch)
+        roots = classified_roots(monkeypatch)
         self._task(kb)
         change(kb)
         del roots[:]
@@ -229,6 +213,34 @@ class TestKnowledgeValidation:
                 StructureError, match=re.escape("tree rooted at face: disconnected elements ['eye']")
             ):
                 self._task(kb, k)
+
+
+class TestKnowledgeSet:
+    """A task network owns its knowledge ids: copies share the set, deep copies equal it."""
+
+    def test_make_task_gives_the_task_network_the_kb_ids(self):
+        kb = face_kb()
+        task = make_task(kb, EngineConfig(), [ConceptSpec(base="eye", p=0.6, as_id="eye1")])
+        state = task.states[0]
+        assert state.net.knowledge == frozenset(kb.element_ids())
+        assert "eye1" not in state.net.knowledge and kb.knowledge == frozenset()
+        assert state.kb_ids is state.net.knowledge
+        with pytest.raises(AttributeError):
+            state.kb_ids = frozenset()
+
+    def test_copies_and_fork_snapshots_share_the_set(self):
+        forks = 0
+        for seed in range(10):
+            task = fork_task(random.Random(seed))
+            fit_step(task)
+            knowledge = task.states[0].net.knowledge
+            assert knowledge == frozenset(task.kb.element_ids())
+            assert task.states[0].net.copy().knowledge is knowledge
+            assert copy.deepcopy(task.states[0].net).knowledge == knowledge
+            for fork in task.forks:
+                assert fork.state.net.knowledge is knowledge
+            forks += len(task.forks)
+        assert forks >= 5
 
 
 class TestReferenceScene:

@@ -44,11 +44,11 @@ def test_existing_instance_matches_the_oracle():
         ids = net.element_ids()
         for el in rng.sample(ids, rng.randint(0, len(ids) // 4)):
             net.state(el).status = Status.SUPPRESSED
-        kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 4)))
+        net.knowledge = kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 4)))
         for base in ids:
             mapped = set(rng.sample(ids, rng.randint(0, len(ids) // 4)))
             want = scan_existing_instance(net, base, mapped, kb_ids)
-            got = _existing_instance(net, base, mapped, kb_ids)
+            got = _existing_instance(net, base, mapped)
             assert got == want, f"seed {seed}, base {base}"
             if want is not None:
                 found += 1

@@ -21,7 +21,7 @@ from dcnet.kbio import (
 )
 from dcnet.trace import Trace, TraceEvent
 
-from scenes import random_network
+from scenes import classified_roots, random_network
 
 FACE_KB = """\
 # face / egg / cup knowledge
@@ -69,6 +69,11 @@ class TestParseKb:
         rel = net.relations["r_fe"]
         assert rel.kind is RelationKind.HAS_COMPONENT
         assert rel.cond.forward == 1.0 and rel.cond.backward == 1.0
+
+    def test_a_parse_classifies_each_tree_once(self, monkeypatch):
+        roots = classified_roots(monkeypatch)
+        parse_kb(FACE_KB)
+        assert roots == ["face", "cup"]  # each as its tree line declares it
 
     def test_empty_document(self):
         net = parse_kb("")

@@ -356,9 +356,9 @@ def test_ready_scan_matches_the_oracle():
         ledger, trace = ContributionLedger(), Trace()
         for _ in range(rng.randint(0, 3)):
             pps_launch(net, rng.choice(ids), rng.choice([1.0, 0.6]), config, ledger, trace)
-        kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 3)))
-        queue = _ReadyQueue(net, config, kb_ids)
-        want = oracle_ready_scan(net, config, kb_ids)
+        net.knowledge = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 3)))
+        queue = _ReadyQueue(net, config)
+        want = oracle_ready_scan(net, config, net.knowledge)
         assert queue.heap == want, f"seed {seed}"
         assert queue.queued == {e for _, e in want}, f"seed {seed}"
         readies += len(want)
@@ -372,10 +372,8 @@ SEEDING_STEPS = (
 
 
 def _seeding_step(kind: str, world: dict, rng: random.Random, step: int) -> None:
-    """Apply one change to ``world`` (net, config, ledger, trace, kb_ids); engine errors are kept."""
-    net, config, ledger, trace, kb_ids = (
-        world["net"], world["config"], world["ledger"], world["trace"], world["kb_ids"]
-    )
+    """Apply one change to ``world`` (net, config, ledger, trace); engine errors are kept."""
+    net, config, ledger, trace = world["net"], world["config"], world["ledger"], world["trace"]
     ids = net.element_ids()
     if kind == "launch":
         _outcome(lambda: pps_launch(net, rng.choice(ids), rng.choice([1.0, 0.6]), config, ledger, trace))
@@ -384,9 +382,9 @@ def _seeding_step(kind: str, world: dict, rng: random.Random, step: int) -> None
     elif kind == "write status":
         net.state(rng.choice(ids)).status = rng.choice(list(Status))
     elif kind == "collapse":
-        _outcome(lambda: collapse_element(net, rng.choice(ids), config, ledger, trace, kb_ids))
+        _outcome(lambda: collapse_element(net, rng.choice(ids), config, ledger, trace))
     elif kind == "settle":
-        _outcome(lambda: settle(net, config, ledger, trace, kb_ids))
+        _outcome(lambda: settle(net, config, ledger, trace))
     elif kind == "remove" and len(ids) > 6:
         net.remove_element(rng.choice(ids))
     elif kind == "add":
@@ -403,7 +401,7 @@ def _seeding_step(kind: str, world: dict, rng: random.Random, step: int) -> None
     elif kind == "deep copy":
         world["net"] = copy.deepcopy(net)
     elif kind == "fork snapshot":  # as growth forks a fit state
-        state = FitState(net=net, kb_ids=kb_ids, ledger=ledger)
+        state = FitState(net=net, ledger=ledger)
         snapshot = copy.deepcopy(state, {id(net): net.copy()})
         world["net"], world["ledger"] = snapshot.net, snapshot.ledger
     elif kind == "threshold":
@@ -413,7 +411,7 @@ def _seeding_step(kind: str, world: dict, rng: random.Random, step: int) -> None
             threshold = rng.choice([0.8, 0.85, 0.9, 0.95, 1.0])
             world["config"] = replace(config, mode=Mode.EXACT, collapse_threshold=threshold)
     elif kind == "knowledge ids":
-        world["kb_ids"] = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 3)))
+        net.knowledge = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 3)))
 
 
 def test_seeded_ready_queue_matches_the_scan_through_every_kind_of_change():
@@ -428,10 +426,8 @@ def test_seeded_ready_queue_matches_the_scan_through_every_kind_of_change():
     for seed in range(CASES):
         rng = random.Random(f"seeding/{seed}")
         net = launch_network(rng)
-        world = {
-            "net": net, "config": random_config(rng), "ledger": ContributionLedger(),
-            "trace": Trace(), "kb_ids": frozenset(rng.sample(net.element_ids(), 2)),
-        }
+        world = {"net": net, "config": random_config(rng), "ledger": ContributionLedger(), "trace": Trace()}
+        net.knowledge = frozenset(rng.sample(net.element_ids(), 2))
         floor = None
         for step in range(rng.randint(8, 16)):
             kind = rng.choice(SEEDING_STEPS)
@@ -439,12 +435,12 @@ def test_seeded_ready_queue_matches_the_scan_through_every_kind_of_change():
             steps[kind] += 1
             if rng.random() < 0.3:
                 continue  # let the next change pile up on this one
-            net, config, kb_ids = world["net"], world["config"], world["kb_ids"]
-            want = oracle_ready_scan(net, config, kb_ids)
+            net, config = world["net"], world["config"]
+            want = oracle_ready_scan(net, config, net.knowledge)
             lowered = floor is not None and config.collapse_at < floor
             carried += not lowered and any(e not in net.touched() for _, e in want)
             dropped += lowered
-            queue = _ReadyQueue(net, config, kb_ids)
+            queue = _ReadyQueue(net, config)
             floor = config.collapse_at
             where = f"seed {seed}, step {step} ({kind})"
             assert queue.heap == want, where

@@ -175,3 +175,30 @@ def test_deep_copies_stay_where_they_are_meant_to_be():
         "growth": ["_process_fragment"],
         "query": ["query_reason"],
     }
+
+
+def test_knowledge_ids_are_read_from_the_network_not_passed_around():
+    """A network owns its knowledge set (``net.knowledge``), so no function takes ``kb_ids``.
+
+    ``FitState.kb_ids`` is a read-only property kept for callers outside the engine;
+    nothing in ``src/`` reads it, and it is the only definition of the name.
+    """
+    offenders, defined = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                params += [p for p in (node.args.vararg, node.args.kwarg) if p is not None]
+                offenders.extend(f"{where} takes kb_ids" for p in params if p.arg == "kb_ids")
+                if getattr(node, "name", None) == "kb_ids":
+                    defined.append((path.stem, [ast.unparse(d) for d in node.decorator_list]))
+            elif isinstance(node, ast.Attribute) and node.attr == "kb_ids":
+                offenders.append(f"{where} reads {ast.unparse(node)}")
+            elif isinstance(node, ast.keyword) and node.arg == "kb_ids":
+                offenders.append(f"{where} passes kb_ids=")
+            elif isinstance(node, ast.Name) and node.id == "kb_ids":
+                offenders.append(f"{where} names kb_ids")
+    assert offenders == []
+    assert defined == [("growth", ["property"])]
+    assert dcnet.FitState.kb_ids.fset is None

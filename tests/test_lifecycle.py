@@ -30,6 +30,7 @@ from dcnet.trace import Trace
 
 from scenes import (
     assert_same_task,
+    classified_roots,
     concept,
     declare_tree,
     face_task,
@@ -221,6 +222,25 @@ class TestSessions:
         first = session_save(task)
         second = session_save(session_load(first))
         assert first == second
+
+    def test_every_loaded_state_and_fork_knows_the_knowledge_base(self):
+        task = fork_task(random.Random(0))
+        fit_step(task)
+        loaded = session_load(session_save(task))
+        nets = [state.net for state in loaded.states] + [fork.state.net for fork in loaded.forks]
+        assert len(nets) == 3
+        for net in nets:
+            assert net.knowledge == frozenset(loaded.kb.element_ids()) == task.states[0].net.knowledge
+        assert loaded.kb.knowledge == frozenset()
+
+    def test_a_load_classifies_each_tree_once_per_parsed_block(self, monkeypatch):
+        task = fork_task(random.Random(0))
+        fit_step(task)
+        text = session_save(task)
+        roots = classified_roots(monkeypatch)
+        loaded = session_load(text)
+        blocks = 1 + len(loaded.states) + len(loaded.forks)  # the kb block and one net block each
+        assert sorted(roots) == sorted(list(task.kb.trees) * blocks)
 
     def test_ids_with_hash_colon_dot_and_tilde_round_trip(self):
         kb = parse_kb(

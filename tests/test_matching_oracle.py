@@ -366,9 +366,9 @@ def cases():
     for seed in range(CASES):
         rng = random.Random(f"matching/{seed}")
         net = random_kb(rng)
-        kb_ids = frozenset(net.element_ids())
+        net.knowledge = frozenset(net.element_ids())
         frags = add_fragments(net, rng)
-        yield seed, rng, net, kb_ids, frags, random_config(rng)
+        yield seed, rng, net, frags, random_config(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +377,8 @@ def cases():
 
 def test_candidates_match_the_all_trees_oracle():
     seen = Counter()
-    for seed, rng, net, kb_ids, frags, config in cases():
-        state = FitState(net=net, kb_ids=kb_ids)
+    for seed, rng, net, frags, config in cases():
+        state = FitState(net=net)
         before = serialize_kb(net, with_state=True)
         for element in frags:
             if element not in net.concepts:
@@ -404,7 +404,7 @@ def test_candidates_match_the_all_trees_oracle():
 
 def test_match_tree_and_match_nested_match_the_oracle():
     seen = Counter()
-    for seed, rng, net, kb_ids, frags, config in cases():
+    for seed, rng, net, frags, config in cases():
         before = serialize_kb(net, with_state=True)
         for root, tree in net.trees.items():
             ids = rng.sample(frags, rng.randint(1, min(5, len(frags))))
