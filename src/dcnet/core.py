@@ -9,6 +9,7 @@ belong to which.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -467,22 +468,28 @@ class CognitiveNetwork:
         touched ones and those the last seeding found ready, or every element
         when ``collapse_at`` is below the last seeding's.  An element that
         was not ready then and whose state has not been written since cannot
-        be ready now.  The touched set starts empty again.
+        be ready now.  The touched set starts empty again.  When every
+        element is a candidate (all touched, as in a network never seeded, or
+        a lower ``collapse_at``), the tables are read in storage order, with
+        no lookup by id.
         """
-        if collapse_at < self._floor:
-            self._touched.update(dict.fromkeys(self.concepts))
-            self._touched.update(dict.fromkeys(self.relations))
-        self._floor = collapse_at
-        candidates = self._touched | self._ready_before
-        self._touched.clear()
         concepts, relations = self.concepts, self.relations
+        examined = len(concepts) + len(relations)
+        if collapse_at < self._floor or len(self._touched) == examined:
+            elements: Iterable[Element] = itertools.chain(concepts.values(), relations.values())
+        else:
+            candidates = self._touched | self._ready_before
+            examined = len(candidates)
+            elements = [concepts.get(element_id) or relations[element_id] for element_id in candidates]
+        self._floor = collapse_at
+        self._touched.clear()
         ready = []
-        for element_id in candidates:
-            state = (concepts.get(element_id) or relations[element_id]).state
+        for element in elements:
+            state = element.state
             if state.result_prob >= collapse_at and state.status is Status.SUPERPOSED:
-                ready.append(element_id)
+                ready.append(element.id)
         self._ready_before = dict.fromkeys(ready)
-        return ready, len(candidates)
+        return ready, examined
 
     # -- mutation ----------------------------------------------------------
 

@@ -486,15 +486,16 @@ def _combine_context(state: FitState, element: str) -> list[str]:
 
 
 def _candidates(
-    state: FitState, frag: FragmentRecord, config: EngineConfig
+    state: FitState, frag: FragmentRecord, config: EngineConfig, kb: Optional[CognitiveNetwork] = None
 ) -> list[MatchResult]:
+    """The trees that take the fragment, best first; ``kb`` owns the match memos (see ``matching``)."""
     context = _combine_context(state, frag.element)
     found: list[MatchResult] = []
     # a result counts only if it maps the fragment, so trees that cannot take it are skipped
     for root in trees_taking(state.net, frag.element, config):
         if root in frag.excluded:
             continue
-        result = match_nested(state.net, context, state.net.trees[root], config)
+        result = match_nested(state.net, context, state.net.trees[root], config, kb)
         if result.membership < config.activation_threshold:
             continue
         if frag.element not in result.mapping.pairs.values():
@@ -597,7 +598,7 @@ def _next_fragment(state: FitState) -> Optional[FragmentRecord]:
 
 
 def _process_fragment(task: FitTask, state: FitState, frag: FragmentRecord) -> None:
-    candidates = _candidates(state, frag, task.config)
+    candidates = _candidates(state, frag, task.config, task.kb)
     if not candidates:
         frag.unmatched = True
         frag.consumed = True
@@ -630,7 +631,7 @@ def fit_step(task: FitTask) -> bool:
         task.states.append(fork.state)
         frag = fork.state.fragments[fork.fragment_index]
         frag.consumed = True
-        for candidate in _candidates(fork.state, frag, task.config):
+        for candidate in _candidates(fork.state, frag, task.config, task.kb):
             if candidate.base == fork.base_root:
                 _commit(task, fork.state, frag, candidate)
                 break

@@ -567,6 +567,8 @@ def _load_state(reader: _Reader) -> FitState:
         parts = line.split()
         if len(parts) != 9 or parts[0] != "fragment":
             raise LoadError(f"bad fragment line {line!r}", line_no)
+        if not net.has(parts[1]):
+            raise LoadError(f"fragment line {line!r} names no element of the state's net", line_no)
         fragments.append(
             FragmentRecord(
                 element=parts[1],
@@ -584,7 +586,10 @@ def _load_state(reader: _Reader) -> FitState:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "defer":
             raise LoadError(f"bad deferred line {line!r}", line_no)
-        deferred.append(DeferredGrowth(_number(int, parts[1], line, line_no), parts[2]))
+        index = _number(int, parts[1], line, line_no)
+        if not 0 <= index < len(net.tree_instances):
+            raise LoadError(f"deferred line {line!r} names no tree instance of the state", line_no)
+        deferred.append(DeferredGrowth(index, parts[2]))
     return FitState(net=net, ledger=ledger, fragments=fragments, deferred=deferred)
 
 

@@ -5,11 +5,35 @@ Structure placement is an exhaustive backtracking search; each fragment
 concept's up-closure is taken once per call and decides the tree concepts it
 can take.  Membership is then the root's own input folded, in sorted source
 order, with what each placed element's launch over a zero-state scratch copy
-of the base tree brings the root.  Such a launch reads nothing another launch
-changes, so one launch per distinct source and input serves every placement.
+of the base tree brings the root.
+
+A launch into a zero-state scratch reads no result or status that another
+launch folded into it, so one launch per distinct scratch, source and input
+serves every placement, and every later match of the same tree.  The
+scratches and the root arrivals of their launches depend on the knowledge
+alone, so a fit keeps them in a memo owned by its knowledge base (the ``kb``
+argument of ``match_nested``), which every task, fork and learning scene made
+from that base shares:
+
+* One memo per tree root, keyed by the tree's content: the root, the concept
+  ids in order with their ``value`` and ``params``, the relation ids in order
+  with kind, ends, both conditionals and ``params``, and the config fields a
+  launch reads (``mode``, ``default_k``, ``decay_epsilon``, ``max_hops``).
+  An edit of the tree, a re-declared tree or another config makes a new key,
+  which replaces the root's old memo, so nothing is invalidated by hand and
+  only one key per root is live.  A root the matched network no longer
+  declares loses its memo when a new root gets one.
+* The memos hang off the base in a weak mapping, so they die with it and
+  never reach ``copy()``, ``copy.deepcopy``, ``serialize_kb`` or a session.
+* One memo holds at most ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT``
+  launches; a full table starts over.
+
+A call without a base (``match_tree``, the CLI ``match``) keeps a memo of its
+own for the call.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -108,22 +132,77 @@ def trees_taking(net: CognitiveNetwork, element: str, config: EngineConfig) -> l
     return [root for root, tree in net.trees.items() if lands(tree, 0)]
 
 
+_SCRATCH_LIMIT = 16  # scratches (distinct relation degrees) one tree memo holds
+_LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
+
+
+class _TreeMemo:
+    """The zero-state scratches of one tree content key, and the root's arrivals from each launch."""
+
+    def __init__(self, key: object = None) -> None:
+        self.key = key
+        self.scratches: dict[frozenset, CognitiveNetwork] = {}
+        self.launches: dict[tuple, list[float]] = {}
+
+
+_MEMOS: weakref.WeakKeyDictionary[CognitiveNetwork, dict[str, _TreeMemo]] = weakref.WeakKeyDictionary()
+
+
+def _content_key(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig) -> tuple:
+    """What a scratch of ``tree`` and a launch into it read, copied out of ``net``."""
+    concepts, relations = net.concepts, net.relations
+    return (
+        tree.root,
+        tuple((cid, c.value, dict(c.params)) for cid in tree.concepts for c in (concepts[cid],)),
+        tuple(
+            (rid, r.kind, r.a, r.b, r.cond.forward, r.cond.backward, dict(r.params))
+            for rid in tree.longitudinal + tree.additional
+            for r in (relations[rid],)
+        ),
+        config.mode, config.default_k, config.decay_epsilon, config.max_hops,
+    )
+
+
+def _kb_memo(
+    kb: CognitiveNetwork, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig
+) -> _TreeMemo:
+    """The memo ``kb`` keeps for ``tree`` as ``net`` now holds it, new if the content changed."""
+    key = _content_key(net, tree, config)
+    memos = _MEMOS.get(kb)
+    if memos is None:
+        memos = _MEMOS[kb] = {}
+    memo = memos.get(tree.root)
+    if memo is None:
+        for stale in [root for root in memos if root not in net.trees]:
+            del memos[stale]
+    if memo is None or memo.key != key:
+        memo = memos[tree.root] = _TreeMemo(key)
+    return memo
+
+
 class _TreeMatch:
     """One tree's matching work, shared by every placement of one call.
 
     Each fragment concept's up-closure is taken once.  Membership is the
     root's own input folded with what each placed source's launch brings the
-    root, in sorted source order.  A launch into a zero-state scratch reads no
-    result or status that another launch changes, so each distinct (degrees,
-    source, input) launches once, and the fold equals launching every source
-    of a placement into a fresh scratch of its own.
+    root, in sorted source order.  Each distinct (degrees, source, input)
+    launches once into the zero-state scratch of its degrees, and the fold
+    equals launching every source of a placement into a fresh scratch of its
+    own (see the module docstring).  The scratches and launches live in the
+    tree memo of ``kb``, taken at the first membership, or without a ``kb``
+    in a memo of this match's own.
     """
 
-    def __init__(self, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig):
-        self.net, self.tree, self.config = net, tree, config
+    def __init__(
+        self,
+        net: CognitiveNetwork,
+        tree: TreeNetworkView,
+        config: EngineConfig,
+        kb: Optional[CognitiveNetwork] = None,
+    ):
+        self.net, self.tree, self.config, self.kb = net, tree, config, kb
         self._taken: dict[str, dict[str, float]] = {}
-        self._scratches: dict[frozenset, CognitiveNetwork] = {}
-        self._launches: dict[tuple, list[float]] = {}
+        self._memo: Optional[_TreeMemo] = None
 
     def takes(self, fragment_el: str) -> dict[str, float]:
         """The tree concepts a fragment concept can take, sorted, with its membership in each."""
@@ -135,22 +214,31 @@ class _TreeMatch:
         return found
 
     def membership(self, inputs: dict[str, float], degrees: dict[str, float]) -> float:
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = (
+                _TreeMemo() if self.kb is None else _kb_memo(self.kb, self.net, self.tree, self.config)
+            )
         key = frozenset((rel_id, d) for rel_id, d in degrees.items() if d != 1.0)
-        scratch = self._scratches.get(key)
+        scratch = memo.scratches.get(key)
         if scratch is None:
-            scratch = self._scratches[key] = _scratch_tree(self.net, self.tree, dict(key))
+            if len(memo.scratches) >= _SCRATCH_LIMIT:
+                memo.scratches.clear()
+            scratch = memo.scratches[key] = _scratch_tree(self.net, self.tree, dict(key))
         scratch.element(self.tree.root)  # LookupMissing for a root the scratch lacks (a lateral relation)
         acc = inputs.get(self.tree.root, 0.0)
         for source in sorted(inputs):
             delta = inputs[source]
             if delta <= 0.0:
                 continue
-            arrivals = self._launches.get((key, source, delta))
+            arrivals = memo.launches.get((key, source, delta))
             if arrivals is None:
                 ledger = ContributionLedger()
                 pps_launch(scratch, source, delta, self.config, ledger, NullTrace())
                 arrivals = [e.contribution for e in ledger.entries if e.target == self.tree.root]
-                self._launches[(key, source, delta)] = arrivals
+                if len(memo.launches) >= _LAUNCH_LIMIT:
+                    memo.launches.clear()
+                memo.launches[(key, source, delta)] = arrivals
             for contribution in arrivals:
                 acc = self.config.mode.fold(acc, contribution)
         return acc
@@ -311,9 +399,15 @@ def match_nested(
     fragment_ids: list[str],
     base_tree: TreeNetworkView,
     config: EngineConfig,
+    kb: Optional[CognitiveNetwork] = None,
     _depth: int = 0,
 ) -> MatchResult:
-    """Recursive matching: inner trees first, their memberships feeding the outer level."""
+    """Recursive matching: inner trees first, their memberships feeding the outer level.
+
+    ``kb`` is the knowledge base ``net`` was made from; its tree memos then
+    serve the scratches and launches (see the module docstring).  Without it
+    each call keeps its own.
+    """
     if _depth > config.match_depth_limit:
         raise DepthError(f"nested matching exceeded depth {config.match_depth_limit}")
 
@@ -323,13 +417,13 @@ def match_nested(
     for member in base_tree.concepts:
         if member == base_tree.root or member not in net.trees:
             continue
-        inner = match_nested(net, fragment_ids, net.trees[member], config, _depth + 1)
+        inner = match_nested(net, fragment_ids, net.trees[member], config, kb, _depth + 1)
         if inner.membership > 0.0:
             inner_inputs[member] = inner.membership
             inner_used.update(inner.mapping.pairs.values())
             inner_maps.update(inner.mapping.pairs)
 
-    match = _TreeMatch(net, base_tree, config)
+    match = _TreeMatch(net, base_tree, config, kb)
     flat = _match_flat(match, [f for f in fragment_ids if f not in inner_used])
     if not inner_inputs:
         return flat

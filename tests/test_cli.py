@@ -1,6 +1,9 @@
 """Command-line surface and exit codes."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,12 +11,23 @@ import pytest
 from dcnet.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_validate_ok(capsys):
     assert main(["validate", str(DATA / "face.kb")]) == 0
     out = capsys.readouterr().out
     assert "8 concepts" in out and "7 relations" in out
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-m", "dcnet", "validate", str(DATA / "face.kb")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "8 concepts" in run.stdout
 
 
 def test_validate_parse_error(tmp_path, capsys):

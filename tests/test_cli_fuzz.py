@@ -90,3 +90,13 @@ def test_mutated_input_exits_0_1_or_2(target, count, tmp_path, capsys, request):
             bad.append((seed, code, err.strip().splitlines()[-1:] if err else []))
     assert bad == [], bad
     assert codes[0] + codes[1] >= count // 10 and codes[2] >= count // 10, codes  # both sides reached
+
+
+@pytest.mark.parametrize("seed", [663, 697, 1356])
+def test_session_mutations_that_once_failed_inside_the_fit_exit_2(seed, session_text, tmp_path, capsys):
+    """Session seeds, counted to 2,000, that loaded and then ended in exit 3: a result probability
+    of -.88 or 1.8 in a ``net`` block (663, 697), and a fragment naming no element (1356)."""
+    path = tmp_path / "mutated.session"
+    path.write_text(mutate(session_text, random.Random(f"cli-fuzz/session/{seed}")), encoding="utf-8")
+    assert main(["fit", "--session", str(path), "--scenario", str(SCENARIO)]) == 2
+    assert capsys.readouterr().err.startswith("error: load error")

@@ -96,6 +96,23 @@ class TestParseKb:
         assert (err.value.line, err.value.column) == (2, 25)
         assert "unknown status bogus" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "state, column, message",
+        [
+            ("0.1,1.8,superposed,0", 21, "result probability out of [0, 1]: 1.8"),
+            ("-.88,0.1,superposed,0", 17, "input probability out of [0, 1]: -.88"),
+            ("nan,0.1,superposed,0", 17, "input probability out of [0, 1]: nan"),
+            ("0.1,inf,superposed,0", 21, "result probability out of [0, 1]: inf"),
+            ("0.1,0.1,superposed,2", 36, "launched flag must be 0 or 1: 2"),
+            ("0.1,0.1,superposed,", 36, "launched flag must be 0 or 1: "),
+        ],
+    )
+    def test_a_state_out_of_range_is_located(self, state, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"concept a\nconcept x state={state}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert message in str(err.value)
+
     def test_an_id_with_an_equals_sign_is_located(self):
         with pytest.raises(ParseError) as err:
             parse_kb("concept a\nconcept x=y\n")

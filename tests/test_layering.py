@@ -68,7 +68,8 @@ def test_only_core_replaces_an_elements_state_object():
 
 
 LAYERS = [
-    "trace", "core", "probability", "matching", "growth", "kbio", "lifecycle", "query", "learning", "cli"
+    "trace", "core", "probability", "matching", "growth", "kbio", "lifecycle", "query", "learning", "cli",
+    "__main__",
 ]
 
 

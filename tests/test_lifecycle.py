@@ -344,6 +344,9 @@ class TestSessions:
             ("processed=", "processed=zz"),
             ("begin counters", "x=notint"),  # inserted after the marker
             ("fragment ", "fragment eye1 most - 0 0 0 - -"),
+            ("fragment ", "fragment fac_1 0.6 eye 0 0 0 - -"),  # no element of the state's net
+            ("begin deferred", "defer 7 mouth"),  # no tree instance 7
+            ("begin deferred", "defer -1 mouth"),
         ],
     )
     def test_malformed_line_names_its_line(self, anchor, bad):

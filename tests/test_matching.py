@@ -1,21 +1,27 @@
 """Fragment membership against base trees: single concepts, trees, nesting."""
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import random
+import weakref
+from collections import Counter
 
 import pytest
 
+from dcnet import matching
 from dcnet.core import (
     CognitiveNetwork,
     DepthError,
     Gaussian,
     RelationKind,
 )
+from dcnet.growth import ConceptSpec, fit_run, make_task
 from dcnet.matching import match_complete, match_concept, match_nested, match_tree
-from dcnet.probability import EngineConfig, superpose_n
+from dcnet.probability import EngineConfig, Mode, superpose_n
 
-from scenes import concept, declare_tree, relation
+from scenes import FACE_INPUTS, concept, declare_tree, face_kb, relation
 
 
 def _config(**kw):
@@ -135,39 +141,40 @@ class TestMatchTree:
         assert grown.membership <= 1.0
 
 
-class TestMatchNested:
-    def _nested(self, inner_ps):
-        net = CognitiveNetwork()
-        concept(net, "outer")
-        ids = ["outer"]
-        for i, _ in enumerate(inner_ps, 1):
-            inner_root = f"in{i}"
-            concept(net, inner_root)
-            concept(net, f"leaf{i}")
-            relation(net, f"ri{i}", RelationKind.HAS_COMPONENT, inner_root, f"leaf{i}",
-                     pba=1.0, pab=inner_ps[i - 1])
-            relation(net, f"ro{i}", RelationKind.HAS_COMPONENT, "outer", inner_root)
-            declare_tree(net, inner_root, [inner_root, f"leaf{i}", f"ri{i}"])
-            ids += [inner_root, f"ro{i}"]
-        declare_tree(net, "outer", ids)
-        return net
+def _nested(inner_ps):
+    net = CognitiveNetwork()
+    concept(net, "outer")
+    ids = ["outer"]
+    for i, _ in enumerate(inner_ps, 1):
+        inner_root = f"in{i}"
+        concept(net, inner_root)
+        concept(net, f"leaf{i}")
+        relation(net, f"ri{i}", RelationKind.HAS_COMPONENT, inner_root, f"leaf{i}",
+                 pba=1.0, pab=inner_ps[i - 1])
+        relation(net, f"ro{i}", RelationKind.HAS_COMPONENT, "outer", inner_root)
+        declare_tree(net, inner_root, [inner_root, f"leaf{i}", f"ri{i}"])
+        ids += [inner_root, f"ro{i}"]
+    declare_tree(net, "outer", ids)
+    return net
 
+
+class TestMatchNested:
     def test_full_inner_match_reduces_to_flat(self):
-        net = self._nested([1.0])
+        net = _nested([1.0])
         concept(net, "leafx")
         net.add_belong("leafx", "leaf1")
         result = match_nested(net, ["leafx"], net.trees["outer"], _config())
         assert result.membership == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_inner_membership_composes(self):
-        net = self._nested([0.8])
+        net = _nested([0.8])
         concept(net, "leafx")
         net.add_belong("leafx", "leaf1")
         result = match_nested(net, ["leafx"], net.trees["outer"], _config())
         assert result.membership == pytest.approx(0.8, abs=1e-12)
 
     def test_two_inner_memberships_superpose(self):
-        net = self._nested([0.7, 0.5])
+        net = _nested([0.7, 0.5])
         for i in (1, 2):
             concept(net, f"leafx{i}")
             net.add_belong(f"leafx{i}", f"leaf{i}")
@@ -175,11 +182,113 @@ class TestMatchNested:
         assert result.membership == pytest.approx(0.85, abs=1e-12)
 
     def test_depth_limit(self):
-        net = self._nested([1.0])
+        net = _nested([1.0])
         concept(net, "leafx")
         net.add_belong("leafx", "leaf1")
         with pytest.raises(DepthError):
             match_nested(net, ["leafx"], net.trees["outer"], _config(match_depth_limit=0))
+
+
+def _counted(monkeypatch) -> Counter:
+    """Counts of the scratches matching builds and the launches it makes into them from now on."""
+    counts: Counter = Counter()
+    scratch_tree, pps_launch = matching._scratch_tree, matching.pps_launch
+
+    def counting_scratch(*args):
+        counts["scratches"] += 1
+        return scratch_tree(*args)
+
+    def counting_launch(*args):
+        counts["launches"] += 1
+        return pps_launch(*args)
+
+    monkeypatch.setattr(matching, "_scratch_tree", counting_scratch)
+    monkeypatch.setattr(matching, "pps_launch", counting_launch)
+    return counts
+
+
+class TestKnowledgeBaseMemo:
+    """Scratches and launches kept per knowledge base: made once, one key per root, bounded."""
+
+    def _scene(self):
+        net = _nested([0.7, 0.5])
+        for i in (1, 2):
+            concept(net, f"leafx{i}")
+            net.add_belong(f"leafx{i}", f"leaf{i}")
+        return net
+
+    def test_matching_a_tree_again_builds_and_launches_nothing(self, monkeypatch):
+        net = self._scene()
+        counts = _counted(monkeypatch)
+        first = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config(), net)
+        once = dict(counts)
+        for _ in range(50):
+            assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config(), net) == first
+        # a scratch for each of the three trees; a launch for each (tree, source, input)
+        assert counts == once == {"scratches": 3, "launches": 4}
+        for _ in range(5):  # without a knowledge base, each call builds and launches anew
+            assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config()) == first
+        assert counts == {"scratches": 3 * 6, "launches": 4 * 6}
+
+    def test_tasks_made_from_one_knowledge_base_share_its_memo(self, monkeypatch):
+        kb = face_kb()
+        specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
+        counts = _counted(monkeypatch)
+        fit_run(make_task(kb, _config(), specs))
+        assert counts["scratches"] > 0 and counts["launches"] > 0
+        first = dict(counts)
+        fit_run(make_task(kb, _config(), specs))
+        assert counts == first
+
+    def test_a_knowledge_base_edited_a_thousand_times_holds_one_key_per_root(self):
+        net = self._scene()
+        rng = random.Random(0)
+        config = _config()
+        for i in range(1000):
+            rel = net.relations[rng.choice(["ri1", "ri2", "ro1", "ro2"])]
+            rel.cond.backward = rng.choice([0.2, 0.5, 0.9, 1.0, Gaussian(3.0, 1.0)])
+            if i % 3 == 0:  # a Gaussian conditional scores the value of the end it reaches
+                net.concepts[rng.choice(["in1", "in2", "outer"])].value = rng.choice([None, 3.0, 4.0])
+            if i % 7 == 0:
+                config = _config(mode=rng.choice(list(Mode)), max_hops=rng.choice([None, 1, 2]))
+            if i % 11 == 0:  # the inner tree declared again, with or without its leaf
+                declare_tree(net, "in2", rng.choice([["in2"], ["in2", "leaf2", "ri2"]]))
+            got = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config, net)
+            assert got == match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config), i
+            if i % 10 == 0:  # a tree under a fresh root, matched and then forgotten, as learning does
+                concept(net, f"new{i}")
+                relation(net, f"rnew{i}", RelationKind.HAS_PART, f"new{i}", "leaf1")
+                declare_tree(net, f"new{i}", ["leaf1", f"rnew{i}"])
+                match_nested(net, ["leafx1"], net.trees[f"new{i}"], config, net)
+                net.drop_tree(f"new{i}")
+            assert len(matching._MEMOS[net]) <= len(net.trees) + 1
+
+    def test_one_key_holds_a_bounded_number_of_launches_and_scratches(self):
+        net = self._scene()
+        tree, config = net.trees["in1"], _config()
+        match = matching._TreeMatch(net, tree, config, net)
+        n = 3 * matching._LAUNCH_LIMIT
+        for i in range(1, n + 1):  # a stream of distinct inputs
+            fresh = matching._TreeMatch(net, tree, config)
+            assert match.membership({"leaf1": i / n}, {}) == fresh.membership({"leaf1": i / n}, {})
+            assert len(matching._MEMOS[net]["in1"].launches) <= matching._LAUNCH_LIMIT
+        for i in range(1, 4 * matching._SCRATCH_LIMIT):  # a stream of distinct relation degrees
+            fresh = matching._TreeMatch(net, tree, config)
+            degrees = {"ri1": i / (4 * matching._SCRATCH_LIMIT)}
+            assert match.membership({"leaf1": 0.5}, degrees) == fresh.membership({"leaf1": 0.5}, degrees)
+            assert len(matching._MEMOS[net]["in1"].scratches) <= matching._SCRATCH_LIMIT
+
+    def test_the_memo_dies_with_its_knowledge_base_and_is_never_copied(self):
+        net = self._scene()
+        match_nested(net, ["leafx1"], net.trees["outer"], _config(), net)
+        assert net in matching._MEMOS
+        assert net.copy() not in matching._MEMOS
+        gc.collect()  # the bases of earlier tests
+        held = len(matching._MEMOS)
+        gone = weakref.ref(net)
+        del net
+        gc.collect()
+        assert gone() is None and len(matching._MEMOS) == held - 1
 
 
 class TestMatchComplete:

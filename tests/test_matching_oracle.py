@@ -12,9 +12,11 @@ The oracles are the engine's earlier matcher, kept as it was:
 
 The engine now visits only the trees the fragment can land in
 (``trees_taking``), takes one up-closure per fragment concept, and launches
-each distinct source once per call, folding the root's share of every launch
-in sorted source order.  Bases, mappings (in order), memberships and raised
-exceptions must be equal, not close.
+each distinct source once, folding the root's share of every launch in sorted
+source order.  Without a knowledge base a launch serves one call; with one,
+its tree memos serve every later call until the tree or the config changes,
+which the edit sequence checks.  Bases, mappings (in order), memberships and
+raised exceptions must be equal, not close.
 
 Seeded networks mix a belong-to hierarchy, equal edges, scalar, interval and
 Gaussian-``value`` concepts, trees that share members and nest other trees
@@ -26,8 +28,11 @@ give degrees below 1, and configurations with ``Mode.SIMPLIFIED``,
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
+
+import pytest
 
 from dcnet.core import (
     CognitiveNetwork,
@@ -43,6 +48,7 @@ from dcnet.core import (
 )
 from dcnet.growth import FitState, FragmentRecord, _candidates, _combine_context
 from dcnet.kbio import serialize_kb
+from dcnet import matching
 from dcnet.matching import (
     MatchResult,
     _invert,
@@ -423,3 +429,82 @@ def test_match_tree_and_match_nested_match_the_oracle():
     assert seen["mapped"] >= 450 and seen["fractional"] >= 180, seen
     assert seen["DepthError"] >= 100 and seen["above one"] >= 40, seen
     assert seen["ParameterError"] >= 7 and seen["LookupMissing"] >= 10, seen
+
+
+def edit(net, rng, config):
+    """One random edit of the knowledge or the config, made in place; returns the config."""
+    trees = [tree for tree in net.trees.values() if tree.root in net.concepts]
+    if not trees:
+        return config
+    tree = rng.choice(trees)
+    members = [c for c in tree.concepts if c != tree.root]
+    rels = [net.relations[r] for r in tree.longitudinal + tree.additional]
+    free = [rel for rel in rels if rel.kind in LONGITUDINAL + LATERAL]  # kinds that fix no conditional
+    outside = [c for c in net.concepts if c not in tree.concepts and not c.startswith("i")]  # no fragment
+    roll = rng.randrange(6)
+    if roll == 0 and free:  # a conditional
+        spec = rng.choice([1.0, 0.8, 0.5, 0.2, Gaussian(3.0, 1.0)])  # a Gaussian scores the far end's value
+        setattr(rng.choice(free).cond, rng.choice(["forward", "backward"]), spec)
+    elif roll == 1 and (rels or members):  # a param of a relation or a concept's value
+        target = rng.choice([*rels, *(net.concepts[c] for c in tree.concepts)])
+        if target in rels:  # in Mode.SIMPLIFIED a launch reads "k"
+            target.params.update(rng.choice([{"d": _value_spec(rng)}, {"k": rng.choice([0.5, 0.9])}]))
+        elif rng.random() < 0.5:
+            target.params["value"] = Gaussian(float(rng.randint(0, 6)), 1.0)
+        else:
+            target.value = float(rng.randint(0, 6))
+    elif roll == 2 and outside:  # an added member, under a new relation from the root
+        member = rng.choice(outside)
+        rid = f"add{len(net.relations)}"
+        relation(net, rid, rng.choice(LONGITUDINAL), tree.root, member, pab=rng.choice([1.0, 0.6]))
+        try:
+            declare_tree(net, tree.root, [*members, member])
+        except StructureError:  # it would close a cycle or leave the member unreached
+            net.remove_element(rid)
+    elif roll == 3 and members:  # a removed member: the tree declared again without it
+        try:
+            declare_tree(net, tree.root, rng.sample(members, len(members) - 1))
+        except StructureError:
+            pass
+    elif roll == 4:  # the same members declared again
+        declare_tree(net, tree.root, members)
+    else:
+        config = dataclasses.replace(
+            config, mode=rng.choice(list(Mode)), max_hops=rng.choice([None, 1, 2]),
+        )
+    return config
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_a_shared_memo_matches_the_oracle_across_knowledge_edits(chunk, monkeypatch):
+    """One memo, owned by the network, serves a whole sequence of matches with edits between them."""
+    built = Counter()
+    scratch_tree = matching._scratch_tree
+
+    def counting(*args):
+        built["scratches"] += 1
+        return scratch_tree(*args)
+
+    monkeypatch.setattr(matching, "_scratch_tree", counting)
+    seen = Counter()
+    for seed, rng, net, frags, config in cases():
+        if seed % 4 != chunk:
+            continue
+        state = FitState(net=net)
+        for step in range(6):
+            if step:
+                config = edit(net, rng, config)
+            for root, tree in net.trees.items():
+                ids = rng.sample(frags, rng.randint(1, min(5, len(frags))))
+                want = outcome(lambda: oracle_match_nested(net, ids, tree, config))
+                got = outcome(lambda: match_nested(net, ids, tree, config, net))
+                assert got == want, f"seed {seed}, step {step}, root {root} of {ids}"
+                seen[want[1] if want[0] == "raise" else "matched"] += 1
+            element = rng.choice([f for f in frags if f in net.concepts])
+            frag = FragmentRecord(element=element, input_prob=0.5)
+            want = outcome(lambda: oracle_candidates(state, frag, config))
+            assert outcome(lambda: _candidates(state, frag, config, net)) == want, f"seed {seed}, step {step}"
+            assert len(matching._MEMOS.get(net, {})) <= len(net.trees), f"seed {seed}: a memo per root at most"
+    # the memo is reused, so there are fewer scratches than matches; the oracle's raises still occur
+    assert built["scratches"] * 2 < seen["matched"], (built, seen)
+    assert seen["matched"] >= 400 and seen["ParameterError"] >= 3 and seen["LookupMissing"] >= 5, seen
