@@ -486,7 +486,7 @@ def _combine_context(state: FitState, element: str) -> list[str]:
 
 
 def _candidates(
-    state: FitState, frag: FragmentRecord, config: EngineConfig, kb: Optional[CognitiveNetwork] = None
+    state: FitState, frag: FragmentRecord, config: EngineConfig, kb: CognitiveNetwork
 ) -> list[MatchResult]:
     """The trees that take the fragment, best first; ``kb`` owns the match memos (see ``matching``)."""
     context = _combine_context(state, frag.element)

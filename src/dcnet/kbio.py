@@ -7,6 +7,7 @@ and parse -> serialize -> parse is an identity.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, TextIO, Union
 
@@ -243,7 +244,12 @@ def _parse_tree_line(net, tokens, line_no, line) -> None:
 
 
 def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
-    """``input,result,status,launched``: two probabilities in [0, 1], a status and a 0/1 flag."""
+    """``input,result,status,launched``: an input in [0, 1], a result, a status and a 0/1 flag.
+
+    The result must be finite and not negative; it may pass 1, since in
+    Mode.SIMPLIFIED contributions add without a clamp (a session checks the
+    bound of its own mode).
+    """
     parts = raw.split(",")
     if len(parts) != 4:
         raise ParseError(f"bad state spec {raw}", line_no, _column_of(line, raw))
@@ -251,16 +257,16 @@ def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
     def column(i: int) -> int:
         return _column_of(line, raw) + sum(len(part) + 1 for part in parts[:i])
 
-    probs = []
-    for i, label in enumerate(("input", "result")):
-        p = _parse_float(parts[i], line_no, line, label)
-        if not 0.0 <= p <= 1.0:  # NaN fails this too
-            raise ParseError(f"{label} probability out of [0, 1]: {parts[i]}", line_no, column(i))
-        probs.append(p)
+    input_prob = _parse_float(parts[0], line_no, line, "input")
+    if not 0.0 <= input_prob <= 1.0:  # NaN fails this too
+        raise ParseError(f"input probability out of [0, 1]: {parts[0]}", line_no, column(0))
+    result_prob = _parse_float(parts[1], line_no, line, "result")
+    if not 0.0 <= result_prob < math.inf:
+        raise ParseError(f"result probability negative or not finite: {parts[1]}", line_no, column(1))
     status = _parse_status(parts[2], line_no, line)
     if parts[3] not in ("0", "1"):
         raise ParseError(f"launched flag must be 0 or 1: {parts[3]}", line_no, column(3))
-    return ProbabilityState(probs[0], probs[1], status, launched=parts[3] == "1")
+    return ProbabilityState(input_prob, result_prob, status, launched=parts[3] == "1")
 
 
 def _parse_status(raw: str, line_no: int, line: str) -> Status:

@@ -41,6 +41,7 @@ from .probability import (
     Gaussian,
     LaunchRecord,
     LedgerEntry,
+    Mode,
     format_config_value,
     parse_config_value,
 )
@@ -512,8 +513,13 @@ def _number(kind, text: str, line: str, line_no: int):
         raise LoadError(f"not a number: {text!r} in {line!r}", line_no) from None
 
 
-def _load_state(reader: _Reader) -> FitState:
+def _load_state(reader: _Reader, mode: Mode) -> FitState:
+    begin = reader.line_no + 1
     net = _parse_block_kb(reader, "net")
+    if mode is Mode.EXACT:  # only Mode.SIMPLIFIED adds contributions past 1
+        for element_id in net.element_ids():
+            if net.state(element_id).result_prob > 1.0:
+                raise LoadError(f"result probability of {element_id} passes 1 in exact mode", begin)
     for line_no, line in _read_block(reader, "counters"):
         key, _, value = line.partition("=")
         net.counters[key] = _number(int, value, line, line_no)
@@ -661,13 +667,13 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
         parts = line.split()
         if parts[:2] == ["begin", "state"] and len(parts) == 3:
             reader.next()
-            state = _load_state(reader)
+            state = _load_state(reader, config.mode)
             reader.expect(f"end state {parts[2]}")
             states.append(state)
         elif parts[:2] == ["begin", "fork"] and len(parts) == 4:
             reader.next()
             fragment_index = _number(int, parts[2], line, reader.line_no)
-            state = _load_state(reader)
+            state = _load_state(reader, config.mode)
             reader.expect("end fork")
             forks.append(Fork(state=state, fragment_index=fragment_index, base_root=parts[3]))
         else:

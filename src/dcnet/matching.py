@@ -11,9 +11,10 @@ A launch into a zero-state scratch reads no result or status that another
 launch folded into it, so one launch per distinct scratch, source and input
 serves every placement, and every later match of the same tree.  The
 scratches and the root arrivals of their launches depend on the knowledge
-alone, so a fit keeps them in a memo owned by its knowledge base (the ``kb``
-argument of ``match_nested``), which every task, fork and learning scene made
-from that base shares:
+alone, so they live in a memo owned by a network: the knowledge base passed
+as ``kb`` to ``match_nested`` (a fit passes its task's, which every task,
+fork and learning scene made from that base shares), or else the matched
+network itself:
 
 * One memo per tree root, keyed by the tree's content: the root, the concept
   ids in order with their ``value`` and ``params``, the relation ids in order
@@ -23,13 +24,10 @@ from that base shares:
   which replaces the root's old memo, so nothing is invalidated by hand and
   only one key per root is live.  A root the matched network no longer
   declares loses its memo when a new root gets one.
-* The memos hang off the base in a weak mapping, so they die with it and
+* The memos hang off their owner in a weak mapping, so they die with it and
   never reach ``copy()``, ``copy.deepcopy``, ``serialize_kb`` or a session.
 * One memo holds at most ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT``
   launches; a full table starts over.
-
-A call without a base (``match_tree``, the CLI ``match``) keeps a memo of its
-own for the call.
 """
 from __future__ import annotations
 
@@ -139,7 +137,7 @@ _LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
 class _TreeMemo:
     """The zero-state scratches of one tree content key, and the root's arrivals from each launch."""
 
-    def __init__(self, key: object = None) -> None:
+    def __init__(self, key: tuple) -> None:
         self.key = key
         self.scratches: dict[frozenset, CognitiveNetwork] = {}
         self.launches: dict[tuple, list[float]] = {}
@@ -163,14 +161,14 @@ def _content_key(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineCon
     )
 
 
-def _kb_memo(
-    kb: CognitiveNetwork, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig
+def _owned_memo(
+    owner: CognitiveNetwork, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig
 ) -> _TreeMemo:
-    """The memo ``kb`` keeps for ``tree`` as ``net`` now holds it, new if the content changed."""
+    """The memo ``owner`` keeps for ``tree`` as ``net`` now holds it, new if the content changed."""
     key = _content_key(net, tree, config)
-    memos = _MEMOS.get(kb)
+    memos = _MEMOS.get(owner)
     if memos is None:
-        memos = _MEMOS[kb] = {}
+        memos = _MEMOS[owner] = {}
     memo = memos.get(tree.root)
     if memo is None:
         for stale in [root for root in memos if root not in net.trees]:
@@ -189,18 +187,13 @@ class _TreeMatch:
     launches once into the zero-state scratch of its degrees, and the fold
     equals launching every source of a placement into a fresh scratch of its
     own (see the module docstring).  The scratches and launches live in the
-    tree memo of ``kb``, taken at the first membership, or without a ``kb``
-    in a memo of this match's own.
+    tree memo that ``owner`` keeps, taken at the first membership.
     """
 
     def __init__(
-        self,
-        net: CognitiveNetwork,
-        tree: TreeNetworkView,
-        config: EngineConfig,
-        kb: Optional[CognitiveNetwork] = None,
+        self, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig, owner: CognitiveNetwork
     ):
-        self.net, self.tree, self.config, self.kb = net, tree, config, kb
+        self.net, self.tree, self.config, self.owner = net, tree, config, owner
         self._taken: dict[str, dict[str, float]] = {}
         self._memo: Optional[_TreeMemo] = None
 
@@ -216,9 +209,7 @@ class _TreeMatch:
     def membership(self, inputs: dict[str, float], degrees: dict[str, float]) -> float:
         memo = self._memo
         if memo is None:
-            memo = self._memo = (
-                _TreeMemo() if self.kb is None else _kb_memo(self.kb, self.net, self.tree, self.config)
-            )
+            memo = self._memo = _owned_memo(self.owner, self.net, self.tree, self.config)
         key = frozenset((rel_id, d) for rel_id, d in degrees.items() if d != 1.0)
         scratch = memo.scratches.get(key)
         if scratch is None:
@@ -364,9 +355,10 @@ def match_tree(
     ties resolve to the lexicographically smallest assignment.  A placement's
     membership is the root's own input superposed with the root's share of
     each placed source's launch, folded in sorted source order; each distinct
-    source and input launches once per call.
+    source and input launches once into a scratch that ``net`` keeps (see the
+    module docstring).
     """
-    return _match_flat(_TreeMatch(net, base_tree, config), fragment_ids)
+    return _match_flat(_TreeMatch(net, base_tree, config, net), fragment_ids)
 
 
 def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
@@ -404,9 +396,9 @@ def match_nested(
 ) -> MatchResult:
     """Recursive matching: inner trees first, their memberships feeding the outer level.
 
-    ``kb`` is the knowledge base ``net`` was made from; its tree memos then
-    serve the scratches and launches (see the module docstring).  Without it
-    each call keeps its own.
+    ``kb`` is the knowledge base ``net`` was made from, which then keeps the
+    scratches and launches (see the module docstring); without it ``net``
+    keeps them.
     """
     if _depth > config.match_depth_limit:
         raise DepthError(f"nested matching exceeded depth {config.match_depth_limit}")
@@ -423,7 +415,7 @@ def match_nested(
             inner_used.update(inner.mapping.pairs.values())
             inner_maps.update(inner.mapping.pairs)
 
-    match = _TreeMatch(net, base_tree, config, kb)
+    match = _TreeMatch(net, base_tree, config, net if kb is None else kb)
     flat = _match_flat(match, [f for f in fragment_ids if f not in inner_used])
     if not inner_inputs:
         return flat

@@ -8,7 +8,7 @@ import pytest
 
 from dcnet.core import Gaussian, Interval, LookupMissing, RelationKind, Status
 from dcnet.growth import fit_run
-from dcnet.probability import Mode
+from dcnet.probability import ContributionLedger, EngineConfig, Mode, pps_launch
 from dcnet.kbio import (
     ParseError,
     build_task,
@@ -99,10 +99,12 @@ class TestParseKb:
     @pytest.mark.parametrize(
         "state, column, message",
         [
-            ("0.1,1.8,superposed,0", 21, "result probability out of [0, 1]: 1.8"),
+            ("0.1,-1.8,superposed,0", 21, "result probability negative or not finite: -1.8"),
             ("-.88,0.1,superposed,0", 17, "input probability out of [0, 1]: -.88"),
             ("nan,0.1,superposed,0", 17, "input probability out of [0, 1]: nan"),
-            ("0.1,inf,superposed,0", 21, "result probability out of [0, 1]: inf"),
+            ("0.1,inf,superposed,0", 21, "result probability negative or not finite: inf"),
+            ("0.1,nan,superposed,0", 21, "result probability negative or not finite: nan"),
+            ("1.5,0.1,superposed,0", 17, "input probability out of [0, 1]: 1.5"),
             ("0.1,0.1,superposed,2", 36, "launched flag must be 0 or 1: 2"),
             ("0.1,0.1,superposed,", 36, "launched flag must be 0 or 1: "),
         ],
@@ -112,6 +114,20 @@ class TestParseKb:
             parse_kb(f"concept a\nconcept x state={state}\n")
         assert (err.value.line, err.value.column) == (2, column)
         assert message in str(err.value)
+
+    def test_a_simplified_result_above_one_round_trips(self):
+        # Mode.SIMPLIFIED adds contributions: three k=0.5 launches bring the root to 1.5
+        net = parse_kb(
+            "concept root\n"
+            + "".join(f"concept m{i}\nrelation r{i} kind=HAS_COMPONENT a=root b=m{i} k=0.5\n" for i in range(3))
+        )
+        config, ledger = EngineConfig(mode=Mode.SIMPLIFIED), ContributionLedger()
+        for i in range(3):
+            pps_launch(net, f"m{i}", 1.0, config, ledger, Trace())
+        assert net.state("root").result_prob == 1.5
+        text = serialize_kb(net, with_state=True)
+        assert parse_kb(text).state("root").result_prob == 1.5
+        assert serialize_kb(parse_kb(text), with_state=True) == text
 
     def test_an_id_with_an_equals_sign_is_located(self):
         with pytest.raises(ParseError) as err:

@@ -364,6 +364,20 @@ class TestSessions:
         assert err.value.line == at + 1
         assert repr(bad) in str(err.value)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_result_above_one_loads_only_in_simplified_mode(self, mode):
+        task = face_task(mode=mode)
+        fit_step(task)
+        task.states[0].net.state("face").result_prob = 1.5  # Mode.SIMPLIFIED adds past 1
+        text = session_save(task)
+        if mode is Mode.SIMPLIFIED:
+            assert session_save(session_load(text)) == text
+            return
+        with pytest.raises(LoadError) as err:
+            session_load(text)
+        assert err.value.line == text.split("\n").index("begin net") + 1
+        assert "result probability of face passes 1 in exact mode" in str(err.value)
+
     def test_kb_block_error_names_its_payload_line(self):
         lines = session_save(face_task()).split("\n")
         at = lines.index("begin kb") + 2

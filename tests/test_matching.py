@@ -22,6 +22,7 @@ from dcnet.matching import match_complete, match_concept, match_nested, match_tr
 from dcnet.probability import EngineConfig, Mode, superpose_n
 
 from scenes import FACE_INPUTS, concept, declare_tree, face_kb, relation
+from test_matching_oracle import oracle_match_nested, oracle_membership
 
 
 def _config(**kw):
@@ -208,7 +209,7 @@ def _counted(monkeypatch) -> Counter:
 
 
 class TestKnowledgeBaseMemo:
-    """Scratches and launches kept per knowledge base: made once, one key per root, bounded."""
+    """Scratches and launches kept per owning network: made once, one key per root, bounded."""
 
     def _scene(self):
         net = _nested([0.7, 0.5])
@@ -221,14 +222,15 @@ class TestKnowledgeBaseMemo:
         net = self._scene()
         counts = _counted(monkeypatch)
         first = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config(), net)
+        assert first == oracle_match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config())
         once = dict(counts)
-        for _ in range(50):
+        for _ in range(50):  # without a knowledge base the matched network keeps the memo
             assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config(), net) == first
+            assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config()) == first
         # a scratch for each of the three trees; a launch for each (tree, source, input)
         assert counts == once == {"scratches": 3, "launches": 4}
-        for _ in range(5):  # without a knowledge base, each call builds and launches anew
-            assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config()) == first
-        assert counts == {"scratches": 3 * 6, "launches": 4 * 6}
+        match_tree(net, ["leafx1"], net.trees["in1"], _config())
+        assert counts == once
 
     def test_tasks_made_from_one_knowledge_base_share_its_memo(self, monkeypatch):
         kb = face_kb()
@@ -254,7 +256,7 @@ class TestKnowledgeBaseMemo:
             if i % 11 == 0:  # the inner tree declared again, with or without its leaf
                 declare_tree(net, "in2", rng.choice([["in2"], ["in2", "leaf2", "ri2"]]))
             got = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config, net)
-            assert got == match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config), i
+            assert got == oracle_match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config), i
             if i % 10 == 0:  # a tree under a fresh root, matched and then forgotten, as learning does
                 concept(net, f"new{i}")
                 relation(net, f"rnew{i}", RelationKind.HAS_PART, f"new{i}", "leaf1")
@@ -269,13 +271,13 @@ class TestKnowledgeBaseMemo:
         match = matching._TreeMatch(net, tree, config, net)
         n = 3 * matching._LAUNCH_LIMIT
         for i in range(1, n + 1):  # a stream of distinct inputs
-            fresh = matching._TreeMatch(net, tree, config)
-            assert match.membership({"leaf1": i / n}, {}) == fresh.membership({"leaf1": i / n}, {})
+            want = oracle_membership(net, tree, {"leaf1": i / n}, {}, config)
+            assert match.membership({"leaf1": i / n}, {}) == want
             assert len(matching._MEMOS[net]["in1"].launches) <= matching._LAUNCH_LIMIT
         for i in range(1, 4 * matching._SCRATCH_LIMIT):  # a stream of distinct relation degrees
-            fresh = matching._TreeMatch(net, tree, config)
             degrees = {"ri1": i / (4 * matching._SCRATCH_LIMIT)}
-            assert match.membership({"leaf1": 0.5}, degrees) == fresh.membership({"leaf1": 0.5}, degrees)
+            want = oracle_membership(net, tree, {"leaf1": 0.5}, degrees, config)
+            assert match.membership({"leaf1": 0.5}, degrees) == want
             assert len(matching._MEMOS[net]["in1"].scratches) <= matching._SCRATCH_LIMIT
 
     def test_the_memo_dies_with_its_knowledge_base_and_is_never_copied(self):

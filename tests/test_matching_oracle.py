@@ -13,9 +13,9 @@ The oracles are the engine's earlier matcher, kept as it was:
 The engine now visits only the trees the fragment can land in
 (``trees_taking``), takes one up-closure per fragment concept, and launches
 each distinct source once, folding the root's share of every launch in sorted
-source order.  Without a knowledge base a launch serves one call; with one,
-its tree memos serve every later call until the tree or the config changes,
-which the edit sequence checks.  Bases, mappings (in order), memberships and
+source order.  A launch is kept in a memo of the knowledge base, or of the
+matched network when none is given, and serves every later call until the
+tree or the config changes, which the edit sequence checks.  Bases, mappings (in order), memberships and
 raised exceptions must be equal, not close.
 
 Seeded networks mix a belong-to hierarchy, equal edges, scalar, interval and
@@ -392,7 +392,7 @@ def test_candidates_match_the_all_trees_oracle():
             excluded = rng.sample(list(net.trees), rng.randint(0, 1)) if net.trees else []
             frag = FragmentRecord(element=element, input_prob=0.5, excluded=excluded)
             want = outcome(lambda: oracle_candidates(state, frag, config))
-            got = outcome(lambda: _candidates(state, frag, config))
+            got = outcome(lambda: _candidates(state, frag, config, net))
             assert got == want, f"seed {seed}, fragment {element}"
             skipped = len(net.trees) - len(trees_taking(net, element, config))
             seen["skipped trees"] += skipped
