@@ -351,6 +351,27 @@ class TreeInstance:
 # network
 
 
+_TREE_VERSIONS = itertools.count()  # see CognitiveNetwork.trees_version
+
+
+def _writable_entry(table: dict, owned: Optional[set[str]], key: str, empty: type):
+    """``table[key]``, to change in place: first copied if another network may hold it, new if absent.
+
+    ``owned`` holds the keys whose entries no other network holds, or is None
+    when no other network holds any.
+    """
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = empty()
+    elif owned is None or key in owned:
+        return entry
+    else:
+        entry = table[key] = entry.copy()
+    if owned is not None:
+        owned.add(key)
+    return entry
+
+
 class CognitiveNetwork:
     """Heterogeneous element store with referential integrity.
 
@@ -373,7 +394,18 @@ class CognitiveNetwork:
 
     ``knowledge`` holds a fit task's knowledge ids, which the fit rules never
     collapse, suppress or reuse as instances; it is empty outside a task.
+
+    ``layer`` makes a copy that shares this network's elements, their states
+    and the lists and sets of its indexes; only the tables that hold them are
+    copied.  Either side copies a shared element or index entry in on its
+    first write, so neither ever sees the other's changes.  The ways to write
+    are the methods here: ``add_*``, ``remove_element``, ``set_base``,
+    ``set_state``, ``state`` and ``writable``, which hands out an element whose
+    fields may be written.  An element taken from ``element``, ``concepts``
+    or ``relations`` is to read only.
     """
+
+    _OWNERSHIP = ("_own", "_own_incident", "_own_xor", "_own_derived")
 
     def __init__(self) -> None:
         self.concepts: dict[str, Concept] = {}
@@ -391,7 +423,25 @@ class CognitiveNetwork:
         self._touched: Touched = {}
         self._ready_before: Touched = {}  # the ids the last seeding found ready
         self._floor = -math.inf  # the collapse_at of the last seeding; none yet, and all touched
-        self.knowledge: frozenset[str] = frozenset()
+        # The element ids, and the keys of each index, whose objects no other network holds;
+        # None until a layer first shares them, as until then this network holds them all alone.
+        self._own: Optional[set[str]] = None
+        self._own_incident: Optional[set[str]] = None
+        self._own_xor: Optional[set[str]] = None
+        self._own_derived: Optional[set[str]] = None
+        self._knowledge: frozenset[str] = frozenset()
+        self._instance_mark = 0  # the serial from which instance_ids reads
+        self._ids: tuple[int, frozenset[str]] = (-1, frozenset())  # element_set() and its generation
+        self._trees_version = next(_TREE_VERSIONS)
+
+    @property
+    def knowledge(self) -> frozenset[str]:
+        return self._knowledge
+
+    @knowledge.setter
+    def knowledge(self, ids: frozenset[str]) -> None:
+        self._knowledge = ids
+        self._instance_mark = 0  # any element may now lie outside it
 
     # -- element access ----------------------------------------------------
 
@@ -413,10 +463,70 @@ class CognitiveNetwork:
         return el
 
     def state(self, element_id: str) -> ProbabilityState:
-        return self.element(element_id).state
+        """The element's state, to read or to write (a shared one is first copied in)."""
+        if self._own is None or element_id in self._own:
+            element = self.concepts.get(element_id) or self.relations.get(element_id)
+            if element is not None:
+                return element.state
+        return self.writable(element_id).state
+
+    def writable(self, element_id: str) -> Element:
+        """The element, to write its fields: one this network shares with a layer is first copied in.
+
+        The copy takes the same place in the tables, and its state is watched
+        by this network.
+        """
+        table = self.concepts if element_id in self.concepts else self.relations
+        element = table.get(element_id)
+        if element is None:
+            raise LookupMissing(f"unknown element: {element_id}")
+        if self._own is not None and element_id not in self._own:
+            element = table[element_id] = element.copy(self._touched)
+            self._own.add(element_id)
+        return element
+
+    def owned_ids(self) -> Optional[Collection[str]]:
+        """The elements whose objects no other network holds, to read only.
+
+        None while no layer shares anything with this network: it then holds
+        every element alone.
+        """
+        return self._own
 
     def element_ids(self) -> list[str]:
         return list(self.concepts) + list(self.relations)
+
+    def element_set(self) -> frozenset[str]:
+        """Every element id, as a frozenset built once per generation."""
+        generation, ids = self._ids
+        if generation != self._generation:
+            ids = frozenset(self.concepts).union(self.relations)
+            self._ids = (self._generation, ids)
+        return ids
+
+    def instance_ids(self) -> list[str]:
+        """The elements outside ``knowledge``, in ``element_ids()`` order.
+
+        A layer over its knowledge (``layer(knowledge=True)``) reads only the
+        elements added to it, the last entries of its serial table.
+        """
+        added = []
+        for element_id, serial in reversed(self._serial.items()):
+            if serial < self._instance_mark:
+                break
+            if element_id not in self._knowledge:
+                added.append(element_id)
+        added.reverse()
+        concepts = self.concepts
+        return [e for e in added if e in concepts] + [e for e in added if e not in concepts]
+
+    def trees_version(self) -> int:
+        """A number that changes whenever a tree is declared or forgotten, or a tree root removed.
+
+        It is unique among all networks, and a layer or a copy shares it with
+        its source until either changes its trees.
+        """
+        return self._trees_version
 
     def incident(self, element_id: str) -> list[str]:
         """Relations touching an element, in insertion order."""
@@ -498,6 +608,8 @@ class CognitiveNetwork:
         if self.has(concept.id):
             raise StructureError(f"duplicate element id: {concept.id}")
         self.concepts[concept.id] = concept
+        if self._own is not None:
+            self._own.add(concept.id)
         concept.state.watch(self._touched, concept.id)
         self._touched[concept.id] = None
         self._serial[concept.id] = self._next_serial
@@ -523,32 +635,38 @@ class CognitiveNetwork:
                 f"belong-to relation {relation.id} would make {relation.a} belong to itself"
             )
         self.relations[relation.id] = relation
+        if self._own is not None:
+            self._own.add(relation.id)
         relation.state.watch(self._touched, relation.id)
         self._touched[relation.id] = None
         self._serial[relation.id] = self._next_serial
         self._next_serial += 1
-        self._incident.setdefault(relation.a, []).append(relation.id)
-        self._incident.setdefault(relation.b, []).append(relation.id)
+        if self._own_incident is None:  # no layer shares a list, so each changes in place
+            self._incident.setdefault(relation.a, []).append(relation.id)
+            self._incident.setdefault(relation.b, []).append(relation.id)
+        else:
+            for end in (relation.a, relation.b):
+                _writable_entry(self._incident, self._own_incident, end, list).append(relation.id)
         if relation.kind is RelationKind.XOR:
-            self._xor_by_end.setdefault(relation.a, {})[relation.id] = None
-            self._xor_by_end.setdefault(relation.b, {})[relation.id] = None
+            for end in (relation.a, relation.b):
+                _writable_entry(self._xor_by_end, self._own_xor, end, dict)[relation.id] = None
         if relation.base is not None:
-            self._derived.setdefault(relation.base, {})[relation.id] = None
+            _writable_entry(self._derived, self._own_derived, relation.base, dict)[relation.id] = None
         self._generation += 1
         return relation
 
     def set_base(self, rel_id: str, base_id: Optional[str]) -> None:
         """Point a stored relation at another base relation (or at none)."""
-        rel = self.relations[rel_id]
+        rel = self.writable(rel_id)
         self._forget_base(rel)
         rel.base = base_id
         if base_id is not None:
-            self._derived.setdefault(base_id, {})[rel_id] = None
+            _writable_entry(self._derived, self._own_derived, base_id, dict)[rel_id] = None
         self._generation += 1
 
     def set_state(self, element_id: str, state: ProbabilityState) -> None:
         """Give a stored element ``state`` in place of its own state object."""
-        element = self.element(element_id)
+        element = self.writable(element_id)
         element.state.unwatch()
         element.state = state
         state.watch(self._touched, element_id)
@@ -558,11 +676,13 @@ class CognitiveNetwork:
         """Record a classified tree under its root, in place of any tree declared there."""
         self.trees[view.root] = view
         self._generation += 1
+        self._trees_version = next(_TREE_VERSIONS)
 
     def drop_tree(self, root: str) -> TreeNetworkView:
         """Forget the tree declared under ``root`` and return it; KeyError if there is none."""
         view = self.trees.pop(root)
         self._generation += 1
+        self._trees_version = next(_TREE_VERSIONS)
         return view
 
     def add_belong(self, derived: str, base: str, backward: float = 1.0) -> Relation:
@@ -597,21 +717,29 @@ class CognitiveNetwork:
                 if rel_id not in listed:
                     listed.add(rel_id)
                     removed.append(rel_id)
+            if self._own_incident is not None:
+                self._own_incident.discard(cur)
         for el_id in removed:
             del self._serial[el_id]
             self._touched.pop(el_id, None)
             self._ready_before.pop(el_id, None)
-            if el_id in self.concepts:
-                self.concepts.pop(el_id).state.unwatch()
+            if el_id in self.trees:
+                self._trees_version = next(_TREE_VERSIONS)
+            element = self.concepts.pop(el_id, None) or self.relations.pop(el_id)
+            if self._own is None:
+                element.state.unwatch()
+            elif el_id in self._own:  # a shared state stays watched by the network that holds it
+                self._own.discard(el_id)
+                element.state.unwatch()
+            if isinstance(element, Concept):
                 continue
-            rel = self.relations.pop(el_id)
-            rel.state.unwatch()
+            rel = element
             for end in (rel.a, rel.b):
                 if end not in listed:
-                    self._incident[end].remove(el_id)
+                    _writable_entry(self._incident, self._own_incident, end, list).remove(el_id)
             if rel.kind is RelationKind.XOR:
                 for end in (rel.a, rel.b):
-                    at_end = self._xor_by_end[end]
+                    at_end = _writable_entry(self._xor_by_end, self._own_xor, end, dict)
                     del at_end[el_id]
                     if not at_end:
                         del self._xor_by_end[end]
@@ -623,8 +751,8 @@ class CognitiveNetwork:
         return removed
 
     def _forget_base(self, rel: Relation) -> None:
-        derived = self._derived.get(rel.base) if rel.base is not None else None
-        if derived is not None:
+        if rel.base in self._derived:
+            derived = _writable_entry(self._derived, self._own_derived, rel.base, dict)
             derived.pop(rel.id, None)
             if not derived:
                 del self._derived[rel.base]
@@ -639,56 +767,69 @@ class CognitiveNetwork:
             candidate = f"{base}#{n}"
         return candidate
 
-    def copy(self) -> "CognitiveNetwork":
-        """A copy equal to ``copy.deepcopy(self)``, built field by field.
+    def layer(self, *, knowledge: bool = False) -> "CognitiveNetwork":
+        """A copy that shares this network's elements and index entries until either side writes them.
 
-        Every element, state, conditional pair, params dict, tree view and tree
-        instance is new; only immutable values (ids, kinds, numbers, intervals,
-        Gaussians, ``knowledge``) are shared.  The indexes hold ids and numbers,
-        so they are copied one level deep.  The clone watches its own states.
+        Only the tables are copied, each one level deep, and the tree
+        instances in full; the elements with their states, the incident lists
+        and the XOR and derived sets stay shared.  From now on both networks
+        copy a shared element or entry in on their first write to it (see the
+        class docstring), so the cost of a layer and of its writes follows
+        what changes, not the size of the network.
+
+        With ``knowledge``, every element of this network is the layer's
+        knowledge (``element_set``) and ``instance_ids`` reads only what the
+        layer adds: a fit task's network.  Otherwise the layer keeps this
+        network's knowledge, as a fork of a task does.
         """
         clone = CognitiveNetwork.__new__(CognitiveNetwork)
-        touched = dict(self._touched)
+        vars(clone).update(vars(self))
         vars(clone).update(
-            concepts={cid: c.copy(touched) for cid, c in self.concepts.items()},
-            relations={rid: r.copy(touched) for rid, r in self.relations.items()},
-            trees={root: view.copy() for root, view in self.trees.items()},
+            concepts=dict(self.concepts),
+            relations=dict(self.relations),
+            trees=dict(self.trees),
             tree_instances=[inst.copy() for inst in self.tree_instances],
             counters=dict(self.counters),
-            _incident={key: ids.copy() for key, ids in self._incident.items()},
+            _incident=dict(self._incident),
             _serial=dict(self._serial),
-            _next_serial=self._next_serial,
-            _xor_by_end={key: ids.copy() for key, ids in self._xor_by_end.items()},
-            _derived={key: ids.copy() for key, ids in self._derived.items()},
-            _generation=self._generation,
-            _valid_at=self._valid_at,
-            _touched=touched,
+            _xor_by_end=dict(self._xor_by_end),
+            _derived=dict(self._derived),
+            _touched=dict(self._touched),
             _ready_before=dict(self._ready_before),
-            _floor=self._floor,
-            knowledge=self.knowledge,
         )
+        for owned in self._OWNERSHIP:
+            setattr(clone, owned, set())
+            setattr(self, owned, set())  # what was this network's alone is shared now
+        if knowledge:
+            vars(clone).update(_knowledge=self.element_set(), _instance_mark=self._next_serial)
         return clone
+
+    def copy(self) -> "CognitiveNetwork":
+        """``copy.deepcopy(self)``: every element, state, index, tree view and tree instance is new.
+
+        ``layer`` is the cheap copy; this one is the reference it is tested against.
+        """
+        return copy.deepcopy(self)
 
     def __deepcopy__(self, memo: dict) -> "CognitiveNetwork":
         # The indexes hold only ids and numbers, so one level of copying is a deep copy.
         clone = CognitiveNetwork.__new__(CognitiveNetwork)
         memo[id(self)] = clone
-        touched: Touched = {}
+        fields: dict[str, object] = {}
         for name, value in vars(self).items():
             if name in ("_incident", "_xor_by_end", "_derived"):
                 value = {key: inner.copy() for key, inner in value.items()}
-            elif name == "_serial":
+            elif name in ("_serial", "_touched", "_ready_before"):
                 value = dict(value)
-            elif name == "_touched":
-                value = touched = dict(value)
-            elif name == "_ready_before":
-                value = dict(value)
-            else:
+            elif name in self._OWNERSHIP:
+                value = None  # the copy holds every object it has alone
+            elif name not in ("_knowledge", "_ids"):  # immutable, so shared
                 value = copy.deepcopy(value, memo)
-            setattr(clone, name, value)
+            fields[name] = value
+        vars(clone).update(fields)
         for table in (clone.concepts, clone.relations):
             for element_id, element in table.items():
-                element.state.watch(touched, element_id)
+                element.state.watch(fields["_touched"], element_id)
         return clone
 
     # -- validation --------------------------------------------------------

@@ -331,7 +331,7 @@ class FitState:
         return self.net.knowledge
 
     def instance_ids(self) -> list[str]:
-        return [e for e in self.net.element_ids() if e not in self.net.knowledge]
+        return self.net.instance_ids()
 
     def content_ids(self) -> list[str]:
         """Instance elements minus belong-to glue: the scene content proper."""
@@ -348,6 +348,19 @@ class FitState:
 
     def all_consumed(self) -> bool:
         return all(f.consumed for f in self.fragments)
+
+    def fork(self) -> "FitState":
+        """A state that goes on apart from this one.
+
+        Its network is a layer over this one's (``CognitiveNetwork.layer``),
+        so a fork costs the scene, not the knowledge; the ledger, the fragments
+        and the deferred growth are copied.
+        """
+        fragments = [copy.copy(frag) for frag in self.fragments]
+        for frag in fragments:
+            frag.excluded = list(frag.excluded)
+        # a DeferredGrowth is never changed in place, so the entries are shared
+        return FitState(self.net.layer(), self.ledger.copy(), fragments, list(self.deferred))
 
     def fully_collapsed(self, content_ids: Optional[Sequence[str]] = None) -> bool:
         """Every content element collapsed or suppressed, and at least one collapsed.
@@ -408,11 +421,16 @@ def make_task(
     concepts: Sequence[ConceptSpec] = (),
     relations: Sequence[RelationSpec] = (),
 ) -> FitTask:
-    """Ingest input fragments into a fresh fit task over a private copy of the knowledge."""
+    """Ingest input fragments into a fresh fit task, whose network is a layer over the knowledge.
+
+    The layer (``CognitiveNetwork.layer``) shares the knowledge base's
+    elements and indexes and copies in only what the task writes, so making a
+    task costs the scene; neither the task nor a later change of ``kb`` sees
+    the other's writes.
+    """
     kb.validate()
-    kb.seed_ready(config.collapse_at)  # so that the settles of the copy read the scene, not the knowledge
-    state = FitState(net=kb.copy())
-    state.net.knowledge = frozenset(kb.element_ids())
+    kb.seed_ready(config.collapse_at)  # so that the settles of the layer read the scene, not the knowledge
+    state = FitState(net=kb.layer(knowledge=True))
     task = FitTask(kb=kb, config=config, states=[state])
     ingest(task, concepts, relations)
     return task
@@ -608,9 +626,7 @@ def _process_fragment(task: FitTask, state: FitState, frag: FragmentRecord) -> N
     for alt in candidates[1:]:
         if budget <= 0:
             break
-        # the net goes through its field-by-field copy; the rest of the state is small
-        snapshot = copy.deepcopy(state, {id(state.net): state.net.copy()})
-        task.forks.append(Fork(snapshot, frag_index, alt.base))
+        task.forks.append(Fork(state.fork(), frag_index, alt.base))
         budget -= 1
     frag.consumed = True
     _commit(task, state, frag, candidates[0])

@@ -456,11 +456,11 @@ def _reestimate(
         estimates: dict[str, tuple[float, float]] = {}
         for member, count in candidate.member_counts.items():
             link_id = f"r:{root}:{member}"
-            rel = kb.relations.get(link_id)
-            if rel is None or root_count <= 0 or count <= 0:
+            if link_id not in kb.relations or root_count <= 0 or count <= 0:
                 continue
             forward = count / root_count  # P(member | root)
             backward = 1.0  # every member occurrence co-occurred with the root
+            rel = kb.writable(link_id)  # a live task keeps the conditional it was made with
             rel.cond = ConditionalProbabilityPair(min(forward, 1.0), backward)
             estimates[member] = (rel.cond.forward, rel.cond.backward)
         for (m1, m2), co in candidate.pair_counts.items():
@@ -470,7 +470,7 @@ def _reestimate(
             occ1 = candidate.member_counts.get(m1, co)
             occ2 = candidate.member_counts.get(m2, co)
             if occ1 > 0 and occ2 > 0:
-                adj.cond = ConditionalProbabilityPair(
+                kb.writable(adj.id).cond = ConditionalProbabilityPair(
                     min(co / occ1, 1.0), min(co / occ2, 1.0)
                 )
         report.estimates[root] = estimates
@@ -623,7 +623,7 @@ def _absorb_tree(
     for m_a, m_b in pairs:
         if m_a == m_b:
             continue
-        pa = kb.concepts[m_a].params
+        pa = kb.writable(m_a).params
         pb = kb.concepts[m_b].params
         for name in set(pa) & set(pb):
             pa[name] = _pool_params(pa[name], weight_a, pb[name], weight_b)

@@ -595,6 +595,9 @@ def _load_state(reader: _Reader, mode: Mode) -> FitState:
         index = _number(int, parts[1], line, line_no)
         if not 0 <= index < len(net.tree_instances):
             raise LoadError(f"deferred line {line!r} names no tree instance of the state", line_no)
+        tree = net.trees.get(net.tree_instances[index].base_root)
+        if tree is None or parts[2] not in tree.concepts:
+            raise LoadError(f"deferred line {line!r} names no concept of its instance's base tree", line_no)
         deferred.append(DeferredGrowth(index, parts[2]))
     return FitState(net=net, ledger=ledger, fragments=fragments, deferred=deferred)
 
@@ -634,7 +637,7 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
             processed = _number(int, value, line, line_no)
 
     kb = _parse_block_kb(reader, "kb")
-    knowledge = frozenset(kb.element_ids())
+    knowledge = kb.element_set()
 
     trace = Trace()
     for line_no, line in _read_block(reader, "trace"):

@@ -25,7 +25,8 @@ network itself:
   only one key per root is live.  A root the matched network no longer
   declares loses its memo when a new root gets one.
 * The memos hang off their owner in a weak mapping, so they die with it and
-  never reach ``copy()``, ``copy.deepcopy``, ``serialize_kb`` or a session.
+  never reach ``layer()``, ``copy()``, ``copy.deepcopy``, ``serialize_kb`` or
+  a session.
 * One memo holds at most ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT``
   launches; a full table starts over.
 """
@@ -110,24 +111,105 @@ def trees_taking(net: CognitiveNetwork, element: str, config: EngineConfig) -> l
     the element.  The trees whose matching can raise qualify too: nesting past
     ``match_depth_limit`` (DepthError), a root that is no concept, and in
     Mode.SIMPLIFIED any member tree, whose membership may pass 1.
+
+    The trees come from ``_TreeIndex``: those holding an element of the
+    fragment's up-closure, since an unvalued tree concept takes the element
+    only if it lies in that closure.  A valued one (a ``value``, or a
+    Gaussian ``value`` param) may take a valued element from outside it, so
+    a fragment concept with a value still reads every tree.
     """
     if element not in net.concepts:
         return list(net.trees)
+    index = _tree_index(net)
     up = up_closure(net, element)
-
-    def lands(tree: TreeNetworkView, depth: int) -> bool:
-        if depth > config.match_depth_limit or tree.root not in net.concepts:
-            return True
-        for cid in tree.concepts:
-            if _membership(net, element, cid, up) > 0.0:
-                return True
-            if cid != tree.root and cid in net.trees and (
-                config.mode is Mode.SIMPLIFIED or lands(net.trees[cid], depth + 1)
+    direct: set[str] = set()
+    for near in up:
+        holders = index.holding.get(near)
+        if holders and _membership(net, element, near, up) > 0.0:
+            direct.update(holders)
+    if net.concepts[element].value is not None:
+        for root, tree in net.trees.items():
+            if root not in direct and any(
+                _membership(net, element, cid, up) > 0.0 for cid in tree.concepts if cid not in up
             ):
-                return True
-        return False
+                direct.add(root)
+    return sorted(index.landing(direct, config), key=index.position.__getitem__)
 
-    return [root for root, tree in net.trees.items() if lands(tree, 0)]
+
+class _TreeIndex:
+    """Which trees hold each concept and how trees nest, for one ``trees_version`` of a network.
+
+    It depends on the tree views and the roots alone, so the knowledge base,
+    every task layer made from it and every fork share one index.
+    """
+
+    def __init__(self, net: CognitiveNetwork) -> None:
+        trees = net.trees
+        self.position = {root: i for i, root in enumerate(trees)}
+        self.not_concept = [root for root in trees if root not in net.concepts]
+        self.holding: dict[str, list[str]] = {}  # concept -> roots of the trees listing it
+        self.parents: dict[str, list[str]] = {}  # member tree root -> roots of the trees nesting it
+        for root, tree in trees.items():
+            for cid in tree.concepts:
+                self.holding.setdefault(cid, []).append(root)
+                if cid != root and cid in trees:
+                    self.parents.setdefault(cid, []).append(root)
+        self._anyway: dict[tuple[bool, int], set[str]] = {}
+
+    def landing(self, direct: set[str], config: EngineConfig) -> set[str]:
+        """The trees that take a fragment which the ``direct`` trees take themselves.
+
+        In Mode.EXACT a tree nesting a direct one at most ``match_depth_limit``
+        levels up takes it too; the trees that land anyway are added.
+        """
+        landed = direct | self.anyway(config)
+        if config.mode is not Mode.SIMPLIFIED:
+            frontier = direct
+            for _ in range(config.match_depth_limit):
+                frontier = {p for child in frontier for p in self.parents.get(child, ()) if p not in landed}
+                if not frontier:
+                    break
+                landed |= frontier
+        return landed
+
+    def anyway(self, config: EngineConfig) -> set[str]:
+        """The trees whose matching may raise whatever the fragment.
+
+        A tree whose root is no concept; in Mode.SIMPLIFIED every tree with a
+        member tree, and in Mode.EXACT every tree with a chain of
+        ``match_depth_limit`` + 1 member trees nested below it.
+        """
+        key = (config.mode is Mode.SIMPLIFIED, config.match_depth_limit)
+        found = self._anyway.get(key)
+        if found is None:
+            found = self._anyway[key] = self._raising(*key)
+        return found
+
+    def _raising(self, simplified: bool, limit: int) -> set[str]:
+        if limit < 0:
+            return set(self.position)  # matching raises at the top already
+        if simplified:
+            deep = {p for parents in self.parents.values() for p in parents}
+        else:
+            deep = set(self.position)  # after k rounds: the trees with a chain of k nested below
+            for _ in range(limit + 1):
+                deep = {p for child in deep for p in self.parents.get(child, ())}
+        return deep | set(self.not_concept)
+
+
+_TREE_INDEXES: dict[int, _TreeIndex] = {}
+_TREE_INDEX_LIMIT = 8  # tree versions kept; a full table starts over
+
+
+def _tree_index(net: CognitiveNetwork) -> _TreeIndex:
+    """The index of ``net``'s trees as they are now, built once per ``trees_version``."""
+    version = net.trees_version()
+    index = _TREE_INDEXES.get(version)
+    if index is None:
+        if len(_TREE_INDEXES) >= _TREE_INDEX_LIMIT:
+            _TREE_INDEXES.clear()
+        index = _TREE_INDEXES[version] = _TreeIndex(net)
+    return index
 
 
 _SCRATCH_LIMIT = 16  # scratches (distinct relation degrees) one tree memo holds

@@ -294,6 +294,15 @@ class ContributionLedger:
         self._by_origin[entry.source][seq] = entry
         self._by_origin[entry.via][seq] = entry
 
+    def copy(self) -> "ContributionLedger":
+        """A ledger equal to this one, with entries and launch records of its own."""
+        clone = ContributionLedger()
+        for e in self.entries:  # in append order, so every index keeps its order
+            clone.add(LedgerEntry(e.launch_id, e.source, e.target, e.via, e.contribution, e.sealed))
+        clone.launches = [LaunchRecord(r.launch_id, r.source, r.delta, r.sealed) for r in self.launches]
+        clone.next_launch_id = self.next_launch_id
+        return clone
+
     def replay(self, initial: float, target: str, mode: Mode = Mode.EXACT) -> float:
         acc = initial
         for e in self._by_target.get(target, {}).values():
@@ -348,7 +357,9 @@ def _unindex(index: dict, key, seq: int) -> None:
 
 # The kernel writes states through their slots, which skips the hook of a
 # watched state (``ProbabilityState``), and adds what it changed to the
-# network's touched set itself.
+# network's touched set itself.  It takes each state it writes from
+# ``state``, or copies a shared element in through ``writable`` first, so a
+# layer never writes what it shares (``CognitiveNetwork.layer``).
 _write_input = ProbabilityState.input_prob.__set__
 _write_result = ProbabilityState.result_prob.__set__
 _write_status = ProbabilityState.status.__set__
@@ -413,7 +424,7 @@ def pps_launch(
     """
     if not 0.0 < delta <= 1.0:
         raise ParameterError(f"launch delta must lie in (0, 1], got {delta}")
-    relations, concepts, touched = net.relations, net.concepts, net.touched()
+    relations, concepts, touched, owned = net.relations, net.concepts, net.touched(), net.owned_ids()
     src_state = net.state(source)
     _write_launched(src_state, True)
     if launch is None:
@@ -473,11 +484,15 @@ def pps_launch(
         visited.add(target)
         if rel.state.status is Status.SUPERPOSED and rel.id not in visited:
             visited.add(rel.id)
+            if owned is not None and rel.id not in owned:
+                rel = net.writable(rel.id)
             _apply_contribution(
                 rel.state, rel, config, ledger, trace, touched, launch_id, upstream, rel.id,
                 contribution, "contribute",
             )
             reached.append(rel.id)
+        if owned is not None and target not in owned:
+            target_el = net.writable(target)
         _apply_contribution(
             target_el.state, rel, config, ledger, trace, touched, launch_id, upstream, target,
             contribution, "superpose",
@@ -497,7 +512,7 @@ def undo_launch(net: CognitiveNetwork, ledger: ContributionLedger, launch_id: in
     """Remove one launch's entries and restore each touched target by replay."""
     removed = ledger.remove_launch(launch_id)
     for entry in removed:
-        if net.has(entry.target) and net.state(entry.target).status is not Status.COLLAPSED:
+        if net.has(entry.target) and net.element(entry.target).state.status is not Status.COLLAPSED:
             _restore_result(net, ledger, entry.target, mode)
 
 
@@ -572,7 +587,7 @@ class _ReadyQueue:
     def ready(self, element_id: str) -> bool:
         if element_id in self.net.knowledge:
             return False
-        state = self.net.state(element_id)
+        state = self.net.element(element_id).state
         return state.status is Status.SUPERPOSED and self.config.collapse_ready(state.result_prob)
 
     def offer(self, element_ids: Sequence[str]) -> None:
@@ -605,7 +620,7 @@ def _cascade(
     while x is not None:
         partners = _xor_partners(net, x)
         for partner in partners:
-            if net.state(partner).status is Status.COLLAPSED:
+            if net.element(partner).state.status is Status.COLLAPSED:
                 raise ConflictError(
                     f"cannot collapse {x}: mutually exclusive partner {partner} is already certain"
                 )

@@ -146,7 +146,7 @@ def query_reason(
         return QueryOutcome([ReasonedAnswer(b, []) for b in direct], budget_exhausted=False)
 
     config = config or EngineConfig()
-    # deepcopy, not store.copy(): bench/run.py keeps one sample per op, so faster ops raise peak_rss_mb
+    # deepcopy, not store.layer(): bench/run.py keeps one sample per op, so faster ops raise peak_rss_mb
     overlay = copy.deepcopy(store)
     ledger = ContributionLedger()
     trace = NullTrace()

@@ -16,7 +16,7 @@ from dcnet.core import (
     StructureError,
     classify_tree_network,
 )
-from dcnet.growth import ConceptSpec, FitState, FitTask, fit_step, make_task
+from dcnet.growth import ConceptSpec, FitState, FitTask, RelationSpec, fit_step, make_task
 from dcnet.probability import EngineConfig
 
 
@@ -211,6 +211,49 @@ def shared_member_kb(rng: random.Random) -> CognitiveNetwork:
         declare_tree(kb, root, scope)
     relation(kb, "x01", RelationKind.XOR, "t0", "t1", pba=0.0, pab=0.0)
     return kb
+
+
+def tree_kb(trees: int) -> CognitiveNetwork:
+    """``trees`` five-member trees, each member linked to its root and to the next member.
+
+    Every fourth tree takes the previous tree's last member as its first, and
+    every third root is XOR-tied to the next one: the shape of the
+    benchmark's ``fit_scenes`` knowledge, at any size.
+    """
+    kb = CognitiveNetwork()
+    previous: list[str] = []
+    for t in range(trees):
+        root = f"o{t}"
+        members = [f"o{t}p{i}" for i in range(5)]
+        if t % 4 == 0 and t > 0:
+            members[0] = previous[4]
+        concept(kb, root)
+        for member in members:
+            if not kb.has(member):
+                concept(kb, member)
+        scope = [root, *members]
+        for i, member in enumerate(members):
+            scope.append(relation(kb, f"h{t}.{i}", RelationKind.HAS_COMPONENT, root, member, pba=0.9, pab=0.8).id)
+        for i in range(4):
+            relation(kb, f"j{t}.{i}", RelationKind.ADJOINING, members[i], members[i + 1], pba=0.7, pab=0.7)
+            scope.append(f"j{t}.{i}")
+        declare_tree(kb, root, scope)
+        previous = members
+    for t in range(0, trees - 1, 3):
+        relation(kb, f"x{t}", RelationKind.XOR, f"o{t}", f"o{t + 1}", pba=0.0, pab=0.0)
+    return kb
+
+
+def tree_scene(trees: list[int]) -> tuple[list[ConceptSpec], list[RelationSpec]]:
+    """Three members of each listed tree of ``tree_kb`` as inputs, with ADJOINING relations between them."""
+    concepts, relations = [], []
+    for k, t in enumerate(trees):
+        ids = [f"k{k}.o{t}p{i}" for i in range(1, 4)]
+        concepts += [ConceptSpec(base=f"o{t}p{i}", p=0.3 + 0.2 * i, as_id=inst) for i, inst in zip(range(1, 4), ids)]
+        relations += [
+            RelationSpec(rel_id=f"{a}~{b}", kind=RelationKind.ADJOINING, a=a, b=b) for a, b in zip(ids, ids[1:])
+        ]
+    return concepts, relations
 
 
 def fork_task(rng: random.Random) -> FitTask:

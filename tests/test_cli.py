@@ -179,6 +179,21 @@ def test_fit_corrupt_session_is_a_load_error(tmp_path, capsys, prefix, bad):
     assert f"load error at line {at + 1}" in capsys.readouterr().err
 
 
+def test_fit_session_deferring_no_member_of_its_tree_is_a_load_error(tmp_path, capsys):
+    """A ``defer`` line naming no concept of its instance's base tree fails the load, not the fit."""
+    session = tmp_path / "run.session"
+    args = ["--scenario", str(DATA / "face.scenario"), "--session", str(session)]
+    assert main(["fit", "--kb", str(DATA / "face.kb"), *args, "--max-fragments", "2"]) == 0
+    lines = session.read_text(encoding="utf-8").split("\n")
+    at = lines.index("begin deferred") + 1
+    lines.insert(at, "defer 0 nope")
+    session.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", *args]) == 2
+    err = capsys.readouterr().err
+    assert f"load error at line {at + 1}" in err and "'defer 0 nope'" in err
+
+
 def test_match_command(capsys, tmp_path):
     fragment = tmp_path / "frag.scenario"
     fragment.write_text("input eye p=1.0 as=eye1\n", encoding="utf-8")

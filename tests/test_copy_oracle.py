@@ -1,13 +1,24 @@
-"""Differential test of ``CognitiveNetwork.copy()`` against ``copy.deepcopy``, the reference copy.
+"""Differential test of ``CognitiveNetwork.layer()`` against ``copy.deepcopy``, the reference copy.
 
-``copy()`` builds the clone field by field.  On seeded random networks (with
-declared trees, tree instances, Gaussian conditionals, params and counters) and on the networks of fitted tasks with forks, it must equal the
-deep copy, share no mutable object with the original, and stay independent:
-launches, collapses, removals, additions, ``set_base`` calls and direct
-writes on either side leave the other side as it was.  The comparison takes
-in the record of the last ready seeding (touched set, ready set, threshold)
-and each state's slots, and every state of either copy must report its
-writes to its own network alone.
+A layer copies only the tables and shares the elements, their states and
+the index entries with its source until either side writes them.  On seeded
+random networks (with declared trees, tree instances, Gaussian conditionals,
+params and counters) and on the networks of fitted tasks with forks, a layer
+must equal the deep copy, copy no element when it is made, and stay
+independent: launches, collapses, removals, additions, ``set_base`` calls
+and writes through ``state`` and ``writable`` on either side leave the other
+side as it was.  The comparison takes in the record of the last ready seeding
+(touched set, ready set, threshold) and each state's slots, and every state
+of either copy must report its writes to its own network alone.
+
+A fit task's network is such a layer over its knowledge base.  Random
+launches, collapses, settles, removals, ingests (with scenario relations
+ending on knowledge concepts, whose launches spread into the knowledge),
+forks and changes of the knowledge base itself are applied to a task's
+layer and to a deep copy of it; the two must agree element by element and
+index by index after every step, and the knowledge base must read as a deep
+copy of it changed alike, so a task never moves the knowledge base and a
+later change of the knowledge base never shows in a live task.
 """
 from __future__ import annotations
 
@@ -15,25 +26,31 @@ import copy
 import random
 from enum import Enum
 
+from collections import Counter
+
 from dcnet.core import (
     CognitiveNetwork,
+    Concept,
     ConditionalProbabilityPair,
     DcnetError,
     Gaussian,
     Interval,
+    ProbabilityState,
     Relation,
     RelationKind,
     TreeInstance,
     declare_tree,
 )
+from dcnet.growth import ConceptSpec, RelationSpec, make_task
 from dcnet.kbio import serialize_kb
-from dcnet.probability import ContributionLedger, EngineConfig, collapse_element, pps_launch
+from dcnet.probability import ContributionLedger, EngineConfig, collapse_element, pps_launch, settle
 from dcnet.trace import Trace
 
 from scenes import assert_same_network, concept, fork_task, random_network, relation, step_fork_task
 
 CASES = 250
 FORK_TASKS = 30
+TASKS = 150
 IMMUTABLE = (str, int, float, bool, type(None), Enum, Interval, Gaussian)
 
 
@@ -67,29 +84,17 @@ def extended_network(rng: random.Random) -> CognitiveNetwork:
 
 
 def attributes(obj) -> dict[str, object]:
-    """An object's own attributes: its ``__dict__``, or its slots (a state's touched set and id too)."""
+    """An object's own attributes: its ``__dict__``, or its slots (a state's id too).
+
+    A state's touched set shows only as whether there is one: a state a layer
+    shares reports to the network it came from (``assert_watched`` checks where
+    writes go), and that set moves with the writes of that network.
+    """
     if hasattr(obj, "__dict__"):
         return vars(obj)
-    return {name: getattr(obj, name) for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
-
-
-def mutable_objects(obj, found: dict | None = None) -> dict[int, object]:
-    """Every mutable object reachable from ``obj``, by id (tuples are walked, not counted)."""
-    found = {} if found is None else found
-    if isinstance(obj, IMMUTABLE) or id(obj) in found:
-        return found
-    if isinstance(obj, (tuple, frozenset)):
-        items = obj
-    else:
-        found[id(obj)] = obj
-        if isinstance(obj, dict):
-            items = [x for pair in obj.items() for x in pair]
-        elif isinstance(obj, (list, set)):
-            items = obj
-        else:
-            items = attributes(obj).values()
-    for item in items:
-        mutable_objects(item, found)
+    found = {name: getattr(obj, name) for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
+    if "_touched" in found:
+        found["_touched"] = found["_touched"] is not None
     return found
 
 
@@ -120,20 +125,26 @@ def assert_watched(net: CognitiveNetwork, others: list[CognitiveNetwork]) -> Non
     assert [list(other.touched()) for other in others] == before
 
 
-def check_copy(net: CognitiveNetwork) -> CognitiveNetwork:
-    clone = net.copy()
+def shape_of(net: CognitiveNetwork):
+    """``shape(net)`` without the record of which objects ``net`` holds alone."""
+    return shape({name: value for name, value in vars(net).items() if name not in CognitiveNetwork._OWNERSHIP})
+
+
+def check_layer(net: CognitiveNetwork) -> CognitiveNetwork:
     reference = copy.deepcopy(net)
+    clone = net.layer()
     assert_same_network(clone, reference)
-    assert shape(clone) == shape(reference)  # the private indexes and the seeding record too, in order
-    shared = mutable_objects(net).keys() & mutable_objects(clone).keys()
-    assert not shared, [type(mutable_objects(net)[i]).__name__ for i in shared]
-    assert_watched(clone, [net, reference])
-    assert_watched(reference, [net, clone])
+    assert shape_of(clone) == shape_of(reference)  # the private indexes and the seeding record too, in order
+    assert clone.owned_ids() == set() == net.owned_ids()  # every element is shared, none copied
+    assert all(clone.element(e) is net.element(e) for e in net.element_ids())
+    watched = net.layer()  # writing every state copies every element in, so on a layer of its own
+    assert_watched(watched, [net, clone, reference])
+    assert set(watched.owned_ids()) == set(net.element_ids())
     return clone
 
 
 def mutate(net: CognitiveNetwork, rng: random.Random, step: int) -> None:
-    """One random engine call or direct write; an engine error leaves what it did."""
+    """One random engine call or write through the network; an engine error leaves what it did."""
     config, ledger, trace = EngineConfig(), ContributionLedger(), Trace()
     ids = net.element_ids()
     op = rng.randrange(8)
@@ -153,15 +164,17 @@ def mutate(net: CognitiveNetwork, rng: random.Random, step: int) -> None:
             same = [r for r in net.relations if net.relations[r].kind is rel.kind and r != rel.id]
             net.set_base(rel.id, rng.choice(same + [None]))
         elif op == 5:
-            el = net.element(rng.choice(ids))
+            el = net.writable(rng.choice(ids))
             el.params[f"k{rng.randrange(3)}"] = rng.random()
-            el.state.result_prob = rng.random()
+            net.state(rng.choice(ids)).result_prob = rng.random()
         elif op == 6 and isinstance(net.element(ids[-1]), Relation):
-            net.element(ids[-1]).cond.forward = rng.random()
+            net.writable(ids[-1]).cond.forward = rng.random()
         elif op == 7:
-            for view in net.trees.values():
-                view.concepts.append(f"v{step}")
-                view.longitudinal.clear()
+            for view in list(net.trees.values()):  # a tree view is changed by declaring another
+                changed = view.copy()
+                changed.concepts.append(f"v{step}")
+                changed.longitudinal.clear()
+                net.set_tree(changed)
             for inst in net.tree_instances:
                 inst.mapping[f"m{step}"] = "x"
             net.counters[f"c{step}"] = step
@@ -170,14 +183,21 @@ def mutate(net: CognitiveNetwork, rng: random.Random, step: int) -> None:
 
 
 def check_independence(net: CognitiveNetwork, rng: random.Random) -> None:
-    """Copy ``net``, then change the original or the copy; the other side must not move."""
-    clone = check_copy(net)
+    """Layer ``net``, then change the original or the layer; the other side must not move.
+
+    The side that changes must end as a deep copy changed alike.
+    """
+    reference = copy.deepcopy(net)
+    clone = check_layer(net)
     changed, other = (net, clone) if rng.random() < 0.5 else (clone, net)
-    text, before = serialize_kb(other, with_state=True), shape(other)
+    text, before = serialize_kb(other, with_state=True), shape_of(other)
     for step in range(8):
-        mutate(changed, rng, step)
+        draw = rng.random()
+        mutate(changed, random.Random(draw), step)
+        mutate(reference, random.Random(draw), step)
         assert serialize_kb(other, with_state=True) == text
-    assert shape(other) == before
+        assert_same_network(changed, reference)
+    assert shape_of(other) == before
 
 
 def test_a_copy_of_a_random_network_equals_its_deep_copy_and_changes_apart():
@@ -197,3 +217,119 @@ def test_a_copy_of_a_fitted_network_equals_its_deep_copy_and_changes_apart():
         for state in task.states:
             check_independence(state.net, rng)
     assert forks >= FORK_TASKS  # most tasks forked, and the forks' nets were checked too
+
+
+# ---------------------------------------------------------------------------
+# a task's layer over its knowledge base
+
+
+def scene(kb: CognitiveNetwork, rng: random.Random, tag: str) -> tuple[list[ConceptSpec], list[RelationSpec]]:
+    """Two to four inputs under knowledge concepts, and relations from them, some to knowledge concepts."""
+    known = sorted(kb.concepts)
+    concepts = [
+        ConceptSpec(base=rng.choice(known), p=rng.choice([0.3, 0.6, 0.95]), as_id=f"{tag}{k}")
+        for k in range(rng.randint(2, 4))
+    ]
+    relations = []
+    for k in range(rng.randint(1, 3)):
+        a = rng.choice(concepts).as_id
+        b = rng.choice(known) if rng.random() < 0.6 else rng.choice(concepts).as_id
+        if a != b:
+            kind = rng.choice([RelationKind.HAS_PART, RelationKind.ADJOINING])
+            relations.append(RelationSpec(f"{tag}r{k}", kind, a, b, pba=rng.choice([0.9, 1.0]), p=0.5))
+    return concepts, relations
+
+
+def change_knowledge(kb: CognitiveNetwork, rng: random.Random, step: int) -> None:
+    """One change to a knowledge base, of the kinds learning makes."""
+    ids = kb.element_ids()
+    op = rng.randrange(5)
+    try:
+        if op == 0:
+            new = concept(kb, f"learned{step}").id
+            relation(kb, f"lr{step}", RelationKind.HAS_COMPONENT, new, rng.choice(ids), pba=0.7)
+        elif op == 1 and kb.relations:
+            kb.writable(rng.choice(list(kb.relations))).cond = ConditionalProbabilityPair(0.5, 0.4)
+        elif op == 2:
+            kb.writable(rng.choice(ids)).params["w"] = float(step)
+        elif op == 3:
+            kb.remove_element(rng.choice(ids))
+        elif kb.trees:
+            kb.drop_tree(rng.choice(list(kb.trees)))
+    except DcnetError:
+        pass
+
+
+def task_step(world: dict, rng: random.Random, step: int, seen: Counter) -> None:
+    """One random change of the task's network, the same on the layer and on its deep copy."""
+    draw, kind = rng.random(), rng.choice(["launch", "collapse", "settle", "remove", "ingest", "fork", "kb"])
+    seen[kind] += 1
+    if kind == "fork":
+        if rng.random() < 0.5:  # go on with the fork, or go on with the original and keep the fork
+            world["net"] = world["net"].layer()
+        else:
+            world["forks"].append((world["net"].layer(), copy.deepcopy(world["deep"])))
+        world["deep"] = copy.deepcopy(world["deep"])
+        return
+    if kind == "kb":
+        change_knowledge(world["kb"], random.Random(draw), step)
+        change_knowledge(world["kb_deep"], random.Random(draw), step)
+        return
+    for side in ("net", "deep"):
+        net, pick = world[side], random.Random(draw)
+        ids, config = net.element_ids(), world["config"]
+        ledger, trace = world[f"{side} ledger"], world[f"{side} trace"]
+        try:
+            if kind == "launch":
+                pps_launch(net, pick.choice(ids), pick.choice([0.5, 1.0]), config, ledger, trace)
+            elif kind == "collapse":
+                collapse_element(net, pick.choice(ids), config, ledger, trace)
+            elif kind == "settle":
+                settle(net, config, ledger, trace)
+            elif kind == "remove":
+                net.remove_element(pick.choice(ids))
+            else:
+                concepts, relations = scene(world["kb"], pick, f"in{step}.")
+                for spec in concepts:
+                    net.add_concept(Concept(id=spec.as_id, state=ProbabilityState(spec.p, spec.p)))
+                    net.add_belong(spec.as_id, spec.base)
+                for spec in relations:
+                    relation(net, spec.rel_id, spec.kind, spec.a, spec.b, pba=spec.pba)
+        except DcnetError:
+            pass
+
+
+def test_a_task_layer_and_a_deep_copy_of_it_stay_equal_and_the_knowledge_base_unmoved():
+    seen: Counter = Counter()
+    for seed in range(TASKS):
+        rng = random.Random(f"layer/{seed}")
+        kb = extended_network(rng)
+        kb.validate()
+        config = EngineConfig()
+        concepts, relations = scene(kb, rng, "s")
+        try:
+            task = make_task(kb, config, concepts, relations)
+        except DcnetError:
+            continue
+        net = task.states[0].net
+        assert net.knowledge == frozenset(kb.element_ids()) and set(net.owned_ids()) == set(net.instance_ids())
+        world = {
+            "kb": kb, "kb_deep": copy.deepcopy(kb), "config": config, "forks": [],
+            "net": net, "deep": copy.deepcopy(net),
+            "net ledger": ContributionLedger(), "deep ledger": ContributionLedger(),
+            "net trace": Trace(), "deep trace": Trace(),
+        }
+        for step in range(rng.randint(6, 14)):
+            task_step(world, rng, step, seen)
+            layer, deep = world["net"], world["deep"]
+            assert_same_network(layer, deep)
+            assert layer.instance_ids() == [e for e in deep.element_ids() if e not in deep.knowledge]
+            assert serialize_kb(world["kb"], with_state=True) == serialize_kb(world["kb_deep"], with_state=True)
+            assert_same_network(world["kb"], world["kb_deep"])
+            seen["knowledge written in the task"] += bool(set(layer.owned_ids()) & layer.knowledge)
+            for fork, fork_deep in world["forks"]:
+                assert_same_network(fork, fork_deep)
+    # every kind of step ran, launches wrote knowledge elements into tasks, and so did the steps
+    # after a change of the knowledge base
+    assert min(seen[k] for k in ("launch", "collapse", "settle", "remove", "ingest", "fork", "kb")) >= 100, seen
+    assert seen["knowledge written in the task"] >= 300, seen

@@ -211,7 +211,7 @@ class TestDerivedNetwork:
 
 class TestCopy:
     def test_a_copy_and_its_indexes_change_apart_from_the_original(self):
-        for make_copy in (CognitiveNetwork.copy, copy.deepcopy):
+        for make_copy in (CognitiveNetwork.layer, CognitiveNetwork.copy, copy.deepcopy):
             net = CognitiveNetwork()
             for cid in ("a", "b", "c"):
                 _concept(net, cid)
@@ -230,7 +230,9 @@ class TestCopy:
             assert clone.incident("a") == ["r", "s"] and clone.relations_based_on("r") == ["s"]
             assert clone.xor_relations() == ["y"] and set(clone.xor_ends()) == {"b", "c"}
             assert clone.position_key("s") > clone.position_key("r") > clone.position_key("c")
-            assert "s" not in net.relations and clone.relations["r"] is not net.relations["r"]
+            assert "s" not in net.relations
+            # a layer shares what neither side has written; a copy shares nothing
+            assert (clone.relations["r"] is net.relations["r"]) is (make_copy is CognitiveNetwork.layer)
             # an XOR relation removed on the original side leaves the copy's index as it was
             net.remove_element("y")
             assert set(net.xor_ends()) == {"a", "c"} and list(net.xor_relations_at("c")) == ["x"]

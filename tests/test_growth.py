@@ -38,6 +38,8 @@ from scenes import (
     face_kb,
     face_task,
     fork_task,
+    tree_kb,
+    tree_scene,
     member_tree_kb,
     relation,
     step_fork_task,
@@ -227,6 +229,15 @@ class TestKnowledgeSet:
         assert state.kb_ids is state.net.knowledge
         with pytest.raises(AttributeError):
             state.kb_ids = frozenset()
+
+    def test_tasks_share_the_set_the_knowledge_base_keeps_per_generation(self):
+        kb = face_kb()
+        first = make_task(kb, EngineConfig(), [ConceptSpec(base="eye", p=0.6, as_id="eye1")])
+        second = make_task(kb, EngineConfig(), [ConceptSpec(base="nose", p=0.6, as_id="nose1")])
+        assert first.states[0].net.knowledge is second.states[0].net.knowledge is kb.element_set()
+        concept(kb, "brow")
+        third = make_task(kb, EngineConfig())
+        assert "brow" in third.states[0].net.knowledge and "brow" not in first.states[0].net.knowledge
 
     def test_copies_and_fork_snapshots_share_the_set(self):
         forks = 0
@@ -439,3 +450,70 @@ class TestOrderInvariance:
                 baseline = snapshot
             else:
                 assert snapshot == baseline
+
+
+class TestTaskLayer:
+    """A task's network is a layer over its knowledge base, so making one costs the scene.
+
+    The counts are of elements, not of time: the layer holds as its own only
+    what the task ingested, whatever the size of the knowledge base.
+    """
+
+    SHARED = ConceptSpec(base="o3p4", p=0.6, as_id="shared")  # o3's last member is o4's first
+
+    def _task(self, trees: int):
+        kb = tree_kb(trees)
+        concepts, relations = tree_scene([1, 2, 5])
+        return kb, make_task(kb, EngineConfig(), [self.SHARED, *concepts], relations)
+
+    def test_make_task_owns_only_what_it_ingested_whatever_the_knowledge(self):
+        concepts, relations = tree_scene([1, 2, 5])
+        concepts.append(self.SHARED)
+        ingested = [c.as_id for c in concepts] + [f"belong:{c.as_id}:{c.base}" for c in concepts]
+        ingested += [r.rel_id for r in relations]
+        owned = []
+        for trees in (12, 768):
+            kb, task = self._task(trees)
+            net = task.states[0].net
+            assert sorted(net.owned_ids()) == sorted(net.instance_ids()) == sorted(ingested)
+            assert not set(net.instance_ids()) & set(kb.element_ids())
+            assert kb.owned_ids() == set()  # the knowledge base shares all it holds with the task
+            owned.append(len(net.owned_ids()))
+        assert owned[0] == owned[1] == 26
+
+    def test_a_fork_owns_no_more_than_the_state_it_was_made_from(self):
+        for trees in (12, 768):
+            kb, task = self._task(trees)
+            while not task.forks and fit_step(task):
+                pass
+            assert task.forks, "the shared member has two trees to take it"
+            state, fork = task.states[0], task.forks[0].state
+            assert len(fork.net.owned_ids()) <= len(state.net.owned_ids())
+            assert fork.net.instance_ids() and not set(fork.net.instance_ids()) & set(kb.element_ids())
+            assert fork.net.knowledge is state.net.knowledge
+            fit_run(task)
+            for each in task.states:
+                assert not set(each.instance_ids()) & set(kb.element_ids())
+                assert set(each.instance_ids()) <= set(each.net.element_ids())
+
+    def test_a_fork_equals_a_deep_copy_of_its_state_and_changes_apart(self):
+        checked = 0
+        for seed in range(20):
+            task = fork_task(random.Random(seed))
+            for _, _ in zip(range(2), step_fork_task(task)):
+                pass
+            for state in task.states + [fork.state for fork in task.forks]:
+                reference = copy.deepcopy(state)
+                fork = state.fork()
+                assert_same_state(fork, reference)
+                for frag in fork.fragments:
+                    frag.excluded.append("elsewhere")
+                    frag.consumed = not frag.consumed
+                for rec in fork.ledger.launches:
+                    rec.sealed = True
+                for element in fork.net.element_ids():
+                    fork.ledger.seal_element(element)
+                fork.deferred.clear()
+                assert_same_state(state, reference)
+                checked += bool(state.ledger.launches)
+        assert checked >= 20

@@ -367,7 +367,7 @@ def test_ready_scan_matches_the_oracle():
 
 SEEDING_STEPS = (
     "launch", "write result", "write status", "collapse", "settle", "remove", "add", "set state",
-    "copy", "deep copy", "fork snapshot", "threshold", "knowledge ids",
+    "copy", "layer", "deep copy", "fork snapshot", "threshold", "knowledge ids",
 )
 
 
@@ -394,15 +394,14 @@ def _seeding_step(kind: str, world: dict, rng: random.Random, step: int) -> None
     elif kind == "set state":
         p = rng.choice([0.5, 0.95])
         net.set_state(rng.choice(ids), ProbabilityState(p, p, rng.choice(list(Status))))
-    elif kind == "copy":
-        clone = net.copy()
+    elif kind in ("copy", "layer"):
+        clone = net.copy() if kind == "copy" else net.layer()
         if rng.random() < 0.5:
             world["net"] = clone  # else the original goes on, and the copy must not have moved it
     elif kind == "deep copy":
         world["net"] = copy.deepcopy(net)
     elif kind == "fork snapshot":  # as growth forks a fit state
-        state = FitState(net=net, ledger=ledger)
-        snapshot = copy.deepcopy(state, {id(net): net.copy()})
+        snapshot = FitState(net=net, ledger=ledger).fork()
         world["net"], world["ledger"] = snapshot.net, snapshot.ledger
     elif kind == "threshold":
         if rng.random() < 0.2:

@@ -3,9 +3,12 @@ object's private names."""
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
 import dcnet
+
+from scenes import fork_task, step_fork_task
 
 SRC = Path(dcnet.__file__).parent
 
@@ -161,21 +164,49 @@ def _deepcopy_uses(tree: ast.Module) -> list[str]:
 
 
 def test_deep_copies_stay_where_they_are_meant_to_be():
-    """``copy.deepcopy`` serves only the reference copy, the fork snapshot and the query overlay.
+    """``copy.deepcopy`` serves only the reference copy and the query overlay.
 
-    Whole-network copies on hot paths go through ``CognitiveNetwork.copy()``.  The fork
-    snapshot keeps calling ``copy.deepcopy`` through growth's ``copy`` name, which
-    ``bench/spans.py`` patches to count forks.
+    A fit task's network and its forks are layers over the knowledge base
+    (``CognitiveNetwork.layer``), so neither growth nor learning deep-copies.
+    The query overlay stays a deep copy until ROADMAP item 3 replaces it.
     """
     uses = {
         path.stem: _deepcopy_uses(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: where for name, where in uses.items() if where} == {
-        "core": ["__deepcopy__"],
-        "growth": ["_process_fragment"],
+        "core": ["copy", "__deepcopy__"],
         "query": ["query_reason"],
     }
+
+
+def test_the_fit_path_copies_no_whole_network(monkeypatch):
+    """Fits that fork and a learning run never copy a network element by element."""
+
+    def refuse(*args):
+        raise AssertionError("a whole network was copied on the fit path")
+
+    monkeypatch.setattr(dcnet.CognitiveNetwork, "copy", refuse)
+    monkeypatch.setattr(dcnet.CognitiveNetwork, "__deepcopy__", refuse)
+    forks = 0
+    for seed in range(20):
+        task = fork_task(random.Random(seed))
+        for _ in step_fork_task(task):
+            pass
+        forks += len(task.states) - 1
+    assert forks >= 10
+    scenes = []
+    for n in range(12):  # triangles of three adjacent parts, one of two patterns
+        ids = [f"s{n}.k{n % 2}p{i}" for i in range(3)]
+        scenes.append(dcnet.Scene(
+            concepts=[dcnet.ConceptSpec(base=i.partition(".")[2], p=1.0, as_id=i) for i in ids],
+            relations=[
+                dcnet.RelationSpec(rel_id=f"{a}~{b}", kind=dcnet.RelationKind.ADJOINING, a=a, b=b)
+                for a, b in zip(ids, ids[1:])
+            ],
+        ))
+    report = dcnet.cnl_run(scenes, dcnet.CognitiveNetwork())
+    assert len(report.learned_roots) == 2
 
 
 def test_knowledge_ids_are_read_from_the_network_not_passed_around():

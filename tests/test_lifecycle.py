@@ -347,6 +347,8 @@ class TestSessions:
             ("fragment ", "fragment fac_1 0.6 eye 0 0 0 - -"),  # no element of the state's net
             ("begin deferred", "defer 7 mouth"),  # no tree instance 7
             ("begin deferred", "defer -1 mouth"),
+            ("begin deferred", "defer 0 nope"),  # no concept of instance 0's base tree
+            ("begin deferred", "defer 0 egg"),
         ],
     )
     def test_malformed_line_names_its_line(self, anchor, bad):

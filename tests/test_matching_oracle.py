@@ -8,10 +8,13 @@ The oracles are the engine's earlier matcher, kept as it was:
   every tree concept with ``match_concept``;
 * ``oracle_membership``: every placement gets a zero-state scratch tree of its
   own and launches each placed element's input into it in sorted order; the
-  root's result is the membership.
+  root's result is the membership;
+* ``oracle_trees_taking``: every tree and every concept of it is asked
+  whether it takes the fragment, nested trees walked to the depth limit.
 
 The engine now visits only the trees the fragment can land in
-(``trees_taking``), takes one up-closure per fragment concept, and launches
+(``trees_taking``, which reads them from an index of the trees holding each
+concept and nesting each tree), takes one up-closure per fragment concept, and launches
 each distinct source once, folding the root's share of every launch in sorted
 source order.  A launch is kept in a memo of the knowledge base, or of the
 matched network when none is given, and serves every later call until the
@@ -36,6 +39,7 @@ import pytest
 
 from dcnet.core import (
     CognitiveNetwork,
+    TreeNetworkView,
     DepthError,
     DerivedMapping,
     Gaussian,
@@ -45,6 +49,7 @@ from dcnet.core import (
     StructureError,
     declare_tree,
     kind_compatible,
+    up_closure,
 )
 from dcnet.growth import FitState, FragmentRecord, _candidates, _combine_context
 from dcnet.kbio import serialize_kb
@@ -52,6 +57,7 @@ from dcnet import matching
 from dcnet.matching import (
     MatchResult,
     _invert,
+    _membership,
     _scratch_tree,
     match_concept,
     match_nested,
@@ -68,7 +74,7 @@ from dcnet.probability import (
 )
 from dcnet.trace import NullTrace
 
-from scenes import concept, relation
+from scenes import concept, relation, tree_kb
 
 CASES = 260
 LONGITUDINAL = (RelationKind.HAS_COMPONENT, RelationKind.HAS_PART, RelationKind.HAS_ATTRIBUTE)
@@ -208,6 +214,27 @@ def oracle_candidates(state, frag, config):
         found.append(result)
     found.sort(key=lambda r: (-r.membership, r.base))
     return found
+
+
+def oracle_trees_taking(net, element, config):
+    """The roots of the trees whose ``match_nested`` may map ``element``: every tree is read."""
+    if element not in net.concepts:
+        return list(net.trees)
+    up = up_closure(net, element)
+
+    def lands(tree: TreeNetworkView, depth: int) -> bool:
+        if depth > config.match_depth_limit or tree.root not in net.concepts:
+            return True
+        for cid in tree.concepts:
+            if _membership(net, element, cid, up) > 0.0:
+                return True
+            if cid != tree.root and cid in net.trees and (
+                config.mode is Mode.SIMPLIFIED or lands(net.trees[cid], depth + 1)
+            ):
+                return True
+        return False
+
+    return [root for root, tree in net.trees.items() if lands(tree, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +535,40 @@ def test_a_shared_memo_matches_the_oracle_across_knowledge_edits(chunk, monkeypa
     # the memo is reused, so there are fewer scratches than matches; the oracle's raises still occur
     assert built["scratches"] * 2 < seen["matched"], (built, seen)
     assert seen["matched"] >= 400 and seen["ParameterError"] >= 3 and seen["LookupMissing"] >= 5, seen
+
+
+def test_trees_taking_matches_the_all_trees_oracle():
+    """The tree index finds the trees the all-trees walk finds, in order, across edits and configs."""
+    seen = Counter()
+    for seed, rng, net, frags, config in cases():
+        known = rng.sample(sorted(net.concepts), min(4, len(net.concepts)))
+        for step in range(4):
+            if step:
+                config = edit(net, rng, config)
+            configs = [config, dataclasses.replace(
+                config, mode=rng.choice(list(Mode)), match_depth_limit=rng.choice([-1, 0, 1, 2, 3, 8]),
+            )]
+            for cfg in configs:
+                for element in frags + known:
+                    want = oracle_trees_taking(net, element, cfg)
+                    assert trees_taking(net, element, cfg) == want, f"seed {seed}, step {step}, {element}"
+                    seen["skipped"] += len(net.trees) - len(want)
+                    seen["valued"] += element in net.concepts and net.concepts[element].value is not None
+                    seen["taken"] += len(want)
+    assert seen["skipped"] >= 5000 and seen["taken"] >= 5000 and seen["valued"] >= 1000, seen
+
+
+def test_trees_taking_on_many_trees_matches_the_oracle():
+    """On 192 five-member trees sharing members, with nested trees and roots tied by XOR."""
+    net = tree_kb(192)
+    for t in range(0, 192, 16):  # some trees list another tree's root as a member
+        relation(net, f"n{t}", RelationKind.HAS_PART, f"o{t}", f"o{t + 1}")
+        declare_tree(net, f"o{t}", [*net.trees[f"o{t}"].concepts, f"o{t + 1}"])
+    rng = random.Random("trees_taking/192")
+    members = sorted(net.concepts)
+    for k in range(40):
+        inst = f"i{k}"
+        concept(net, inst)
+        net.add_belong(inst, rng.choice(members))
+        for config in (EngineConfig(), EngineConfig(mode=Mode.SIMPLIFIED), EngineConfig(match_depth_limit=0)):
+            assert trees_taking(net, inst, config) == oracle_trees_taking(net, inst, config), inst
