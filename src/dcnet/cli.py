@@ -84,7 +84,7 @@ def _cmd_match(args) -> int:
         return EXIT_PARSE
     fragment = [f.element for f in state.fragments]
     fragment += [r.rel_id for r in doc.relations]
-    result = match_nested(state.net, fragment, state.net.trees[args.base], task.config, task.kb)
+    result = match_nested(state.net, fragment, state.net.trees[args.base], task.config)
     print(f"membership={result.membership:.9f}")
     for base_el in sorted(result.mapping.pairs):
         print(f"placed {result.mapping.pairs[base_el]} -> {base_el}")

@@ -503,17 +503,15 @@ def _combine_context(state: FitState, element: str) -> list[str]:
     return out
 
 
-def _candidates(
-    state: FitState, frag: FragmentRecord, config: EngineConfig, kb: CognitiveNetwork
-) -> list[MatchResult]:
-    """The trees that take the fragment, best first; ``kb`` owns the match memos (see ``matching``)."""
+def _candidates(state: FitState, frag: FragmentRecord, config: EngineConfig) -> list[MatchResult]:
+    """The trees that take the fragment, best first."""
     context = _combine_context(state, frag.element)
     found: list[MatchResult] = []
     # a result counts only if it maps the fragment, so trees that cannot take it are skipped
     for root in trees_taking(state.net, frag.element, config):
         if root in frag.excluded:
             continue
-        result = match_nested(state.net, context, state.net.trees[root], config, kb)
+        result = match_nested(state.net, context, state.net.trees[root], config)
         if result.membership < config.activation_threshold:
             continue
         if frag.element not in result.mapping.pairs.values():
@@ -616,7 +614,7 @@ def _next_fragment(state: FitState) -> Optional[FragmentRecord]:
 
 
 def _process_fragment(task: FitTask, state: FitState, frag: FragmentRecord) -> None:
-    candidates = _candidates(state, frag, task.config, task.kb)
+    candidates = _candidates(state, frag, task.config)
     if not candidates:
         frag.unmatched = True
         frag.consumed = True
@@ -647,7 +645,7 @@ def fit_step(task: FitTask) -> bool:
         task.states.append(fork.state)
         frag = fork.state.fragments[fork.fragment_index]
         frag.consumed = True
-        for candidate in _candidates(fork.state, frag, task.config, task.kb):
+        for candidate in _candidates(fork.state, frag, task.config):
             if candidate.base == fork.base_root:
                 _commit(task, fork.state, frag, candidate)
                 break

@@ -10,29 +10,26 @@ of the base tree brings the root.
 A launch into a zero-state scratch reads no result or status that another
 launch folded into it, so one launch per distinct scratch, source and input
 serves every placement, and every later match of the same tree.  The
-scratches and the root arrivals of their launches depend on the knowledge
-alone, so they live in a memo owned by a network: the knowledge base passed
-as ``kb`` to ``match_nested`` (a fit passes its task's, which every task,
-fork and learning scene made from that base shares), or else the matched
-network itself:
+scratches and the root arrivals of their launches depend on the tree's
+content alone, so they live in one module table, ``_MEMOS``, shared by every
+network that holds a tree of the same content (a knowledge base, each task,
+fork and learning scene made from it, and a base parsed or loaded again):
 
-* One memo per tree root, keyed by the tree's content: the root, the concept
-  ids in order with their ``value`` and ``params``, the relation ids in order
-  with kind, ends, both conditionals and ``params``, and the config fields a
-  launch reads (``mode``, ``default_k``, ``decay_epsilon``, ``max_hops``).
-  An edit of the tree, a re-declared tree or another config makes a new key,
-  which replaces the root's old memo, so nothing is invalidated by hand and
-  only one key per root is live.  A root the matched network no longer
-  declares loses its memo when a new root gets one.
-* The memos hang off their owner in a weak mapping, so they die with it and
-  never reach ``layer()``, ``copy()``, ``copy.deepcopy``, ``serialize_kb`` or
-  a session.
-* One memo holds at most ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT``
-  launches; a full table starts over.
+* A memo per content key: the root, the concept ids in order with their
+  ``value`` and ``params``, the relation ids in order with kind, ends, both
+  conditionals and ``params``, and the config fields a launch reads
+  (``mode``, ``default_k``, ``decay_epsilon``, ``max_hops``).  An edit of the
+  tree, a re-declared tree or another config makes a new key, so nothing is
+  invalidated by hand.
+* The table holds scratch copies of its own, never a caller's network, so a
+  dropped network is collected and no memo reaches ``layer()``, ``copy()``,
+  ``copy.deepcopy``, ``serialize_kb`` or a session.
+* The table holds at most ``_MEMO_LIMIT`` keys, and one memo at most
+  ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT`` launches; a full table
+  starts over.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -212,6 +209,7 @@ def _tree_index(net: CognitiveNetwork) -> _TreeIndex:
     return index
 
 
+_MEMO_LIMIT = 64  # tree content keys kept; a full table starts over
 _SCRATCH_LIMIT = 16  # scratches (distinct relation degrees) one tree memo holds
 _LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
 
@@ -219,13 +217,12 @@ _LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
 class _TreeMemo:
     """The zero-state scratches of one tree content key, and the root's arrivals from each launch."""
 
-    def __init__(self, key: tuple) -> None:
-        self.key = key
+    def __init__(self) -> None:
         self.scratches: dict[frozenset, CognitiveNetwork] = {}
         self.launches: dict[tuple, list[float]] = {}
 
 
-_MEMOS: weakref.WeakKeyDictionary[CognitiveNetwork, dict[str, _TreeMemo]] = weakref.WeakKeyDictionary()
+_MEMOS: dict[tuple, _TreeMemo] = {}
 
 
 def _content_key(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig) -> tuple:
@@ -233,9 +230,9 @@ def _content_key(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineCon
     concepts, relations = net.concepts, net.relations
     return (
         tree.root,
-        tuple((cid, c.value, dict(c.params)) for cid in tree.concepts for c in (concepts[cid],)),
+        tuple((cid, c.value, tuple(c.params.items())) for cid in tree.concepts for c in (concepts[cid],)),
         tuple(
-            (rid, r.kind, r.a, r.b, r.cond.forward, r.cond.backward, dict(r.params))
+            (rid, r.kind, r.a, r.b, r.cond.forward, r.cond.backward, tuple(r.params.items()))
             for rid in tree.longitudinal + tree.additional
             for r in (relations[rid],)
         ),
@@ -243,20 +240,14 @@ def _content_key(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineCon
     )
 
 
-def _owned_memo(
-    owner: CognitiveNetwork, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig
-) -> _TreeMemo:
-    """The memo ``owner`` keeps for ``tree`` as ``net`` now holds it, new if the content changed."""
+def _tree_memo(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig) -> _TreeMemo:
+    """The memo of ``tree`` as ``net`` now holds it, new for a content key not seen yet."""
     key = _content_key(net, tree, config)
-    memos = _MEMOS.get(owner)
-    if memos is None:
-        memos = _MEMOS[owner] = {}
-    memo = memos.get(tree.root)
+    memo = _MEMOS.get(key)
     if memo is None:
-        for stale in [root for root in memos if root not in net.trees]:
-            del memos[stale]
-    if memo is None or memo.key != key:
-        memo = memos[tree.root] = _TreeMemo(key)
+        if len(_MEMOS) >= _MEMO_LIMIT:
+            _MEMOS.clear()
+        memo = _MEMOS[key] = _TreeMemo()
     return memo
 
 
@@ -269,13 +260,11 @@ class _TreeMatch:
     launches once into the zero-state scratch of its degrees, and the fold
     equals launching every source of a placement into a fresh scratch of its
     own (see the module docstring).  The scratches and launches live in the
-    tree memo that ``owner`` keeps, taken at the first membership.
+    tree's memo in ``_MEMOS``, taken at the first membership.
     """
 
-    def __init__(
-        self, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig, owner: CognitiveNetwork
-    ):
-        self.net, self.tree, self.config, self.owner = net, tree, config, owner
+    def __init__(self, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig):
+        self.net, self.tree, self.config = net, tree, config
         self._taken: dict[str, dict[str, float]] = {}
         self._memo: Optional[_TreeMemo] = None
 
@@ -291,7 +280,7 @@ class _TreeMatch:
     def membership(self, inputs: dict[str, float], degrees: dict[str, float]) -> float:
         memo = self._memo
         if memo is None:
-            memo = self._memo = _owned_memo(self.owner, self.net, self.tree, self.config)
+            memo = self._memo = _tree_memo(self.net, self.tree, self.config)
         key = frozenset((rel_id, d) for rel_id, d in degrees.items() if d != 1.0)
         scratch = memo.scratches.get(key)
         if scratch is None:
@@ -437,10 +426,10 @@ def match_tree(
     ties resolve to the lexicographically smallest assignment.  A placement's
     membership is the root's own input superposed with the root's share of
     each placed source's launch, folded in sorted source order; each distinct
-    source and input launches once into a scratch that ``net`` keeps (see the
+    source and input launches once into a scratch of the tree's memo (see the
     module docstring).
     """
-    return _match_flat(_TreeMatch(net, base_tree, config, net), fragment_ids)
+    return _match_flat(_TreeMatch(net, base_tree, config), fragment_ids)
 
 
 def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
@@ -473,14 +462,12 @@ def match_nested(
     fragment_ids: list[str],
     base_tree: TreeNetworkView,
     config: EngineConfig,
-    kb: Optional[CognitiveNetwork] = None,
     _depth: int = 0,
 ) -> MatchResult:
     """Recursive matching: inner trees first, their memberships feeding the outer level.
 
-    ``kb`` is the knowledge base ``net`` was made from, which then keeps the
-    scratches and launches (see the module docstring); without it ``net``
-    keeps them.
+    Each level reads and fills its tree's memo, shared by every network that
+    holds a tree of the same content (see the module docstring).
     """
     if _depth > config.match_depth_limit:
         raise DepthError(f"nested matching exceeded depth {config.match_depth_limit}")
@@ -491,13 +478,13 @@ def match_nested(
     for member in base_tree.concepts:
         if member == base_tree.root or member not in net.trees:
             continue
-        inner = match_nested(net, fragment_ids, net.trees[member], config, kb, _depth + 1)
+        inner = match_nested(net, fragment_ids, net.trees[member], config, _depth + 1)
         if inner.membership > 0.0:
             inner_inputs[member] = inner.membership
             inner_used.update(inner.mapping.pairs.values())
             inner_maps.update(inner.mapping.pairs)
 
-    match = _TreeMatch(net, base_tree, config, net if kb is None else kb)
+    match = _TreeMatch(net, base_tree, config)
     flat = _match_flat(match, [f for f in fragment_ids if f not in inner_used])
     if not inner_inputs:
         return flat

@@ -7,7 +7,8 @@ Each mutation drops a line, truncates the text, swaps two tokens, garbles a char
 duplicates a line or renames the id after an ``as=``, ``a=``, ``b=`` or ``base=`` to an
 unknown id or to the id that an unnamed input of some base is given (``<base>#1``); the
 result goes through ``dcnet.cli.main`` in this process, as ``fit --kb``,
-``fit --scenario`` or ``fit --session``.
+``fit --scenario`` or ``fit --session``, and the knowledge base and the two scenes also
+as ``match --kb`` and ``match --fragment`` against the face tree.
 """
 from __future__ import annotations
 
@@ -60,6 +61,26 @@ def session_text(tmp_path_factory) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _fuzz(target: str, original: str, args: list[str], path: Path, count: int, capsys) -> Counter:
+    """Exit codes of ``main(args)`` over ``count`` mutations of ``original`` written to ``path``;
+    any other exit, or an exception, fails the test."""
+    codes: Counter = Counter()
+    bad = []
+    for seed in range(count):
+        text = mutate(original, random.Random(f"cli-fuzz/{target}/{seed}"))
+        path.write_text(text, encoding="utf-8")
+        try:
+            code = main(args)
+        except Exception:  # noqa: BLE001 - any escape is a finding
+            code = traceback.format_exc(limit=-1).strip().splitlines()[-1]
+        err = capsys.readouterr().err
+        codes[code] += 1
+        if code not in (0, 1, 2):
+            bad.append((seed, code, err.strip().splitlines()[-1:] if err else []))
+    assert bad == [], bad
+    return codes
+
+
 @pytest.mark.parametrize(
     "target, count", [("kb", 200), ("scenario", 200), ("relations", 200), ("session", 200)]
 )
@@ -75,21 +96,18 @@ def test_mutated_input_exits_0_1_or_2(target, count, tmp_path, capsys, request):
         "relations": ["fit", "--kb", str(KB), "--scenario", str(path)],
         "session": ["fit", "--session", str(path), "--scenario", str(SCENARIO)],
     }[target]
-    codes: Counter = Counter()
-    bad = []
-    for seed in range(count):
-        text = mutate(original, random.Random(f"cli-fuzz/{target}/{seed}"))
-        path.write_text(text, encoding="utf-8")
-        try:
-            code = main(args)
-        except Exception:  # noqa: BLE001 - any escape is a finding
-            code = traceback.format_exc(limit=-1).strip().splitlines()[-1]
-        err = capsys.readouterr().err
-        codes[code] += 1
-        if code not in (0, 1, 2):
-            bad.append((seed, code, err.strip().splitlines()[-1:] if err else []))
-    assert bad == [], bad
+    codes = _fuzz(target, original, args, path, count, capsys)
     assert codes[0] + codes[1] >= count // 10 and codes[2] >= count // 10, codes  # both sides reached
+
+
+@pytest.mark.parametrize("target, count", [("kb", 200), ("scenario", 200), ("relations", 200)])
+def test_mutated_match_input_exits_0_1_or_2(target, count, tmp_path, capsys):
+    original = {"kb": KB, "scenario": SCENARIO, "relations": RELATIONS}[target].read_text(encoding="utf-8")
+    path = tmp_path / f"mutated.{target}"
+    kb, fragment = (path, SCENARIO) if target == "kb" else (KB, path)
+    args = ["match", "--kb", str(kb), "--fragment", str(fragment), "--base", "face"]
+    codes = _fuzz(f"match/{target}", original, args, path, count, capsys)
+    assert codes[0] >= count // 10 and codes[2] >= count // 10, codes  # both sides reached
 
 
 @pytest.mark.parametrize("seed", [663, 697, 1356])

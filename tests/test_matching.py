@@ -18,6 +18,8 @@ from dcnet.core import (
     RelationKind,
 )
 from dcnet.growth import ConceptSpec, fit_run, make_task
+from dcnet.kbio import parse_kb, serialize_kb
+from dcnet.lifecycle import session_load, session_save
 from dcnet.matching import match_complete, match_concept, match_nested, match_tree
 from dcnet.probability import EngineConfig, Mode, superpose_n
 
@@ -209,7 +211,7 @@ def _counted(monkeypatch) -> Counter:
 
 
 class TestKnowledgeBaseMemo:
-    """Scratches and launches kept per owning network: made once, one key per root, bounded."""
+    """Scratches and launches kept in one table keyed by tree content: made once, bounded, holding no network."""
 
     def _scene(self):
         net = _nested([0.7, 0.5])
@@ -219,20 +221,22 @@ class TestKnowledgeBaseMemo:
         return net
 
     def test_matching_a_tree_again_builds_and_launches_nothing(self, monkeypatch):
+        matching._MEMOS.clear()
         net = self._scene()
         counts = _counted(monkeypatch)
-        first = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config(), net)
+        first = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config())
         assert first == oracle_match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config())
         once = dict(counts)
-        for _ in range(50):  # without a knowledge base the matched network keeps the memo
-            assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config(), net) == first
+        for _ in range(50):
             assert match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], _config()) == first
+            assert match_nested(net.copy(), ["leafx1", "leafx2"], net.trees["outer"], _config()) == first
         # a scratch for each of the three trees; a launch for each (tree, source, input)
         assert counts == once == {"scratches": 3, "launches": 4}
         match_tree(net, ["leafx1"], net.trees["in1"], _config())
         assert counts == once
 
     def test_tasks_made_from_one_knowledge_base_share_its_memo(self, monkeypatch):
+        matching._MEMOS.clear()
         kb = face_kb()
         specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
         counts = _counted(monkeypatch)
@@ -242,7 +246,20 @@ class TestKnowledgeBaseMemo:
         fit_run(make_task(kb, _config(), specs))
         assert counts == first
 
-    def test_a_knowledge_base_edited_a_thousand_times_holds_one_key_per_root(self):
+    def test_a_base_parsed_or_loaded_again_shares_the_memo(self, monkeypatch):
+        matching._MEMOS.clear()
+        text = serialize_kb(face_kb())
+        specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
+        saved = session_save(make_task(parse_kb(text), _config(), specs))
+        counts = _counted(monkeypatch)
+        want = fit_run(make_task(parse_kb(text), _config(), specs)).task.trace.lines()
+        assert counts["scratches"] > 0 and counts["launches"] > 0
+        first = dict(counts)
+        assert fit_run(make_task(parse_kb(text), _config(), specs)).task.trace.lines() == want
+        assert fit_run(session_load(saved)).task.trace.lines() == want
+        assert counts == first
+
+    def test_a_thousand_edits_keep_the_table_in_bound(self):
         net = self._scene()
         rng = random.Random(0)
         config = _config()
@@ -255,42 +272,50 @@ class TestKnowledgeBaseMemo:
                 config = _config(mode=rng.choice(list(Mode)), max_hops=rng.choice([None, 1, 2]))
             if i % 11 == 0:  # the inner tree declared again, with or without its leaf
                 declare_tree(net, "in2", rng.choice([["in2"], ["in2", "leaf2", "ri2"]]))
-            got = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config, net)
+            got = match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config)
             assert got == oracle_match_nested(net, ["leafx1", "leafx2"], net.trees["outer"], config), i
             if i % 10 == 0:  # a tree under a fresh root, matched and then forgotten, as learning does
                 concept(net, f"new{i}")
                 relation(net, f"rnew{i}", RelationKind.HAS_PART, f"new{i}", "leaf1")
                 declare_tree(net, f"new{i}", ["leaf1", f"rnew{i}"])
-                match_nested(net, ["leafx1"], net.trees[f"new{i}"], config, net)
+                match_nested(net, ["leafx1"], net.trees[f"new{i}"], config)
                 net.drop_tree(f"new{i}")
-            assert len(matching._MEMOS[net]) <= len(net.trees) + 1
+            assert len(matching._MEMOS) <= matching._MEMO_LIMIT
+
+    def test_a_stream_of_trees_keeps_the_table_in_bound(self):
+        net = self._scene()
+        tree, n = net.trees["in1"], 3 * matching._MEMO_LIMIT
+        for i in range(1, n + 1):  # each conditional makes a tree content of its own
+            net.relations["ri1"].cond.backward = i / n
+            got = match_nested(net, ["leafx1"], tree, _config())
+            assert got == oracle_match_nested(net, ["leafx1"], tree, _config()), i
+            assert len(matching._MEMOS) <= matching._MEMO_LIMIT
 
     def test_one_key_holds_a_bounded_number_of_launches_and_scratches(self):
         net = self._scene()
         tree, config = net.trees["in1"], _config()
-        match = matching._TreeMatch(net, tree, config, net)
+        match = matching._TreeMatch(net, tree, config)
         n = 3 * matching._LAUNCH_LIMIT
         for i in range(1, n + 1):  # a stream of distinct inputs
             want = oracle_membership(net, tree, {"leaf1": i / n}, {}, config)
             assert match.membership({"leaf1": i / n}, {}) == want
-            assert len(matching._MEMOS[net]["in1"].launches) <= matching._LAUNCH_LIMIT
+            assert len(match._memo.launches) <= matching._LAUNCH_LIMIT
         for i in range(1, 4 * matching._SCRATCH_LIMIT):  # a stream of distinct relation degrees
             degrees = {"ri1": i / (4 * matching._SCRATCH_LIMIT)}
             want = oracle_membership(net, tree, {"leaf1": 0.5}, degrees, config)
             assert match.membership({"leaf1": 0.5}, degrees) == want
-            assert len(matching._MEMOS[net]["in1"].scratches) <= matching._SCRATCH_LIMIT
+            assert len(match._memo.scratches) <= matching._SCRATCH_LIMIT
 
-    def test_the_memo_dies_with_its_knowledge_base_and_is_never_copied(self):
-        net = self._scene()
-        match_nested(net, ["leafx1"], net.trees["outer"], _config(), net)
-        assert net in matching._MEMOS
-        assert net.copy() not in matching._MEMOS
-        gc.collect()  # the bases of earlier tests
-        held = len(matching._MEMOS)
-        gone = weakref.ref(net)
-        del net
+    def test_a_dropped_base_and_its_task_are_collected(self):
+        kb = face_kb()
+        specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
+        task = make_task(kb, _config(), specs)
+        fit_run(task)
+        assert matching._MEMOS  # the table outlives them
+        gone = weakref.ref(kb), weakref.ref(task), weakref.ref(task.states[0].net)
+        del kb, task
         gc.collect()
-        assert gone() is None and len(matching._MEMOS) == held - 1
+        assert [ref() for ref in gone] == [None, None, None]
 
 
 class TestMatchComplete:

@@ -16,9 +16,9 @@ The engine now visits only the trees the fragment can land in
 (``trees_taking``, which reads them from an index of the trees holding each
 concept and nesting each tree), takes one up-closure per fragment concept, and launches
 each distinct source once, folding the root's share of every launch in sorted
-source order.  A launch is kept in a memo of the knowledge base, or of the
-matched network when none is given, and serves every later call until the
-tree or the config changes, which the edit sequence checks.  Bases, mappings (in order), memberships and
+source order.  A launch is kept in a memo keyed by the tree's content and
+the config, and serves every later call until the tree or the config
+changes, which the edit sequence checks.  Bases, mappings (in order), memberships and
 raised exceptions must be equal, not close.
 
 Seeded networks mix a belong-to hierarchy, equal edges, scalar, interval and
@@ -419,7 +419,7 @@ def test_candidates_match_the_all_trees_oracle():
             excluded = rng.sample(list(net.trees), rng.randint(0, 1)) if net.trees else []
             frag = FragmentRecord(element=element, input_prob=0.5, excluded=excluded)
             want = outcome(lambda: oracle_candidates(state, frag, config))
-            got = outcome(lambda: _candidates(state, frag, config, net))
+            got = outcome(lambda: _candidates(state, frag, config))
             assert got == want, f"seed {seed}, fragment {element}"
             skipped = len(net.trees) - len(trees_taking(net, element, config))
             seen["skipped trees"] += skipped
@@ -504,7 +504,7 @@ def edit(net, rng, config):
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_a_shared_memo_matches_the_oracle_across_knowledge_edits(chunk, monkeypatch):
-    """One memo, owned by the network, serves a whole sequence of matches with edits between them."""
+    """The memo table serves a whole sequence of matches with edits between them."""
     built = Counter()
     scratch_tree = matching._scratch_tree
 
@@ -524,14 +524,14 @@ def test_a_shared_memo_matches_the_oracle_across_knowledge_edits(chunk, monkeypa
             for root, tree in net.trees.items():
                 ids = rng.sample(frags, rng.randint(1, min(5, len(frags))))
                 want = outcome(lambda: oracle_match_nested(net, ids, tree, config))
-                got = outcome(lambda: match_nested(net, ids, tree, config, net))
+                got = outcome(lambda: match_nested(net, ids, tree, config))
                 assert got == want, f"seed {seed}, step {step}, root {root} of {ids}"
                 seen[want[1] if want[0] == "raise" else "matched"] += 1
             element = rng.choice([f for f in frags if f in net.concepts])
             frag = FragmentRecord(element=element, input_prob=0.5)
             want = outcome(lambda: oracle_candidates(state, frag, config))
-            assert outcome(lambda: _candidates(state, frag, config, net)) == want, f"seed {seed}, step {step}"
-            assert len(matching._MEMOS.get(net, {})) <= len(net.trees), f"seed {seed}: a memo per root at most"
+            assert outcome(lambda: _candidates(state, frag, config)) == want, f"seed {seed}, step {step}"
+            assert len(matching._MEMOS) <= matching._MEMO_LIMIT, f"seed {seed}"
     # the memo is reused, so there are fewer scratches than matches; the oracle's raises still occur
     assert built["scratches"] * 2 < seen["matched"], (built, seen)
     assert seen["matched"] >= 400 and seen["ParameterError"] >= 3 and seen["LookupMissing"] >= 5, seen
