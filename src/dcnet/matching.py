@@ -24,9 +24,11 @@ fork and learning scene made from it, and a base parsed or loaded again):
 * The table holds scratch copies of its own, never a caller's network, so a
   dropped network is collected and no memo reaches ``layer()``, ``copy()``,
   ``copy.deepcopy``, ``serialize_kb`` or a session.
-* The table holds at most ``_MEMO_LIMIT`` keys, and one memo at most
-  ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT`` launches; a full table
-  starts over.
+* The table holds at most ``_MEMO_LIMIT`` keys or twice the matched
+  network's tree count, whichever is more, so a pass over a large knowledge
+  base keeps every tree it touches; one memo holds at most
+  ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT`` launches.  A full
+  table starts over.
 """
 from __future__ import annotations
 
@@ -209,7 +211,7 @@ def _tree_index(net: CognitiveNetwork) -> _TreeIndex:
     return index
 
 
-_MEMO_LIMIT = 64  # tree content keys kept; a full table starts over
+_MEMO_LIMIT = 64  # tree content keys kept at least; a full table starts over
 _SCRATCH_LIMIT = 16  # scratches (distinct relation degrees) one tree memo holds
 _LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
 
@@ -245,7 +247,7 @@ def _tree_memo(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfi
     key = _content_key(net, tree, config)
     memo = _MEMOS.get(key)
     if memo is None:
-        if len(_MEMOS) >= _MEMO_LIMIT:
+        if len(_MEMOS) >= max(_MEMO_LIMIT, 2 * len(net.trees)):
             _MEMOS.clear()
         memo = _MEMOS[key] = _TreeMemo()
     return memo

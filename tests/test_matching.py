@@ -291,6 +291,22 @@ class TestKnowledgeBaseMemo:
             assert got == oracle_match_nested(net, ["leafx1"], tree, _config()), i
             assert len(matching._MEMOS) <= matching._MEMO_LIMIT
 
+    def test_a_base_of_more_trees_than_the_limit_matches_them_all_again_warm(self, monkeypatch):
+        matching._MEMOS.clear()
+        net = self._scene()
+        roots = [f"big{i}" for i in range(2 * matching._MEMO_LIMIT)]
+        for root in roots:
+            concept(net, root)
+            relation(net, f"r{root}", RelationKind.HAS_PART, root, "leaf1")
+            declare_tree(net, root, [root, "leaf1", f"r{root}"])
+        counts = _counted(monkeypatch)
+        first = [match_nested(net, ["leafx1"], net.trees[root], _config()) for root in roots]
+        assert counts == {"scratches": len(roots), "launches": len(roots)}
+        assert first[-1] == oracle_match_nested(net, ["leafx1"], net.trees[roots[-1]], _config())
+        assert [match_nested(net, ["leafx1"], net.trees[root], _config()) for root in roots] == first
+        assert counts == {"scratches": len(roots), "launches": len(roots)}
+        assert len(matching._MEMOS) <= 2 * len(net.trees)
+
     def test_one_key_holds_a_bounded_number_of_launches_and_scratches(self):
         net = self._scene()
         tree, config = net.trees["in1"], _config()
