@@ -60,7 +60,7 @@ def show_row(label, net):
         if not net.has(cid):
             cells.append("   --   ")
             continue
-        state = net.state(cid)
+        state = net.element(cid).state
         marker = {"collapsed": "*", "suppressed": "x"}.get(state.status.value, " ")
         cells.append(f"{state.result_prob:7.3f}{marker}")
     print(f"{label:<28}" + " ".join(cells))

@@ -80,7 +80,7 @@ def main():
     after = element_count(resumed.states[0].net)
     print(f"  removed {len(report.removed)} elements ({before} -> {after});",
           "the root keeps its certainty:",
-          resumed.states[0].net.state("face1").result_prob == 1.0)
+          resumed.states[0].net.element("face1").state.result_prob == 1.0)
 
     ingest(resumed, [ConceptSpec(base="eye", p=0.9, as_id="eye_round2")])
     second = fit_run(resumed)

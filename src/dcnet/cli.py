@@ -63,7 +63,7 @@ def _cmd_fit(args) -> int:
         Path(args.trace).write_text(trace_text(task.trace), encoding="utf-8")
     state = report.selected_state()
     for element in state.content_ids():
-        st = state.net.state(element)
+        st = state.net.element(element).state
         print(f"{element} p={st.result_prob:.9f} status={st.status.value}")
     if not report.complete:
         print("note: interrupted before all fragments were consumed", file=sys.stderr)

@@ -159,75 +159,25 @@ class Status(Enum):
 Touched = dict[str, None]
 
 
-@dataclass(slots=True, eq=False, repr=False)
+@dataclass(slots=True)
 class ProbabilityState:
     """An element's probability and status.
 
-    A state that a network holds is watched: each write of its
-    ``result_prob`` or ``status`` adds its element's id to the network's
-    touched set, so the settle pass reads only what changed.  Reads stay
-    plain attribute reads.  Only the four public fields take part in
-    equality, ``repr`` and copies; a copy is unwatched unless a touched
-    set is given for it.
+    A stored state is written through ``CognitiveNetwork.state``, which
+    marks its element touched so that the next settle reads it; one read
+    through ``element(id).state`` is to read only.
     """
 
     input_prob: float = 0.0
     result_prob: float = 0.0
     status: Status = Status.SUPERPOSED
     launched: bool = False
-    _touched: Optional[Touched] = field(default=None, init=False)
-    _id: str = field(default="", init=False)
 
-    def copy(self, touched: Optional[Touched] = None, element_id: str = "") -> "ProbabilityState":
-        clone = ProbabilityState(self.input_prob, self.result_prob, self.status, self.launched)
-        if touched is not None:
-            clone.watch(touched, element_id)
-        return clone
-
-    def watch(self, touched: Touched, element_id: str) -> None:
-        """Report every later write of ``result_prob`` or ``status`` as ``element_id`` to ``touched``."""
-        self._touched = touched
-        self._id = element_id
-        self.__class__ = _WatchedState
-
-    def unwatch(self) -> None:
-        self.__class__ = ProbabilityState
-        self._touched = None
-        self._id = ""
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProbabilityState):
-            return NotImplemented
-        return (self.input_prob, self.result_prob, self.status, self.launched) == (
-            other.input_prob, other.result_prob, other.status, other.launched
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ProbabilityState(input_prob={self.input_prob!r}, result_prob={self.result_prob!r}, "
-            f"status={self.status!r}, launched={self.launched!r})"
-        )
+    def copy(self) -> "ProbabilityState":
+        return ProbabilityState(self.input_prob, self.result_prob, self.status, self.launched)
 
     def __deepcopy__(self, memo: dict) -> "ProbabilityState":
         return self.copy()
-
-
-_object_setattr = object.__setattr__
-
-
-class _WatchedState(ProbabilityState):
-    """A state held by a network; ``ProbabilityState.watch`` turns a state into one.
-
-    Changing the class rather than testing a flag keeps construction and the
-    writes of unwatched states free of a Python-level ``__setattr__``.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        _object_setattr(self, name, value)
-        if name == "result_prob" or name == "status":
-            self._touched[self._id] = None
 
 
 @dataclass
@@ -269,9 +219,8 @@ class Concept:
     params: dict[str, ParamValue] = field(default_factory=dict)
     state: ProbabilityState = field(default_factory=ProbabilityState)
 
-    def copy(self, touched: Optional[Touched] = None) -> "Concept":
-        """A copy whose state, if ``touched`` is given, is watched into it."""
-        return Concept(self.id, self.name, self.value, dict(self.params), self.state.copy(touched, self.id))
+    def copy(self) -> "Concept":
+        return Concept(self.id, self.name, self.value, dict(self.params), self.state.copy())
 
 
 @dataclass
@@ -285,11 +234,10 @@ class Relation:
     params: dict[str, ParamValue] = field(default_factory=dict)
     state: ProbabilityState = field(default_factory=ProbabilityState)
 
-    def copy(self, touched: Optional[Touched] = None) -> "Relation":
-        """A copy whose state, if ``touched`` is given, is watched into it."""
+    def copy(self) -> "Relation":
         return Relation(
             self.id, self.kind, self.a, self.b, self.cond.copy(), self.base, dict(self.params),
-            self.state.copy(touched, self.id),
+            self.state.copy(),
         )
 
     def other_end(self, end: str) -> str:
@@ -387,10 +335,12 @@ class CognitiveNetwork:
     ``validate`` checks a network once per generation, so declare and forget
     trees through those two methods, not by writing ``trees``.
 
-    The network watches its elements' states (see ``ProbabilityState``): the
-    touched set holds the ids whose state may have changed since the last
-    ready seeding (``seed_ready``).  Adding an element touches it too, and
-    ``set_state`` is the way to give a stored element a new state object.
+    The touched set holds the ids whose state may have changed since the
+    last ready seeding (``seed_ready``).  ``state`` is the way to write a
+    stored state, and it adds the id to the set; adding an element touches
+    it too, and ``set_state`` gives a stored element a new state object.  A
+    write through a state taken any other way, or held from before a
+    seeding, is not seen by the next one.
 
     ``knowledge`` holds a fit task's knowledge ids, which the fit rules never
     collapse, suppress or reuse as instances; it is empty outside a task.
@@ -463,25 +413,26 @@ class CognitiveNetwork:
         return el
 
     def state(self, element_id: str) -> ProbabilityState:
-        """The element's state, to read or to write (a shared one is first copied in)."""
-        if self._own is None or element_id in self._own:
-            element = self.concepts.get(element_id) or self.relations.get(element_id)
-            if element is not None:
-                return element.state
-        return self.writable(element_id).state
+        """The element's state, to write (a shared one is first copied in); its id is touched.
+
+        Read a state through ``element(element_id).state``, which touches nothing.
+        """
+        state = self.writable(element_id).state
+        self._touched[element_id] = None
+        return state
 
     def writable(self, element_id: str) -> Element:
         """The element, to write its fields: one this network shares with a layer is first copied in.
 
-        The copy takes the same place in the tables, and its state is watched
-        by this network.
+        The copy takes the same place in the tables.  A write of its state
+        through it is not seen by the next settle; write states through ``state``.
         """
         table = self.concepts if element_id in self.concepts else self.relations
         element = table.get(element_id)
         if element is None:
             raise LookupMissing(f"unknown element: {element_id}")
         if self._own is not None and element_id not in self._own:
-            element = table[element_id] = element.copy(self._touched)
+            element = table[element_id] = element.copy()
             self._own.add(element_id)
         return element
 
@@ -567,7 +518,7 @@ class CognitiveNetwork:
     def touched(self) -> Touched:
         """The ids whose state may have changed since the last seeding: the store's own set.
 
-        Watched states add to it; a writer that goes around them adds its ids here.
+        ``state`` adds to it; a writer that goes around ``state`` adds its ids here.
         """
         return self._touched
 
@@ -610,7 +561,6 @@ class CognitiveNetwork:
         self.concepts[concept.id] = concept
         if self._own is not None:
             self._own.add(concept.id)
-        concept.state.watch(self._touched, concept.id)
         self._touched[concept.id] = None
         self._serial[concept.id] = self._next_serial
         self._next_serial += 1
@@ -637,7 +587,6 @@ class CognitiveNetwork:
         self.relations[relation.id] = relation
         if self._own is not None:
             self._own.add(relation.id)
-        relation.state.watch(self._touched, relation.id)
         self._touched[relation.id] = None
         self._serial[relation.id] = self._next_serial
         self._next_serial += 1
@@ -666,10 +615,7 @@ class CognitiveNetwork:
 
     def set_state(self, element_id: str, state: ProbabilityState) -> None:
         """Give a stored element ``state`` in place of its own state object."""
-        element = self.writable(element_id)
-        element.state.unwatch()
-        element.state = state
-        state.watch(self._touched, element_id)
+        self.writable(element_id).state = state
         self._touched[element_id] = None
 
     def set_tree(self, view: TreeNetworkView) -> None:
@@ -726,11 +672,8 @@ class CognitiveNetwork:
             if el_id in self.trees:
                 self._trees_version = next(_TREE_VERSIONS)
             element = self.concepts.pop(el_id, None) or self.relations.pop(el_id)
-            if self._own is None:
-                element.state.unwatch()
-            elif el_id in self._own:  # a shared state stays watched by the network that holds it
+            if self._own is not None:
                 self._own.discard(el_id)
-                element.state.unwatch()
             if isinstance(element, Concept):
                 continue
             rel = element
@@ -827,9 +770,6 @@ class CognitiveNetwork:
                 value = copy.deepcopy(value, memo)
             fields[name] = value
         vars(clone).update(fields)
-        for table in (clone.concepts, clone.relations):
-            for element_id, element in table.items():
-                element.state.watch(fields["_touched"], element_id)
         return clone
 
     # -- validation --------------------------------------------------------

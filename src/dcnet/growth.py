@@ -108,7 +108,7 @@ def grow_link(
     so probability flows across it in both directions.
     """
     base_rel = net.relations[base_rel_id]
-    if net.state(a).status is Status.SUPPRESSED:
+    if net.element(a).state.status is Status.SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {a} is blocked")
 
     if fits(net, a, base_rel.a):
@@ -122,7 +122,7 @@ def grow_link(
 
     if b is None:
         b = grow_concept(net, far_base, trace)
-    elif net.state(b).status is Status.SUPPRESSED:
+    elif net.element(b).state.status is Status.SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {b} is blocked")
 
     end_a, end_b = (a, b) if a_slot else (b, a)
@@ -151,14 +151,14 @@ def _exchange_probability(
         rec
         for rec in ledger.launches
         if not rec.sealed
-        and (rec.launch_id in touched or (rec.source in (a, b) and net.state(rec.source).launched))
+        and (rec.launch_id in touched or (rec.source in (a, b) and net.element(rec.source).state.launched))
     ]
     if not affected:
         return
     for rec in reversed(affected):
         undo_launch(net, ledger, rec.launch_id, config.mode)
     for rec in affected:
-        src_state = net.state(rec.source)
+        src_state = net.element(rec.source).state
         if src_state.status is Status.SUPPRESSED:
             continue
         pps_launch(net, rec.source, rec.delta, config, ledger, trace, launch=rec)
@@ -191,7 +191,7 @@ def _projection(
             continue
         if isinstance(spec, Gaussian):
             continue
-        best = max(best, net.state(source).result_prob * float(spec))
+        best = max(best, net.element(source).state.result_prob * float(spec))
     return best
 
 
@@ -204,7 +204,7 @@ def _existing_instance(
     found = (
         e for e in down_closure(net, base)
         if e in net.concepts and e != base and e not in net.knowledge and e not in mapped
-        and net.state(e).status is not Status.SUPPRESSED
+        and net.element(e).state.status is not Status.SUPPRESSED
     )
     return min(found, key=net.position_key, default=None)
 
@@ -224,7 +224,7 @@ def _place_member(
     probability of the instance it would reuse stay below activation.
     """
     existing = _existing_instance(net, member, set(mapping.values()))
-    own = net.state(existing).result_prob if existing is not None else 0.0
+    own = net.element(existing).state.result_prob if existing is not None else 0.0
     projected = _projection(net, tree, member, mapping)
     if projected < config.activation_threshold and own < config.activation_threshold:
         return False
@@ -369,7 +369,7 @@ class FitState:
         """
         if content_ids is None:
             content_ids = self.content_ids()
-        seen = {self.net.state(e).status for e in content_ids}
+        seen = {self.net.element(e).state.status for e in content_ids}
         return Status.COLLAPSED in seen and seen <= {Status.COLLAPSED, Status.SUPPRESSED}
 
 
@@ -551,7 +551,7 @@ def _commit(
         if (idx, member) not in known:
             state.deferred.append(DeferredGrowth(idx, member))
     frag.grown_root = candidate.base
-    if frag.input_prob > 0.0 and not state.net.state(frag.element).launched:
+    if frag.input_prob > 0.0 and not state.net.element(frag.element).state.launched:
         pps_launch(
             state.net, frag.element, frag.input_prob, task.config, state.ledger, task.trace
         )
@@ -589,8 +589,8 @@ def _settle_state(task: FitTask, state: FitState) -> None:
                 continue
             if frag.element not in inst.mapping.values():
                 continue
-            if state.net.state(inst.root).status is Status.SUPPRESSED:
-                if state.net.state(frag.element).status is Status.SUPERPOSED:
+            if state.net.element(inst.root).state.status is Status.SUPPRESSED:
+                if state.net.element(frag.element).state.status is Status.SUPERPOSED:
                     frag.consumed = False
                     frag.excluded.append(frag.grown_root)
                     frag.grown_root = None
@@ -603,11 +603,11 @@ def _next_fragment(state: FitState) -> Optional[FragmentRecord]:
     for frag in state.fragments:
         if frag.consumed:
             continue
-        status = state.net.state(frag.element).status
+        status = state.net.element(frag.element).state.status
         if status is Status.SUPPRESSED or status is Status.COLLAPSED:
             frag.consumed = True
             continue
-        p = state.net.state(frag.element).result_prob
+        p = state.net.element(frag.element).state.result_prob
         if p > best_p:
             best, best_p = frag, p
     return best

@@ -487,7 +487,7 @@ def check_expectations(net: CognitiveNetwork, expects: Iterable[Expectation], to
         if not net.has(exp.element):
             failures.append(f"{exp.element}: missing from the result network")
             continue
-        state = net.state(exp.element)
+        state = net.element(exp.element).state
         if abs(state.result_prob - exp.p) > tol:
             failures.append(
                 f"{exp.element}: probability {state.result_prob!r} != expected {exp.p!r}"

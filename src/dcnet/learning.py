@@ -430,7 +430,7 @@ def _count_applications(
             continue
         applied_roots.add(root)
         candidate.trial_count += 1
-        if state.net.state(instance.root).status is Status.COLLAPSED:
+        if state.net.element(instance.root).state.status is Status.COLLAPSED:
             candidate.success_count += 1
             for base_el in realized:
                 if base_el != root:

@@ -94,7 +94,7 @@ def prune(
         ids = [e for e in instance.mapping.values() if net.has(e)]
         if not ids or not instance.root or not net.has(instance.root):
             continue
-        if any(net.state(e).status is not Status.COLLAPSED for e in ids):
+        if any(net.element(e).state.status is not Status.COLLAPSED for e in ids):
             continue
         levels = _member_levels(net, instance)
         removable: list[str] = []
@@ -518,7 +518,7 @@ def _load_state(reader: _Reader, mode: Mode) -> FitState:
     net = _parse_block_kb(reader, "net")
     if mode is Mode.EXACT:  # only Mode.SIMPLIFIED adds contributions past 1
         for element_id in net.element_ids():
-            if net.state(element_id).result_prob > 1.0:
+            if net.element(element_id).state.result_prob > 1.0:
                 raise LoadError(f"result probability of {element_id} passes 1 in exact mode", begin)
     for line_no, line in _read_block(reader, "counters"):
         key, _, value = line.partition("=")

@@ -355,15 +355,10 @@ def _unindex(index: dict, key, seq: int) -> None:
 # ---------------------------------------------------------------------------
 # propagation
 
-# The kernel writes states through their slots, which skips the hook of a
-# watched state (``ProbabilityState``), and adds what it changed to the
-# network's touched set itself.  It takes each state it writes from
-# ``state``, or copies a shared element in through ``writable`` first, so a
-# layer never writes what it shares (``CognitiveNetwork.layer``).
-_write_input = ProbabilityState.input_prob.__set__
-_write_result = ProbabilityState.result_prob.__set__
-_write_status = ProbabilityState.status.__set__
-_write_launched = ProbabilityState.launched.__set__
+# The kernel writes a state only once it holds the element alone: through
+# ``state``, or after ``writable`` copied a shared element in, so a layer
+# never writes what it shares (``CognitiveNetwork.layer``).  A launch marks
+# the targets it folds into in the touched set itself.
 
 
 def _relation_degree(relations: dict[str, Relation], rel: Relation) -> float:
@@ -394,7 +389,7 @@ def _apply_contribution(
     if config.mode is Mode.SIMPLIFIED:
         k = via.params.get("k")
         applied = (float(k) if isinstance(k, (int, float)) else config.default_k) * contribution
-    _write_result(state, config.mode.fold(state.result_prob, applied))
+    state.result_prob = config.mode.fold(state.result_prob, applied)
     touched[target] = None
     ledger.record(launch_id, source, target, via.id, applied)
     trace.record(event, source, target, applied, state.result_prob)
@@ -425,8 +420,8 @@ def pps_launch(
     if not 0.0 < delta <= 1.0:
         raise ParameterError(f"launch delta must lie in (0, 1], got {delta}")
     relations, concepts, touched, owned = net.relations, net.concepts, net.touched(), net.owned_ids()
-    src_state = net.state(source)
-    _write_launched(src_state, True)
+    src_state = net.writable(source).state  # not ``state``: readiness never reads ``launched``
+    src_state.launched = True
     if launch is None:
         launch = ledger.open_launch(source, delta)
     launch_id = launch.launch_id
@@ -504,8 +499,7 @@ def pps_launch(
 
 def _restore_result(net: CognitiveNetwork, ledger: ContributionLedger, target: str, mode: Mode) -> None:
     state = net.state(target)
-    _write_result(state, ledger.replay(state.input_prob, target, mode))
-    net.touched()[target] = None
+    state.result_prob = ledger.replay(state.input_prob, target, mode)
 
 
 def undo_launch(net: CognitiveNetwork, ledger: ContributionLedger, launch_id: int, mode: Mode) -> None:
@@ -531,7 +525,7 @@ def collapse_element(
     that was ready already.  The cost follows what changed since the network's
     last settle or collapse, not the size of the network (see ``_ReadyQueue``).
     """
-    state = net.state(x)
+    state = net.element(x).state
     if state.status is Status.SUPPRESSED:
         raise ConflictError(f"cannot collapse suppressed element {x}")
     if state.status is Status.COLLAPSED:
@@ -616,7 +610,6 @@ def _cascade(
     trace: Trace,
 ) -> None:
     """Collapse x, then the first ready element, until none is ready."""
-    touched = net.touched()
     while x is not None:
         partners = _xor_partners(net, x)
         for partner in partners:
@@ -629,19 +622,16 @@ def _cascade(
         # to the pre-contribution input, after which certainty replaces it.
         ledger.purge_target(x)
         state = net.state(x)
-        _write_input(state, 1.0)
-        _write_result(state, 1.0)
-        _write_status(state, Status.COLLAPSED)
-        touched[x] = None
+        state.input_prob = state.result_prob = 1.0
+        state.status = Status.COLLAPSED
         trace.record("collapse", x, x, 1.0, 1.0)
 
         for partner in partners:
             if partner in net.knowledge:
                 continue
-            pstate = net.state(partner)
-            if pstate.status is Status.SUPERPOSED:
-                _write_status(pstate, Status.SUPPRESSED)
-                touched[partner] = None
+            if net.element(partner).state.status is Status.SUPERPOSED:
+                pstate = net.state(partner)
+                pstate.status = Status.SUPPRESSED
                 trace.record("suppress", x, partner, 0.0, pstate.result_prob)
 
         ready.offer(pps_launch(net, x, 1.0, config, ledger, trace))
@@ -697,4 +687,4 @@ def mean_probability(net: CognitiveNetwork, ids: Optional[Iterable[str]] = None)
     pool = list(ids) if ids is not None else net.element_ids()
     if not pool:
         return 0.0
-    return sum(net.state(e).result_prob for e in pool) / len(pool)
+    return sum(net.element(e).state.result_prob for e in pool) / len(pool)

@@ -84,18 +84,10 @@ def extended_network(rng: random.Random) -> CognitiveNetwork:
 
 
 def attributes(obj) -> dict[str, object]:
-    """An object's own attributes: its ``__dict__``, or its slots (a state's id too).
-
-    A state's touched set shows only as whether there is one: a state a layer
-    shares reports to the network it came from (``assert_watched`` checks where
-    writes go), and that set moves with the writes of that network.
-    """
+    """An object's own attributes: its ``__dict__``, or its slots."""
     if hasattr(obj, "__dict__"):
         return vars(obj)
-    found = {name: getattr(obj, name) for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
-    if "_touched" in found:
-        found["_touched"] = found["_touched"] is not None
-    return found
+    return {name: getattr(obj, name) for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
 
 
 def shape(obj):
@@ -112,8 +104,8 @@ def shape(obj):
 
 
 def assert_watched(net: CognitiveNetwork, others: list[CognitiveNetwork]) -> None:
-    """A write of each state's result reaches ``net``'s touched set under its element's id,
-    and no other network's; the touched sets are left as they were, plus those ids."""
+    """A write of each state's result through ``net.state`` marks its element's id in ``net``'s
+    touched set, and in no other network's; the touched sets are left as they were, plus those ids."""
     before = [list(other.touched()) for other in others]
     kept = dict(net.touched())
     for el_id in net.element_ids():

@@ -196,7 +196,7 @@ def oracle_ready_scan(net: CognitiveNetwork, config: EngineConfig, kb_ids: froze
     def ready(element_id: str) -> bool:
         if element_id in kb_ids:
             return False
-        state = net.state(element_id)
+        state = net.element(element_id).state  # a read: ``net.state`` would touch every element
         return state.status is Status.SUPERPOSED and config.collapse_ready(state.result_prob)
 
     return [(net.position_key(e), e) for e in net.element_ids() if ready(e)]

@@ -42,32 +42,70 @@ def test_no_module_reads_another_objects_private_attribute():
     assert offenders == []
 
 
-def test_only_core_replaces_an_elements_state_object():
-    """A network watches the state objects it holds, so a new one goes in through ``set_state``.
+STATE_FIELDS = {"input_prob", "result_prob", "status", "launched"}
 
-    Writing ``.state`` (or ``setattr(..., "state", ...)``) anywhere else would hand
-    the network a state whose writes it never sees.
+
+def _assigned_attributes(node: ast.AST) -> list[ast.Attribute]:
+    """The attributes an assignment statement writes, through tuples and starred targets too."""
+    if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        return []
+    targets = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+    found = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            found.append(target)
+    return found
+
+
+def test_only_core_replaces_an_elements_state_object():
+    """A new state object goes in through ``set_state``, which marks its element touched.
+
+    Writing ``.state`` (or ``setattr(..., "state", ...)``) anywhere else would give
+    an element a state that the next settle never reads, or change one a layer shares.
     """
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "core":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
-                while targets:
-                    target = targets.pop()
-                    if isinstance(target, (ast.Tuple, ast.List)):
-                        targets.extend(target.elts)
-                    elif isinstance(target, ast.Starred):
-                        targets.append(target.value)
-                    elif isinstance(target, ast.Attribute) and target.attr == "state":
-                        offenders.append(f"{path.name}:{node.lineno} assigns {ast.unparse(target)}")
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "setattr" and len(node.args) > 1
-                  and isinstance(node.args[1], ast.Constant) and node.args[1].value == "state"):
+            offenders.extend(
+                f"{path.name}:{node.lineno} assigns {ast.unparse(target)}"
+                for target in _assigned_attributes(node) if target.attr == "state"
+            )
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant) and node.args[1].value == "state"):
                 offenders.append(f"{path.name}:{node.lineno} calls setattr(..., 'state', ...)")
     assert offenders == []
+
+
+def test_only_the_kernel_writes_state_fields():
+    """Outside ``core`` and ``probability`` a state's fields are only read, through ``element(id).state``.
+
+    A state is a plain dataclass: no ``__setattr__`` hook and no class swap sees a write,
+    so the touched set hears of a write only through ``CognitiveNetwork.state``.
+    """
+    offenders, calls_state = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            offenders.extend(
+                f"{where} assigns {ast.unparse(target)}" for target in _assigned_attributes(node)
+                if target.attr == "__class__"
+                or (target.attr in STATE_FIELDS and path.stem not in ("core", "probability"))
+            )
+            if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+                offenders.append(f"{where} defines __setattr__")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "state"):
+                calls_state.add(path.stem)
+    assert offenders == []
+    assert calls_state == {"probability"}  # ``net.state(id)`` is the door to write, and only the kernel writes
 
 
 LAYERS = [

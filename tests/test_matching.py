@@ -291,6 +291,27 @@ class TestKnowledgeBaseMemo:
             assert got == oracle_match_nested(net, ["leafx1"], tree, _config()), i
             assert len(matching._MEMOS) <= matching._MEMO_LIMIT
 
+    def test_a_full_table_drops_only_its_oldest_key(self, monkeypatch):
+        matching._MEMOS.clear()
+        net = self._scene()
+        tree, n = net.trees["in1"], matching._MEMO_LIMIT + 1
+        counts = _counted(monkeypatch)
+
+        def match(i: int) -> None:  # each conditional makes a tree content of its own
+            net.relations["ri1"].cond.backward = i / n
+            assert match_nested(net, ["leafx1"], tree, _config()) == oracle_match_nested(
+                net, ["leafx1"], tree, _config()
+            ), i
+
+        for i in range(1, n + 1):  # one key more than the table holds
+            match(i)
+        assert counts["scratches"] == n and len(matching._MEMOS) == matching._MEMO_LIMIT
+        for i in range(n, 1, -1):  # the most recent first: every key but the oldest is kept
+            match(i)
+            assert counts["scratches"] == n, i
+        match(1)
+        assert counts["scratches"] == n + 1
+
     def test_a_base_of_more_trees_than_the_limit_matches_them_all_again_warm(self, monkeypatch):
         matching._MEMOS.clear()
         net = self._scene()

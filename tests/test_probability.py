@@ -17,6 +17,7 @@ from dcnet.core import (
     Gaussian,
     Interval,
     ParameterError,
+    ProbabilityState,
     Relation,
     RelationKind,
     Status,
@@ -30,6 +31,7 @@ from dcnet.probability import (
     Mode,
     gaussian_membership,
     collapse_element,
+    mean_probability,
     param_membership,
     pps_launch,
     relational_membership,
@@ -41,6 +43,8 @@ from dcnet.probability import (
 )
 from dcnet import probability
 from dcnet.growth import ConceptSpec, fit_run, make_task
+from dcnet.kbio import Expectation, check_expectations, serialize_kb
+from dcnet.lifecycle import session_save
 from dcnet.trace import Trace, TraceEvent
 
 from scenes import FACE_INPUTS, face_kb, face_task
@@ -492,6 +496,42 @@ class TestCollapse:
             report = fit_run(make_task(kb, _engine(), specs))
             assert report.absolute
         assert queues and max(q.examined for q in queues) < 100, [q.examined for q in queues]
+
+
+class TestWriteDoor:
+    """``net.state(id)`` is the one way to write a stored state; it marks the id touched."""
+
+    def test_reading_a_fitted_task_touches_nothing(self):
+        task = face_task()
+        fit_run(task)
+        state = task.states[0]
+        net = state.net
+        assert settle(net, task.config, state.ledger, task.trace) == []  # empties the touched set
+        assert state.fully_collapsed()
+        expects = [Expectation(e, net.element(e).state.result_prob) for e in state.content_ids()]
+        assert check_expectations(net, expects) == []
+        assert mean_probability(net) > 0.0
+        assert "state=" in serialize_kb(net, with_state=True)
+        assert session_save(task)
+        assert net.touched() == {}
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_a_write_after_a_settle_is_settled_next(self, layered):
+        source = CognitiveNetwork()
+        _concept(source, "a", 0.2)
+        _concept(source, "b", 0.3)
+        _rel(source, "r", "a", "b", pba=0.5, pab=0.5)
+        config, ledger, trace = _engine(), ContributionLedger(), Trace()
+        assert settle(source, config, ledger, trace) == []
+        net = source.layer() if layered else source
+        kept = dict(source.touched())
+        net.state("a").result_prob = 0.95
+        assert settle(net, config, ledger, trace) == ["a"]
+        assert net.element("a").state.status is Status.COLLAPSED
+        if layered:
+            assert source.touched() == kept
+            assert source.element("a").state == ProbabilityState(0.2, 0.2)
+            assert settle(source, config, ContributionLedger(), Trace()) == []
 
 
 class TestSimplifiedMode:
