@@ -301,7 +301,7 @@ def _outcome(call):
 
 
 def _snapshot(net: CognitiveNetwork, ledger: ContributionLedger, trace: Trace):
-    states = [(e, net.state(e)) for e in net.element_ids()]
+    states = [(e, net.element(e).state) for e in net.element_ids()]  # reads: touch nothing
     return states, list(ledger.entries), ledger.launches, ledger.next_launch_id, trace.events, trace.next_step
 
 
