@@ -3,8 +3,9 @@
 When growth fails, adjacent unexplained instances are clustered into hypothesis
 trees: a fresh root, one component relation per member, adjacency relations for
 what was observed together, probabilities initialized to certainty and counts
-to one.  Applications across later scenes confirm or starve the hypotheses;
-structure comes from a single sample, probabilities from many.
+to one.  Applications across later scenes re-estimate the hypotheses'
+conditionals, and a hypothesis applied often enough is confirmed; structure
+comes from a single sample, probabilities from many.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ class KnowledgeCandidate:
     tree_root: str
     success_count: int = 1
     trial_count: int = 1
-    created_at: int = 0
     new_knowledge: bool = True
     member_counts: dict[str, int] = field(default_factory=dict)
     pair_counts: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -46,7 +46,6 @@ class KnowledgeCandidate:
 
 @dataclass
 class DeviationStandard:
-    param_specs: dict[str, object] = field(default_factory=dict)
     threshold: float = 0.5
 
     def meets(self, membership: float) -> bool:
@@ -58,12 +57,12 @@ class LearnReport:
     scenes: int = 0
     learned_roots: list[str] = field(default_factory=list)
     extended_roots: list[str] = field(default_factory=list)
-    discarded: list[str] = field(default_factory=list)
     merged: list[tuple[str, str]] = field(default_factory=list)
     candidates: dict[str, KnowledgeCandidate] = field(default_factory=dict)
     estimates: dict[str, dict[str, tuple[float, float]]] = field(default_factory=dict)
-    # estimation rule: P(member|root) = member scenes / root applications,
-    # P(root|member) = co-occurrence / member occurrences.
+    # estimation rule: P(member|root) = member scenes / root applications;
+    # P(root|member) is fixed at 1.0, as every member occurrence counted is one
+    # in an application of the root.
 
 
 @dataclass
@@ -92,7 +91,6 @@ def deviation_membership(
     net: CognitiveNetwork,
     element_ids: Sequence[str],
     reference: Optional[Mapping[str, Mapping[str, object]]] = None,
-    standard: Optional[DeviationStandard] = None,
 ) -> float:
     """Product of per-parameter memberships of observed values against declared specs.
 
@@ -103,8 +101,6 @@ def deviation_membership(
     degree = 1.0
     for el_id in element_ids:
         specs = _spec_params(net, el_id)
-        if standard is not None:
-            specs.update(standard.param_specs)
         observed: Mapping[str, object]
         if reference is not None:
             observed = reference.get(el_id, {})
@@ -240,7 +236,6 @@ def hypothesize_scene(
     report: FitReport,
     priors: Optional[dict] = None,
     registry: Optional[dict[str, KnowledgeCandidate]] = None,
-    scene_index: int = 0,
 ) -> tuple[list[str], list[str]]:
     """Create or extend hypothesis trees for a scene's unexplained instances.
 
@@ -248,7 +243,7 @@ def hypothesize_scene(
     under the observed adjacency relations; a cluster adjacent to an explained
     instance extends that instance's tree instead of founding a new root.
     """
-    return _hypothesize(kb, scene, _select(report), priors, registry, scene_index)
+    return _hypothesize(kb, scene, _select(report), priors, registry)
 
 
 def _hypothesize(
@@ -257,7 +252,6 @@ def _hypothesize(
     state: FitState,
     priors: Optional[dict],
     registry: Optional[dict[str, KnowledgeCandidate]],
-    scene_index: int,
 ) -> tuple[list[str], list[str]]:
     unexplained = _unexplained(state)
     if not unexplained:
@@ -314,9 +308,7 @@ def _hypothesize(
         declare_tree(kb, root_id, [*known, *member_bases.values()])
 
         if registry is not None:
-            candidate = registry.setdefault(
-                root_id, KnowledgeCandidate(tree_root=root_id, created_at=scene_index)
-            )
+            candidate = registry.setdefault(root_id, KnowledgeCandidate(tree_root=root_id))
             for base_id in member_bases.values():
                 candidate.member_counts[base_id] = candidate.member_counts.get(base_id, 0) + 1
             members_now = sorted(member_bases.values())
@@ -356,10 +348,11 @@ def cnl_run(
 ) -> LearnReport:
     """Fit every scene, hypothesizing knowledge wherever growth fails.
 
-    Successful applications are counted per candidate and per member;
-    conditional probabilities are re-estimated as success ratios; candidates
-    whose both direction estimates starve below the floor are discarded, and
-    similar knowledge is merged at the end.
+    Successful applications are counted per candidate and per member, and
+    conditional probabilities are re-estimated as success ratios.  At the end
+    each unconfirmed candidate's tree is declared again over its members, a
+    candidate tried more than ``confirm_count`` times is confirmed, and similar
+    knowledge is merged.
     """
     priors = {**DEFAULT_PRIORS, **(priors or {})}
     config = config or EngineConfig()
@@ -367,12 +360,12 @@ def cnl_run(
     standard: Optional[DeviationStandard] = priors.get("deviation")
     report = LearnReport(candidates=registry)
 
-    for index, scene in enumerate(scenes):
+    for scene in scenes:
         if not scene.concepts:
             report.scenes += 1
             continue
         state = _fit_scene(kb, scene, config, standard)
-        new_roots, extended = _hypothesize(kb, scene, state, priors, registry, index)
+        new_roots, extended = _hypothesize(kb, scene, state, priors, registry)
         if new_roots or extended:
             report.learned_roots.extend(new_roots)
             report.extended_roots.extend(r for r in extended if r not in report.extended_roots)
@@ -381,8 +374,12 @@ def cnl_run(
         report.scenes += 1
 
     _reestimate(kb, registry, report)
-    _discard_starved(kb, registry, report, config)
-    for candidate in registry.values():
+    for root, candidate in registry.items():
+        if candidate.new_knowledge and kb.has(root):
+            # a later hypothesis may have added adjacency between this tree's members
+            # after it was declared; declaring it again takes that in, so the view is
+            # what its ``tree`` statement reads back to
+            declare_tree(kb, root, kb.trees[root].concepts)
         if candidate.trial_count > config.confirm_count:
             candidate.new_knowledge = False
     merge = merge_similar(kb, config, registry)
@@ -403,7 +400,7 @@ def _fit_scene(
         for frag in state.fragments:
             if frag.unmatched or frag.element in report.unmatched:
                 continue
-            membership = deviation_membership(state.net, [frag.element], standard=standard)
+            membership = deviation_membership(state.net, [frag.element])
             if not standard.meets(membership):
                 frag.unmatched = True
     return state
@@ -474,41 +471,6 @@ def _reestimate(
                     min(co / occ1, 1.0), min(co / occ2, 1.0)
                 )
         report.estimates[root] = estimates
-
-
-def _discard_starved(
-    kb: CognitiveNetwork,
-    registry: dict[str, KnowledgeCandidate],
-    report: LearnReport,
-    config: EngineConfig,
-) -> None:
-    for root, candidate in list(registry.items()):
-        if not candidate.new_knowledge or not kb.has(root):
-            continue
-        doomed_members: list[str] = []
-        for member in list(candidate.member_counts):
-            rel = kb.relations.get(f"r:{root}:{member}")
-            if rel is None:
-                continue
-            fwd = rel.cond.forward if not isinstance(rel.cond.forward, Gaussian) else 1.0
-            bwd = rel.cond.backward if not isinstance(rel.cond.backward, Gaussian) else 1.0
-            if fwd < config.discard_floor and bwd < config.discard_floor:
-                doomed_members.append(member)
-        for member in doomed_members:
-            rel_id = f"r:{root}:{member}"
-            if kb.has(rel_id):
-                kb.remove_element(rel_id)
-            candidate.member_counts.pop(member, None)
-            report.discarded.append(rel_id)
-        if candidate.member_counts:
-            declare_tree(kb, root, [c for c in kb.trees[root].concepts if c not in doomed_members])
-        else:
-            if root in kb.trees:
-                kb.drop_tree(root)
-            if kb.has(root):
-                kb.remove_element(root)
-            registry.pop(root)
-            report.discarded.append(root)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,9 @@ SESSION_HEADER = "DCNET-SESSION v1"
 
 @dataclass
 class PrunePolicy:
-    keep_roots: bool = True
+    """Instance elements that pruning must keep, besides the roots it always keeps."""
+
     keep: set[str] = field(default_factory=set)
-    min_granularity: Optional[int] = None
 
 
 @dataclass
@@ -84,10 +84,11 @@ def prune(
     ledger: Optional[ContributionLedger] = None,
     trace: Optional[Trace] = None,
 ) -> PruneReport:
-    """Cut collapsed low-level members of fully collapsed trees, keeping roots.
+    """Cut the collapsed members of fully collapsed tree instances; roots always stay.
 
-    Ledger history around removed elements is sealed: later undo operations
-    will not touch it.  Root probabilities are untouched by construction.
+    A member in ``policy.keep`` stays too, with a warning.  Ledger history
+    around removed elements is sealed: later undo operations will not touch
+    it.  Root probabilities are untouched by construction.
     """
     report = PruneReport()
     for instance in net.tree_instances:
@@ -96,16 +97,9 @@ def prune(
             continue
         if any(net.element(e).state.status is not Status.COLLAPSED for e in ids):
             continue
-        levels = _member_levels(net, instance)
         removable: list[str] = []
-        for base_el, inst_el in instance.mapping.items():
-            if inst_el == instance.root and policy.keep_roots:
-                continue
-            if policy.min_granularity is not None and levels.get(base_el, 1) < policy.min_granularity:
-                if inst_el in policy.keep:
-                    report.warnings.append(
-                        f"{inst_el}: protected and below the granularity bound; kept"
-                    )
+        for inst_el in instance.mapping.values():
+            if inst_el == instance.root:
                 continue
             if inst_el in policy.keep:
                 report.warnings.append(f"{inst_el}: protected from pruning; kept")
@@ -127,31 +121,10 @@ def prune(
     return report
 
 
-def _member_levels(net: CognitiveNetwork, instance: TreeInstance) -> dict[str, int]:
-    tree = net.trees.get(instance.base_root)
-    levels = {instance.base_root: 0}
-    if tree is None:
-        return levels
-    frontier = [instance.base_root]
-    while frontier:
-        cur = frontier.pop(0)
-        for rel_id in tree.longitudinal:
-            rel = net.relations.get(rel_id)
-            if rel is None or rel.a != cur or rel.b in levels:
-                continue
-            levels[rel.b] = levels[cur] + 1
-            frontier.append(rel.b)
-    return levels
-
-
 def prune_task(task: FitTask, policy: PrunePolicy, state_index: int = 0) -> PruneReport:
     """Prune a fit state, protecting elements still referenced by pending fragments."""
     state = task.states[state_index]
-    merged = PrunePolicy(
-        keep_roots=policy.keep_roots,
-        keep=set(policy.keep) | {f.element for f in state.pending()},
-        min_granularity=policy.min_granularity,
-    )
+    merged = PrunePolicy(keep=set(policy.keep) | {f.element for f in state.pending()})
     return prune(state.net, merged, ledger=state.ledger, trace=task.trace)
 
 
@@ -621,6 +594,8 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
     config_kw: dict[str, object] = {}
     for line_no, line in _read_block(reader, "config"):
         key, _, value = line.partition("=")
+        if key == "discard_floor":  # older sessions write it; it sets nothing now
+            continue
         try:
             config_kw[key] = parse_config_value(key, value)
         except ValueError as err:

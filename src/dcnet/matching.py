@@ -28,7 +28,7 @@ fork and learning scene made from it, and a base parsed or loaded again):
   network's tree count, whichever is more, so a pass over a large knowledge
   base keeps every tree it touches; one memo holds at most
   ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT`` launches.  A full
-  table drops its oldest keys, so the trees in use stay warm.
+  table drops the keys used longest ago, so the trees in use stay warm.
 """
 from __future__ import annotations
 
@@ -211,7 +211,7 @@ def _tree_index(net: CognitiveNetwork) -> _TreeIndex:
     return index
 
 
-_MEMO_LIMIT = 64  # tree content keys kept at least; a full table drops its oldest
+_MEMO_LIMIT = 64  # tree content keys kept at least; a full table drops the one used longest ago
 _SCRATCH_LIMIT = 16  # scratches (distinct relation degrees) one tree memo holds
 _LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
 
@@ -245,11 +245,12 @@ def _content_key(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineCon
 def _tree_memo(net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig) -> _TreeMemo:
     """The memo of ``tree`` as ``net`` now holds it, new for a content key not seen yet."""
     key = _content_key(net, tree, config)
-    memo = _MEMOS.get(key)
+    memo = _MEMOS.pop(key, None)  # re-inserted last, so the table's order is least recently used first
     if memo is None:
         while len(_MEMOS) >= max(_MEMO_LIMIT, 2 * len(net.trees)):
             del _MEMOS[next(iter(_MEMOS))]
-        memo = _MEMOS[key] = _TreeMemo()
+        memo = _TreeMemo()
+    _MEMOS[key] = memo
     return memo
 
 

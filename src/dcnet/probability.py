@@ -90,7 +90,6 @@ class EngineConfig:
     max_hops: Optional[int] = None
     branch_limit: int = 4
     match_depth_limit: int = 8
-    discard_floor: float = 0.05
     merge_overlap: float = 0.5
     confirm_count: int = 5
 

@@ -45,8 +45,8 @@ class TraceEvent:
     value: float
     result: float
 
-    def format(self, precision: int | None = None) -> str:
-        p = trace_precision() if precision is None else precision
+    def format(self) -> str:
+        p = trace_precision()
         return (
             f"step={self.step} event={self.event} src={self.src} dst={self.dst} "
             f"value={self.value:.{p}f} result={self.result:.{p}f}"

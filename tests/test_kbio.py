@@ -223,6 +223,9 @@ class TestParseScenario:
     def test_unknown_config_key(self):
         with pytest.raises(ParseError):
             parse_scenario("config wibble=1\n")
+        with pytest.raises(ParseError) as err:  # a retired key, which only old sessions still hold
+            parse_scenario("input eye p=0.5\nconfig activation=0.2 discard_floor=0.05\n")
+        assert (err.value.line, err.value.column) == (2, len("config activation=0.2 ") + 1)
 
     @pytest.mark.parametrize(
         "setting", ["mode=weird", "max_hops=1.5", "k=abc", "collapse=nan", "branch_limit="]

@@ -299,6 +299,25 @@ class TestSessions:
             assert net_a.state(el).result_prob == net_b.state(el).result_prob
             assert net_a.state(el).status == net_b.state(el).status
 
+    def test_a_session_with_the_retired_discard_floor_key_still_loads(self):
+        """Sessions once wrote ``discard_floor``, a key that no longer sets anything; a load skips it."""
+        whole = face_task()
+        fit_run(whole)
+        partial = face_task()
+        fit_run(partial, limit=2)
+        cut = len(partial.trace.events)
+        current = session_save(partial)
+        lines = current.split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("match_depth_limit=")) + 1
+        older = "\n".join([*lines[:at], "discard_floor=0.05", *lines[at:]])
+        loaded = session_load(older)
+        assert session_save(loaded) == current
+        fit_run(loaded)
+        assert loaded.trace.lines()[cut:] == whole.trace.lines()[cut:]
+        with pytest.raises(LoadError) as err:
+            session_load(older.replace("discard_floor=", "discard_flour="))
+        assert "discard_flour" in str(err.value)
+
     def test_truncated_payload_fails(self):
         task = face_task()
         payload = session_save(task)

@@ -291,7 +291,7 @@ class TestKnowledgeBaseMemo:
             assert got == oracle_match_nested(net, ["leafx1"], tree, _config()), i
             assert len(matching._MEMOS) <= matching._MEMO_LIMIT
 
-    def test_a_full_table_drops_only_its_oldest_key(self, monkeypatch):
+    def test_a_full_table_drops_only_the_key_used_longest_ago(self, monkeypatch):
         matching._MEMOS.clear()
         net = self._scene()
         tree, n = net.trees["in1"], matching._MEMO_LIMIT + 1
@@ -306,9 +306,31 @@ class TestKnowledgeBaseMemo:
         for i in range(1, n + 1):  # one key more than the table holds
             match(i)
         assert counts["scratches"] == n and len(matching._MEMOS) == matching._MEMO_LIMIT
-        for i in range(n, 1, -1):  # the most recent first: every key but the oldest is kept
+        for i in range(n, 1, -1):  # the most recent first: every key but the first is kept
             match(i)
             assert counts["scratches"] == n, i
+        match(1)  # built again, in place of key n, now the one used longest ago
+        assert counts["scratches"] == n + 1
+        match(2)
+        assert counts["scratches"] == n + 1
+        match(n)
+        assert counts["scratches"] == n + 2
+
+    def test_a_key_matched_again_outlives_keys_added_after_it(self, monkeypatch):
+        matching._MEMOS.clear()
+        net = self._scene()
+        tree, n = net.trees["in1"], matching._MEMO_LIMIT
+        counts = _counted(monkeypatch)
+
+        def match(i: int) -> None:  # each conditional makes a tree content of its own
+            net.relations["ri1"].cond.backward = i / (n + 1)
+            match_nested(net, ["leafx1"], tree, _config())
+
+        for i in range(1, n + 1):  # a full table
+            match(i)
+        match(1)
+        match(n + 1)  # drops key 2, used longest ago, not key 1, inserted first
+        assert counts["scratches"] == n + 1
         match(1)
         assert counts["scratches"] == n + 1
 
