@@ -821,7 +821,11 @@ class CognitiveNetwork:
 
     def _would_cycle(self, derived: str, base: str) -> bool:
         # Adding derived -> base closes a cycle iff base already belongs to derived
-        # through belong-to edges alone (equal 2-cycles stay legal).
+        # through belong-to edges alone (equal 2-cycles stay legal).  Such a path
+        # ends on an edge at derived, so a derived with no relation yet (a fresh
+        # instance) closes none, however long base's incident list is.
+        if not self._incident.get(derived):
+            return False
         seen = {base}
         frontier = [base]
         while frontier:

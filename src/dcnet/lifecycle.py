@@ -109,14 +109,14 @@ def prune(
             if not net.has(inst_el):
                 continue
             for el in net.remove_element(inst_el):
-                if ledger is not None:
-                    ledger.seal_element(el)
                 if trace is not None:
                     trace.record("prune", el, el, 0.0, 0.0)
                 report.removed.append(el)
         instance.mapping = {
             b: e for b, e in instance.mapping.items() if net.has(e)
         }
+    if ledger is not None and report.removed:
+        ledger.seal_elements(report.removed)
     report.kept = [e for e in net.element_ids()]
     return report
 
@@ -320,12 +320,14 @@ def iterate_step(
     )
 
     if not keep_history:
+        removed: list[str] = []
         for el in old_mapping.values():
             if not net.has(el):
                 continue
             for gone in net.remove_element(el):
-                ledger.seal_element(gone)
                 trace.record("prune", gone, gone, 0.0, 0.0)
+                removed.append(gone)
+        ledger.seal_elements(removed)
         net.tree_instances.remove(instance)
     return new_root
 

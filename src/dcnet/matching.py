@@ -336,13 +336,14 @@ def _placements(match: _TreeMatch, fragment_ids: list[str]) -> list[dict[str, st
             place_relation(idx + 1)
             return
         for base_rel_id in tree_relations:
+            brel = net.relations.get(base_rel_id)  # a tree view may still name a removed relation
+            if brel is None or brel.a != im_a or brel.b != im_b:
+                continue  # the ends decide first: the kind test walks lineages
             if not kind_compatible(net, f, base_rel_id):
                 continue
-            brel = net.relations[base_rel_id]
-            if im_a == brel.a and im_b == brel.b:
-                assignment[f] = base_rel_id
-                place_relation(idx + 1)
-                del assignment[f]
+            assignment[f] = base_rel_id
+            place_relation(idx + 1)
+            del assignment[f]
 
     def place_concept(idx: int) -> None:
         if idx == len(concepts):

@@ -15,6 +15,7 @@ from collections import defaultdict
 from collections.abc import ValuesView
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .core import (
@@ -255,16 +256,15 @@ class ContributionLedger:
 
     Replaying a target's entries over its initial input reproduces its result
     exactly, because results are only ever produced by that same fold.  The
-    entries keep their append order and are indexed by target, by launch and
-    by the elements they came from or through, so each operation touches only
-    the entries it reads or changes.
+    entries keep their append order and are indexed by target and by launch,
+    so replay, undo and collapse touch only the entries they read or change;
+    sealing, which only pruning asks for, reads the whole log once.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, LedgerEntry] = {}
         self._by_target: defaultdict[str, dict[int, LedgerEntry]] = defaultdict(dict)
         self._by_launch: defaultdict[int, dict[int, LedgerEntry]] = defaultdict(dict)
-        self._by_origin: defaultdict[str, dict[int, LedgerEntry]] = defaultdict(dict)  # source, via
         self._next_seq = 0
         self.launches: list[LaunchRecord] = []
         self.next_launch_id: int = 1
@@ -281,7 +281,13 @@ class ContributionLedger:
         return rec
 
     def record(self, launch_id: int, source: str, target: str, via: str, contribution: float) -> None:
-        self.add(LedgerEntry(launch_id, source, target, via, contribution))
+        """Append the entry of one applied contribution (the kernel's only way in)."""
+        entry = LedgerEntry(launch_id, source, target, via, contribution)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._entries[seq] = entry
+        self._by_target[target][seq] = entry
+        self._by_launch[launch_id][seq] = entry
 
     def add(self, entry: LedgerEntry) -> None:
         """Append an entry as it stands, sealed or not."""
@@ -290,8 +296,6 @@ class ContributionLedger:
         self._entries[seq] = entry
         self._by_target[entry.target][seq] = entry
         self._by_launch[entry.launch_id][seq] = entry
-        self._by_origin[entry.source][seq] = entry
-        self._by_origin[entry.via][seq] = entry
 
     def copy(self) -> "ContributionLedger":
         """A ledger equal to this one, with entries and launch records of its own."""
@@ -318,36 +322,61 @@ class ContributionLedger:
         }
 
     def purge_target(self, target: str) -> list[LedgerEntry]:
-        """Drop every entry aimed at the target; returns them in original order."""
-        return self._drop(self._by_target.get(target, {}), keep_sealed=True)
+        """Drop every unsealed entry aimed at the target; returns them in original order."""
+        return self._drop_unsealed(self._by_target, target, self._by_launch, _LAUNCH_OF)
 
     def remove_launch(self, launch_id: int) -> list[LedgerEntry]:
-        return self._drop(self._by_launch.get(launch_id, {}), keep_sealed=True)
+        """Drop every unsealed entry of the launch; returns them in original order."""
+        return self._drop_unsealed(self._by_launch, launch_id, self._by_target, _TARGET_OF)
 
-    def seal_element(self, element_id: str) -> None:
-        """Freeze history around a removed element: nothing may undo it later."""
-        self._drop(self._by_target.get(element_id, {}), keep_sealed=False)
-        for e in self._by_origin.get(element_id, {}).values():
-            e.sealed = True
+    def seal_elements(self, element_ids: Iterable[str]) -> None:
+        """Freeze history around removed elements: nothing may undo it later.
+
+        The entries aimed at any of them go, sealed or not; every other entry
+        that came from or through one of them, and every launch one of them
+        made, is sealed.  One pass over the log and one over the launches,
+        however many elements there are.
+        """
+        gone = set(element_ids)
+        for target in gone:
+            for seq, e in self._by_target.pop(target, {}).items():
+                del self._entries[seq]
+                _unindex(self._by_launch, e.launch_id, seq)
+        for e in self._entries.values():
+            if e.source in gone or e.via in gone:
+                e.sealed = True
         for rec in self.launches:
-            if rec.source == element_id:
+            if rec.source in gone:
                 rec.sealed = True
 
-    def _drop(self, bucket: dict[int, LedgerEntry], keep_sealed: bool) -> list[LedgerEntry]:
-        """Remove a bucket's entries (its sealed ones stay if asked) from every index."""
-        doomed = [(seq, e) for seq, e in bucket.items() if not (keep_sealed and e.sealed)]
-        for seq, e in doomed:
+    def _drop_unsealed(self, index: dict, key, other: dict, other_key) -> list[LedgerEntry]:
+        """Pop the bucket ``index[key]`` whole, drop its unsealed entries from the log
+        and from ``other``, and put its sealed ones back in their order."""
+        bucket = index.pop(key, None)
+        if bucket is None:
+            return []
+        dropped: list[LedgerEntry] = []
+        kept: dict[int, LedgerEntry] = {}
+        for seq, e in bucket.items():
+            if e.sealed:
+                kept[seq] = e
+                continue
             del self._entries[seq]
-            _unindex(self._by_target, e.target, seq)
-            _unindex(self._by_launch, e.launch_id, seq)
-            _unindex(self._by_origin, e.source, seq)
-            _unindex(self._by_origin, e.via, seq)
-        return [e for _, e in doomed]
+            _unindex(other, other_key(e), seq)
+            dropped.append(e)
+        if kept:
+            index[key] = kept
+        return dropped
+
+
+_LAUNCH_OF = attrgetter("launch_id")
+_TARGET_OF = attrgetter("target")
 
 
 def _unindex(index: dict, key, seq: int) -> None:
-    bucket = index.get(key)
-    if bucket is not None and bucket.pop(seq, None) is not None and not bucket:
+    bucket = index[key]
+    del bucket[seq]
+    if not bucket:
         del index[key]
 
 

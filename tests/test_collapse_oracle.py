@@ -28,6 +28,7 @@ from dcnet.core import (
     down_closure,
     up_closure,
 )
+from dcnet.kbio import parse_kb
 from dcnet.probability import (
     ContributionLedger,
     EngineConfig,
@@ -312,9 +313,22 @@ def test_collapse_and_settle_match_the_oracle():
     assert conflicts >= 40 and cascades >= 80 and partial >= 500, (conflicts, cascades, partial)
 
 
+def assert_indexes_match_the_log(ledger: ContributionLedger, where: str = "") -> None:
+    """Each index holds the log's own entries, grouped in log order, and no empty bucket."""
+    for index, key in ((ledger._by_target, "target"), (ledger._by_launch, "launch_id")):
+        want: dict = {}
+        for e in ledger.entries:
+            want.setdefault(getattr(e, key), []).append(id(e))
+        got = {k: [id(e) for e in bucket.values()] for k, bucket in index.items()}
+        assert got == want, (where, key)
+
+
 def test_ledger_matches_the_flat_list_oracle():
-    """Random record, add, purge, launch removal, sealing and replay on both ledgers."""
+    """Random record, add, purge, launch removal, batch sealing, copy and replay on both
+    ledgers.  A purge or an undo keeps the sealed entries of its bucket in their place,
+    and leaves no empty bucket behind."""
     elements = ["a", "b", "c", "r1", "r2"]
+    kept_sealed = batches = copies = 0
     for seed in range(CASES):
         rng = random.Random(f"ledger/{seed}")
         fast, slow = ContributionLedger(), ScanLedger()
@@ -333,17 +347,30 @@ def test_ledger_matches_the_flat_list_oracle():
             elif roll < 0.6:
                 target = rng.choice(elements)
                 assert fast.purge_target(target) == slow.purge_target(target), where
+                kept_sealed += target in fast._by_target
             elif roll < 0.7:
                 launch = rng.randint(1, 5)
                 assert fast.remove_launch(launch) == slow.remove_launch(launch), where
+                kept_sealed += launch in fast._by_launch
             elif roll < 0.75:
-                element = rng.choice(elements)
-                fast.seal_element(element)
-                slow.seal_element(element)
+                batch = rng.sample(elements, rng.randint(1, 3))
+                fast.seal_elements(batch)
+                for element in batch:
+                    slow.seal_element(element)
+                batches += len(batch) > 1
             elif roll < 0.8:
                 source = rng.choice(elements)
                 fast.open_launch(source, 0.5)
                 slow.open_launch(source, 0.5)
+            elif roll < 0.85:
+                clone = fast.copy()
+                assert list(clone.entries) == list(fast.entries), where
+                assert clone.launches == fast.launches, where
+                assert clone.next_launch_id == fast.next_launch_id, where
+                assert not {id(e) for e in clone.entries} & {id(e) for e in fast.entries}, where
+                assert not {id(r) for r in clone.launches} & {id(r) for r in fast.launches}, where
+                fast = clone  # the rest of the case runs on the copy
+                copies += 1
             else:
                 target, mode = rng.choice(elements), rng.choice(list(Mode))
                 assert fast.replay(0.1, target, mode) == slow.replay(0.1, target, mode), where
@@ -351,6 +378,34 @@ def test_ledger_matches_the_flat_list_oracle():
                 assert fast.launches_into(pair) == slow.launches_into(pair), where
             assert list(fast.entries) == slow.entries, where
             assert fast.launches == slow.launches, where
+            assert fast.next_launch_id == slow.next_launch_id, where
+            assert_indexes_match_the_log(fast, where)
+    # purges and undos that leave sealed entries in their bucket, sealed batches of
+    # several elements, and cases that go on with a copy
+    assert kept_sealed >= 200 and batches >= 150 and copies >= 250, (kept_sealed, batches, copies)
+
+
+def test_a_collapse_chain_round_leaves_no_empty_bucket():
+    """Collapse the head of every HAS_PART chain, each tail XOR-tied to a rival: each
+    collapse purges the buckets its cascade reaches, and none stays behind empty."""
+    lines = []
+    for c, length in enumerate([4, 7, 10, 5, 8, 6]):
+        ids = [f"c{c}n{i}" for i in range(length)]
+        lines += [f"concept {x}" for x in ids] + [f"concept r{c} state=0.4,0.4,superposed,0"]
+        lines += [
+            f"relation {a}-{b} kind=HAS_PART a={a} b={b} pba=1.0 pab=1.0" for a, b in zip(ids, ids[1:])
+        ]
+        lines.append(f"relation x{c} kind=XOR a={ids[-1]} b=r{c} pba=0.0 pab=0.0")
+    net = parse_kb("\n".join(lines) + "\n")
+    config, ledger, trace = EngineConfig(), ContributionLedger(), Trace()
+    for c in [3, 0, 5, 1, 4, 2]:
+        collapse_element(net, f"c{c}n0", config, ledger, trace)
+        assert_indexes_match_the_log(ledger, f"chain {c}")
+        assert net.element(f"r{c}").state.status is Status.SUPPRESSED
+    assert all(net.element(e).state.status is Status.COLLAPSED for e in net.element_ids() if e[0] == "c")
+    # every entry was recorded into a member that collapsed later, so all were purged
+    assert sum(ev.event == "superpose" for ev in trace.events) >= 40
+    assert not ledger.entries and not ledger._by_target and not ledger._by_launch
 
 
 def test_entries_view_is_read_only():

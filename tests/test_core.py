@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from dcnet.core import (
     classify_tree_network,
     element_count,
 )
+from dcnet.growth import grow_concept
 from dcnet.probability import ContributionLedger, EngineConfig, collapse_element
 from dcnet.trace import Trace
 
@@ -97,6 +99,23 @@ class TestBelongsTo:
             chain_net.add_belong("c", "a")
         # the 2-cycle induced by equal stays legal
         _rel(chain_net, "eq", RelationKind.EQUAL, "a", "c")
+
+    def test_growing_instances_reads_no_incident_list_for_the_cycle_check(self, chain_net):
+        """A fresh instance has no relation, so its belong-to edge can close no cycle,
+        however many instances its base already has."""
+        reads: Counter = Counter()
+
+        class CountedIncident(dict):
+            def get(self, key, default=None):
+                reads[key] += 1
+                return super().get(key, default)
+
+        chain_net._incident = CountedIncident(chain_net._incident)
+        grown = {grow_concept(chain_net, "a") for _ in range(40)}
+        assert len(grown) == 40 and set(reads) <= grown
+        assert all(belongs_to(chain_net, inst, "c") for inst in grown)
+        with pytest.raises(StructureError):
+            chain_net.add_belong("c", min(grown))
 
 
 class TestTreeClassification:

@@ -511,8 +511,7 @@ class TestTaskLayer:
                     frag.consumed = not frag.consumed
                 for rec in fork.ledger.launches:
                     rec.sealed = True
-                for element in fork.net.element_ids():
-                    fork.ledger.seal_element(element)
+                fork.ledger.seal_elements(fork.net.element_ids())
                 fork.deferred.clear()
                 assert_same_state(state, reference)
                 checked += bool(state.ledger.launches)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from dcnet.lifecycle import (
     session_load,
     session_save,
 )
-from dcnet.probability import ContributionLedger, EngineConfig, Mode
+from dcnet.probability import ContributionLedger, EngineConfig, LaunchRecord, LedgerEntry, Mode
 from dcnet.trace import Trace
 
 from scenes import (
@@ -77,6 +78,28 @@ class TestPrune:
         assert any("eye1" in w for w in report.warnings)
         assert not state.net.has("nose1")
 
+    def test_a_prune_reads_each_entry_and_launch_record_once(self):
+        """Sealing after a prune that removes k elements reads the log and the launch
+        records in one pass, not once per removed element."""
+        task, state = self._collapsed_face()
+        reads: Counter = Counter()
+        entry_cls = _source_read_counted(LedgerEntry, reads)
+        record_cls = _source_read_counted(LaunchRecord, reads)
+        ledger = ContributionLedger()
+        # the fit purged every entry it made; these come from, go into and pass by the members
+        for i, r in enumerate(state.ledger.launches):
+            target = ("face1", "eye1", "elsewhere")[i % 3]
+            ledger.add(entry_cls(r.launch_id, r.source, target, "via", 0.1))
+        ledger.launches = [
+            record_cls(r.launch_id, r.source, r.delta, r.sealed) for r in state.ledger.launches
+        ]
+        reads.clear()
+        report = prune(state.net, PrunePolicy(), ledger=ledger, trace=task.trace)
+        assert len(report.removed) >= 8
+        assert any(e.sealed for e in ledger.entries) and any(not e.sealed for e in ledger.entries)
+        assert all(reads[id(x)] == 1 for x in [*ledger.entries, *ledger.launches])
+        assert max(reads.values()) == 1
+
     def test_sealed_history_survives_replay(self):
         task, state = self._collapsed_face()
         prune_task(task, PrunePolicy())
@@ -85,6 +108,22 @@ class TestPrune:
             st = state.net.state(el)
             if st.status is Status.COLLAPSED:
                 assert state.ledger.replay(st.input_prob, el) == pytest.approx(1.0)
+
+
+def _source_read_counted(cls, reads: Counter) -> type:
+    """``cls`` with each read of an instance's ``source`` counted in ``reads`` under its id."""
+
+    class Counted(cls):
+        @property
+        def source(self):
+            reads[id(self)] += 1
+            return self.__dict__["source"]
+
+        @source.setter
+        def source(self, value):
+            self.__dict__["source"] = value
+
+    return Counted
 
 
 def _causality_kb():
