@@ -68,6 +68,15 @@ class RelationKind(Enum):
     MOVE = "MOVE"
     XOR = "XOR"
 
+    __hash__ = object.__hash__  # members are singletons: a C identity hash, not Enum's hash of the name
+
+
+# Hot paths read members from module globals: on 3.10 and 3.11 ``RelationKind.X``
+# goes through ``EnumType.__getattr__``, about eight times the cost of a global read.
+_BELONG_TO = RelationKind.BELONG_TO
+_EQUAL = RelationKind.EQUAL
+_XOR = RelationKind.XOR
+
 
 _LONGITUDINAL = {
     RelationKind.HAS_COMPONENT,
@@ -152,6 +161,11 @@ class Status(Enum):
     SUPERPOSED = "superposed"
     COLLAPSED = "collapsed"
     SUPPRESSED = "suppressed"
+
+    __hash__ = object.__hash__
+
+
+_SUPERPOSED = Status.SUPERPOSED
 
 
 # A set of element ids that keeps the order they were added in (a dict of ``None``), so that
@@ -547,7 +561,7 @@ class CognitiveNetwork:
         ready = []
         for element in elements:
             state = element.state
-            if state.result_prob >= collapse_at and state.status is Status.SUPERPOSED:
+            if state.result_prob >= collapse_at and state.status is _SUPERPOSED:
                 ready.append(element.id)
         self._ready_before = dict.fromkeys(ready)
         return ready, examined
@@ -580,7 +594,7 @@ class CognitiveNetwork:
         self._check_conds(relation)
         if relation.base is not None:
             self._check_derived_overloading(relation)
-        if relation.kind is RelationKind.BELONG_TO and self._would_cycle(relation.a, relation.b):
+        if relation.kind is _BELONG_TO and self._would_cycle(relation.a, relation.b):
             raise StructureError(
                 f"belong-to relation {relation.id} would make {relation.a} belong to itself"
             )
@@ -596,7 +610,7 @@ class CognitiveNetwork:
         else:
             for end in (relation.a, relation.b):
                 _writable_entry(self._incident, self._own_incident, end, list).append(relation.id)
-        if relation.kind is RelationKind.XOR:
+        if relation.kind is _XOR:
             for end in (relation.a, relation.b):
                 _writable_entry(self._xor_by_end, self._own_xor, end, dict)[relation.id] = None
         if relation.base is not None:
@@ -639,7 +653,7 @@ class CognitiveNetwork:
         return self.add_relation(
             Relation(
                 id=rel_id,
-                kind=RelationKind.BELONG_TO,
+                kind=_BELONG_TO,
                 a=derived,
                 b=base,
                 cond=ConditionalProbabilityPair(forward=1.0, backward=backward),
@@ -680,7 +694,7 @@ class CognitiveNetwork:
             for end in (rel.a, rel.b):
                 if end not in listed:
                     _writable_entry(self._incident, self._own_incident, end, list).remove(el_id)
-            if rel.kind is RelationKind.XOR:
+            if rel.kind is _XOR:
                 for end in (rel.a, rel.b):
                     at_end = _writable_entry(self._xor_by_end, self._own_xor, end, dict)
                     del at_end[el_id]
@@ -791,7 +805,7 @@ class CognitiveNetwork:
                 raise ParameterError(
                     f"relation {relation.id}: kind {relation.kind.value} fixes P(A|B)={bwd}"
                 )
-        if relation.kind in (RelationKind.BELONG_TO,) and not isinstance(
+        if relation.kind is _BELONG_TO and not isinstance(
             relation.cond.backward, Gaussian
         ):
             if not 0.0 < float(relation.cond.backward) <= 1.0:
@@ -834,7 +848,7 @@ class CognitiveNetwork:
                 return True
             for rel_id in self._incident.get(cur, ()):
                 rel = self.relations[rel_id]
-                if rel.kind is not RelationKind.BELONG_TO or rel.a != cur:
+                if rel.kind is not _BELONG_TO or rel.a != cur:
                     continue
                 if rel.b not in seen:
                     seen.add(rel.b)
@@ -971,9 +985,9 @@ def _down_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
     yield from net.relations_based_on(element_id)
     for rel_id in net.incident_view(element_id):
         edge = net.relations[rel_id]
-        if edge.kind is RelationKind.BELONG_TO and edge.b == element_id:
+        if edge.kind is _BELONG_TO and edge.b == element_id:
             yield edge.a
-        elif edge.kind is RelationKind.EQUAL:
+        elif edge.kind is _EQUAL:
             yield edge.other_end(element_id)
 
 
@@ -983,9 +997,9 @@ def _up_neighbors(net: CognitiveNetwork, element_id: str) -> Iterator[str]:
         yield rel.base
     for rel_id in net.incident_view(element_id):
         edge = net.relations[rel_id]
-        if edge.kind is RelationKind.BELONG_TO and edge.a == element_id:
+        if edge.kind is _BELONG_TO and edge.a == element_id:
             yield edge.b
-        elif edge.kind is RelationKind.EQUAL:
+        elif edge.kind is _EQUAL:
             yield edge.other_end(element_id)
 
 
@@ -1048,7 +1062,7 @@ def declare_tree(net: CognitiveNetwork, root: str, members: Iterable[str]) -> No
     """
     scope = {root, *members}
     for rel in net.relations.values():
-        if rel.a in scope and rel.b in scope and rel.kind is not RelationKind.XOR:
+        if rel.a in scope and rel.b in scope and rel.kind is not _XOR:
             scope.add(rel.id)
     net.set_tree(classify_tree_network(net, root, restrict=scope))
 

@@ -41,6 +41,13 @@ from .probability import (
 )
 from .trace import Trace
 
+# Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
+_BELONG_TO = RelationKind.BELONG_TO
+_XOR = RelationKind.XOR
+_SUPERPOSED = Status.SUPERPOSED
+_COLLAPSED = Status.COLLAPSED
+_SUPPRESSED = Status.SUPPRESSED
+
 
 # ---------------------------------------------------------------------------
 # basic growth operations
@@ -53,7 +60,7 @@ def grow_concept(
 ) -> str:
     """Copy a template concept: fresh id, copied parameters, belong-to edge, zero state."""
     base_el = net.element(base)
-    if base_el.state.status is Status.SUPPRESSED:
+    if base_el.state.status is _SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {base} is blocked")
     new_id = net.next_id(base)
     concept = Concept(id=new_id, name=getattr(base_el, "name", "") or base)
@@ -108,7 +115,7 @@ def grow_link(
     so probability flows across it in both directions.
     """
     base_rel = net.relations[base_rel_id]
-    if net.element(a).state.status is Status.SUPPRESSED:
+    if net.element(a).state.status is _SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {a} is blocked")
 
     if fits(net, a, base_rel.a):
@@ -122,7 +129,7 @@ def grow_link(
 
     if b is None:
         b = grow_concept(net, far_base, trace)
-    elif net.element(b).state.status is Status.SUPPRESSED:
+    elif net.element(b).state.status is _SUPPRESSED:
         raise GrowthBlockedError(f"growth from suppressed element {b} is blocked")
 
     end_a, end_b = (a, b) if a_slot else (b, a)
@@ -159,7 +166,7 @@ def _exchange_probability(
         undo_launch(net, ledger, rec.launch_id, config.mode)
     for rec in affected:
         src_state = net.element(rec.source).state
-        if src_state.status is Status.SUPPRESSED:
+        if src_state.status is _SUPPRESSED:
             continue
         pps_launch(net, rec.source, rec.delta, config, ledger, trace, launch=rec)
 
@@ -204,7 +211,7 @@ def _existing_instance(
     found = (
         e for e in down_closure(net, base)
         if e in net.concepts and e != base and e not in net.knowledge and e not in mapped
-        and net.element(e).state.status is not Status.SUPPRESSED
+        and net.element(e).state.status is not _SUPPRESSED
     )
     return min(found, key=net.position_key, default=None)
 
@@ -338,7 +345,7 @@ class FitState:
         out = []
         for e in self.instance_ids():
             rel = self.net.relations.get(e)
-            if rel is not None and rel.kind is RelationKind.BELONG_TO:
+            if rel is not None and rel.kind is _BELONG_TO:
                 continue
             out.append(e)
         return out
@@ -370,7 +377,7 @@ class FitState:
         if content_ids is None:
             content_ids = self.content_ids()
         seen = {self.net.element(e).state.status for e in content_ids}
-        return Status.COLLAPSED in seen and seen <= {Status.COLLAPSED, Status.SUPPRESSED}
+        return _COLLAPSED in seen and seen <= {_COLLAPSED, _SUPPRESSED}
 
 
 @dataclass
@@ -492,7 +499,7 @@ def _combine_context(state: FitState, element: str) -> list[str]:
         if rel_id in net.knowledge:
             continue
         rel = net.relations[rel_id]
-        if rel.kind in (RelationKind.BELONG_TO, RelationKind.XOR):
+        if rel.kind in (_BELONG_TO, _XOR):
             continue
         far = rel.other_end(element)
         if far in net.knowledge:
@@ -589,8 +596,8 @@ def _settle_state(task: FitTask, state: FitState) -> None:
                 continue
             if frag.element not in inst.mapping.values():
                 continue
-            if state.net.element(inst.root).state.status is Status.SUPPRESSED:
-                if state.net.element(frag.element).state.status is Status.SUPERPOSED:
+            if state.net.element(inst.root).state.status is _SUPPRESSED:
+                if state.net.element(frag.element).state.status is _SUPERPOSED:
                     frag.consumed = False
                     frag.excluded.append(frag.grown_root)
                     frag.grown_root = None
@@ -604,7 +611,7 @@ def _next_fragment(state: FitState) -> Optional[FragmentRecord]:
         if frag.consumed:
             continue
         status = state.net.element(frag.element).state.status
-        if status is Status.SUPPRESSED or status is Status.COLLAPSED:
+        if status is _SUPPRESSED or status is _COLLAPSED:
             frag.consumed = True
             continue
         p = state.net.element(frag.element).state.result_prob

@@ -30,6 +30,12 @@ from .growth import ConceptSpec, FitTask, RelationSpec, ingest, make_task
 from .probability import EngineConfig, parse_config_value
 from .trace import Trace, TraceEvent
 
+# Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
+_BELONG_TO = RelationKind.BELONG_TO
+# Text to member by one dict lookup, about a tenth of the cost of calling the enum (``RelationKind(raw)``).
+_KIND_OF_TEXT = {kind.value: kind for kind in RelationKind}
+_STATUS_OF_TEXT = {status.value: status for status in Status}
+
 
 class ParseError(DcnetError):
     def __init__(self, message: str, line: int, column: int = 1):
@@ -113,10 +119,10 @@ def _parse_prob_spec(raw: str, line_no: int, line: str):
 
 
 def _kind(raw: str, line_no: int, line: str) -> RelationKind:
-    try:
-        return RelationKind(raw)
-    except ValueError:
+    kind = _KIND_OF_TEXT.get(raw)
+    if kind is None:
         raise ParseError(f"unknown kind {raw}", line_no, _column_of(line, raw))
+    return kind
 
 
 def _kv(tokens: list[str], line_no: int, line: str) -> dict[str, str]:
@@ -270,10 +276,10 @@ def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
 
 
 def _parse_status(raw: str, line_no: int, line: str) -> Status:
-    try:
-        return Status(raw)
-    except ValueError:
-        raise ParseError(f"unknown status {raw}", line_no, _column_of(line, raw)) from None
+    status = _STATUS_OF_TEXT.get(raw)
+    if status is None:
+        raise ParseError(f"unknown status {raw}", line_no, _column_of(line, raw))
+    return status
 
 
 def _format_state(state) -> str:
@@ -297,7 +303,7 @@ def serialize_kb(net: CognitiveNetwork, with_state: bool = False) -> str:
             parts.append(f"state={_format_state(concept.state)}")
         out.append(" ".join(parts))
     for rel in net.relations.values():
-        if rel.kind is RelationKind.BELONG_TO and rel.id == f"belong:{rel.a}:{rel.b}":
+        if rel.kind is _BELONG_TO and rel.id == f"belong:{rel.a}:{rel.b}":
             parts = [f"belong {rel.a} {rel.b}"]
             if rel.cond.backward != 1.0:
                 parts.append(f"pab={rel.cond.backward!r}")

@@ -27,6 +27,11 @@ from .core import (
 from .growth import ConceptSpec, FitReport, FitState, RelationSpec, fit_run, make_task
 from .probability import EngineConfig, gaussian_membership, param_membership
 
+# Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
+_HAS_COMPONENT = RelationKind.HAS_COMPONENT
+_ADJOINING = RelationKind.ADJOINING
+_COLLAPSED = Status.COLLAPSED
+
 
 @dataclass
 class Scene:
@@ -292,18 +297,18 @@ def _hypothesize(
             spec = spec_by_element.get(element)
             base_id = _ensure_member_base(kb, spec or ConceptSpec(base=None), standard)
             member_bases[element] = base_id
-            _add_certain(kb, f"r:{root_id}:{base_id}", RelationKind.HAS_COMPONENT, root_id, base_id)
+            _add_certain(kb, f"r:{root_id}:{base_id}", _HAS_COMPONENT, root_id, base_id)
         for spec in scene.relations:
             if spec.kind not in kinds:
                 continue
             if spec.a in member_bases and spec.b in member_bases:
                 a, b = member_bases[spec.a], member_bases[spec.b]
                 observed = next(s.params for s in scene.relations if {s.a, s.b} == {spec.a, spec.b})
-                _add_certain(kb, f"adj:{a}:{b}", RelationKind.ADJOINING, a, b, observed)
+                _add_certain(kb, f"adj:{a}:{b}", _ADJOINING, a, b, observed)
         for member, element in bridges:
             other = member_bases.get(element)
             if other is not None and other != member:
-                _add_certain(kb, f"adj:{member}:{other}", RelationKind.ADJOINING, member, other)
+                _add_certain(kb, f"adj:{member}:{other}", _ADJOINING, member, other)
         known = kb.trees[root_id].concepts if root_id in kb.trees else []
         declare_tree(kb, root_id, [*known, *member_bases.values()])
 
@@ -427,7 +432,7 @@ def _count_applications(
             continue
         applied_roots.add(root)
         candidate.trial_count += 1
-        if state.net.element(instance.root).state.status is Status.COLLAPSED:
+        if state.net.element(instance.root).state.status is _COLLAPSED:
             candidate.success_count += 1
             for base_el in realized:
                 if base_el != root:

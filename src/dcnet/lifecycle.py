@@ -47,6 +47,10 @@ from .probability import (
 )
 from .trace import Trace, TraceEvent
 
+# Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
+_COLLAPSED = Status.COLLAPSED
+_EXACT = Mode.EXACT
+
 
 class LoadError(DcnetError):
     """A session payload failed to load; carries the offending line offset."""
@@ -95,7 +99,7 @@ def prune(
         ids = [e for e in instance.mapping.values() if net.has(e)]
         if not ids or not instance.root or not net.has(instance.root):
             continue
-        if any(net.element(e).state.status is not Status.COLLAPSED for e in ids):
+        if any(net.element(e).state.status is not _COLLAPSED for e in ids):
             continue
         removable: list[str] = []
         for inst_el in instance.mapping.values():
@@ -491,7 +495,7 @@ def _number(kind, text: str, line: str, line_no: int):
 def _load_state(reader: _Reader, mode: Mode) -> FitState:
     begin = reader.line_no + 1
     net = _parse_block_kb(reader, "net")
-    if mode is Mode.EXACT:  # only Mode.SIMPLIFIED adds contributions past 1
+    if mode is _EXACT:  # only Mode.SIMPLIFIED adds contributions past 1
         for element_id in net.element_ids():
             if net.element(element_id).state.result_prob > 1.0:
                 raise LoadError(f"result probability of {element_id} passes 1 in exact mode", begin)

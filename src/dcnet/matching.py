@@ -63,6 +63,9 @@ from .probability import (
 )
 from .trace import NullTrace
 
+# Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
+_SIMPLIFIED = Mode.SIMPLIFIED
+
 
 @dataclass
 class MatchResult:
@@ -162,7 +165,7 @@ class _TreeIndex:
         levels up takes it too; the trees that land anyway are added.
         """
         landed = direct | self.anyway(config)
-        if config.mode is not Mode.SIMPLIFIED:
+        if config.mode is not _SIMPLIFIED:
             frontier = direct
             for _ in range(config.match_depth_limit):
                 frontier = {p for child in frontier for p in self.parents.get(child, ()) if p not in landed}
@@ -178,7 +181,7 @@ class _TreeIndex:
         member tree, and in Mode.EXACT every tree with a chain of
         ``match_depth_limit`` + 1 member trees nested below it.
         """
-        key = (config.mode is Mode.SIMPLIFIED, config.match_depth_limit)
+        key = (config.mode is _SIMPLIFIED, config.match_depth_limit)
         found = self._anyway.get(key)
         if found is None:
             found = self._anyway[key] = self._raising(*key)

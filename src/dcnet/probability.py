@@ -39,6 +39,12 @@ from .core import (
 )
 from .trace import Trace
 
+# Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
+_BELONG_TO = RelationKind.BELONG_TO
+_SUPERPOSED = Status.SUPERPOSED
+_COLLAPSED = Status.COLLAPSED
+_SUPPRESSED = Status.SUPPRESSED
+
 __all__ = [
     "Mode",
     "EngineConfig",
@@ -76,9 +82,15 @@ class Mode(Enum):
     EXACT = "exact"
     SIMPLIFIED = "simplified"
 
+    __hash__ = object.__hash__
+
     def fold(self, result: float, contribution: float) -> float:
         """A result with one more contribution: superposed, or in SIMPLIFIED mode added."""
-        return result + contribution if self is Mode.SIMPLIFIED else superpose(result, contribution)
+        return result + contribution if self is _SIMPLIFIED else superpose(result, contribution)
+
+
+_SIMPLIFIED = Mode.SIMPLIFIED
+_MODE_OF_TEXT = {mode.value: mode for mode in Mode}
 
 
 @dataclass
@@ -106,7 +118,7 @@ class EngineConfig:
     @property
     def collapse_at(self) -> float:
         """The least result that is ready to collapse."""
-        return 1.0 if self.mode is Mode.SIMPLIFIED else self.collapse_threshold
+        return 1.0 if self.mode is _SIMPLIFIED else self.collapse_threshold
 
     def collapse_ready(self, result: float) -> bool:
         return result >= self.collapse_at
@@ -121,7 +133,10 @@ def parse_config_value(name: str, raw: str) -> object:
     if kind is None:
         raise ValueError(f"unknown config key {name!r}")
     if kind is Mode:
-        return Mode(raw.lower())
+        mode = _MODE_OF_TEXT.get(raw.lower())
+        if mode is None:
+            raise ValueError(f"{raw.lower()!r} is not a valid Mode")
+        return mode
     if kind == Optional[int]:
         return None if raw in ("", "none") else int(raw)
     if kind is int:
@@ -414,7 +429,7 @@ def _apply_contribution(
     event: str,
 ) -> None:
     applied = contribution
-    if config.mode is Mode.SIMPLIFIED:
+    if config.mode is _SIMPLIFIED:
         k = via.params.get("k")
         applied = (float(k) if isinstance(k, (int, float)) else config.default_k) * contribution
     state.result_prob = config.mode.fold(state.result_prob, applied)
@@ -469,9 +484,9 @@ def pps_launch(
             return  # relations do not launch flows of their own
         for rel_id in net.incident_view(element):
             rel = relations[rel_id]
-            if rel.kind is RelationKind.BELONG_TO:
+            if rel.kind is _BELONG_TO:
                 continue  # set-dimension derivation is not an evidence channel
-            if rel.state.status is Status.SUPPRESSED:
+            if rel.state.status is _SUPPRESSED:
                 continue
             if element == rel.a:
                 target, spec = rel.b, rel.cond.forward
@@ -485,7 +500,7 @@ def pps_launch(
                 target_el = relations[target]
             else:
                 tval = target_el.value
-            if target_el.state.status is not Status.SUPERPOSED:
+            if target_el.state.status is not _SUPERPOSED:
                 continue  # collapsed or suppressed
             if not isinstance(spec, Gaussian):
                 cond = float(spec)
@@ -505,7 +520,7 @@ def pps_launch(
         if target in visited:
             continue
         visited.add(target)
-        if rel.state.status is Status.SUPERPOSED and rel.id not in visited:
+        if rel.state.status is _SUPERPOSED and rel.id not in visited:
             visited.add(rel.id)
             if owned is not None and rel.id not in owned:
                 rel = net.writable(rel.id)
@@ -534,7 +549,7 @@ def undo_launch(net: CognitiveNetwork, ledger: ContributionLedger, launch_id: in
     """Remove one launch's entries and restore each touched target by replay."""
     removed = ledger.remove_launch(launch_id)
     for entry in removed:
-        if net.has(entry.target) and net.element(entry.target).state.status is not Status.COLLAPSED:
+        if net.has(entry.target) and net.element(entry.target).state.status is not _COLLAPSED:
             _restore_result(net, ledger, entry.target, mode)
 
 
@@ -554,9 +569,9 @@ def collapse_element(
     last settle or collapse, not the size of the network (see ``_ReadyQueue``).
     """
     state = net.element(x).state
-    if state.status is Status.SUPPRESSED:
+    if state.status is _SUPPRESSED:
         raise ConflictError(f"cannot collapse suppressed element {x}")
-    if state.status is Status.COLLAPSED:
+    if state.status is _COLLAPSED:
         return
     _cascade(net, x, _ReadyQueue(net, config), config, ledger, trace)
 
@@ -610,7 +625,7 @@ class _ReadyQueue:
         if element_id in self.net.knowledge:
             return False
         state = self.net.element(element_id).state
-        return state.status is Status.SUPERPOSED and self.config.collapse_ready(state.result_prob)
+        return state.status is _SUPERPOSED and self.config.collapse_ready(state.result_prob)
 
     def offer(self, element_ids: Sequence[str]) -> None:
         self.examined += len(element_ids)
@@ -641,7 +656,7 @@ def _cascade(
     while x is not None:
         partners = _xor_partners(net, x)
         for partner in partners:
-            if net.element(partner).state.status is Status.COLLAPSED:
+            if net.element(partner).state.status is _COLLAPSED:
                 raise ConflictError(
                     f"cannot collapse {x}: mutually exclusive partner {partner} is already certain"
                 )
@@ -651,15 +666,15 @@ def _cascade(
         ledger.purge_target(x)
         state = net.state(x)
         state.input_prob = state.result_prob = 1.0
-        state.status = Status.COLLAPSED
+        state.status = _COLLAPSED
         trace.record("collapse", x, x, 1.0, 1.0)
 
         for partner in partners:
             if partner in net.knowledge:
                 continue
-            if net.element(partner).state.status is Status.SUPERPOSED:
+            if net.element(partner).state.status is _SUPERPOSED:
                 pstate = net.state(partner)
-                pstate.status = Status.SUPPRESSED
+                pstate.status = _SUPPRESSED
                 trace.record("suppress", x, partner, 0.0, pstate.result_prob)
 
         ready.offer(pps_launch(net, x, 1.0, config, ledger, trace))

@@ -17,6 +17,7 @@ from dcnet.core import (
     classify_tree_network,
 )
 from dcnet.growth import ConceptSpec, FitState, FitTask, RelationSpec, fit_step, make_task
+from dcnet.learning import Scene
 from dcnet.probability import EngineConfig
 
 
@@ -254,6 +255,31 @@ def tree_scene(trees: list[int]) -> tuple[list[ConceptSpec], list[RelationSpec]]
             RelationSpec(rel_id=f"{a}~{b}", kind=RelationKind.ADJOINING, a=a, b=b) for a, b in zip(ids, ids[1:])
         ]
     return concepts, relations
+
+
+def pattern_scenes(rng: random.Random, count: int, two_share: float = 0.0) -> list[Scene]:
+    """Scenes of five patterns of 3-4 mutually adjacent parts.
+
+    A scene holds one pattern, or two disjoint ones at ``two_share``; about a
+    fifth of the first patterns miss one part.
+    """
+    scenes = []
+    for n in range(count):
+        patterns = rng.sample(range(5), 2) if rng.random() < two_share else [rng.randrange(5)]
+        concepts, relations = [], []
+        for k, pattern in enumerate(patterns):
+            parts = [f"k{pattern}p{i}" for i in range(3 + pattern % 2)]
+            if k == 0 and rng.random() < 0.2:
+                del parts[rng.randrange(1, len(parts))]
+            ids = [f"s{n}.{part}" for part in parts]
+            relations += [
+                RelationSpec(rel_id=f"{a}~{b}", kind=RelationKind.ADJOINING, a=a, b=b)
+                for i, a in enumerate(ids)
+                for b in ids[i + 1:]
+            ]
+            concepts += [ConceptSpec(base=part, p=1.0, as_id=i) for part, i in zip(parts, ids)]
+        scenes.append(Scene(concepts=concepts, relations=relations))
+    return scenes
 
 
 def fork_task(rng: random.Random) -> FitTask:

@@ -88,7 +88,11 @@ class TestParseKb:
     def test_unknown_kind(self):
         with pytest.raises(ParseError) as err:
             parse_kb("concept a\nconcept b\nrelation r kind=WIBBLE a=a b=b\n")
-        assert err.value.line == 3
+        assert (err.value.line, err.value.column) == (3, 17)
+        assert "unknown kind WIBBLE" in str(err.value)
+        with pytest.raises(ParseError) as err:  # a kind's text is its name, case and all
+            parse_kb("concept a\nconcept b\nrelation r kind=xor a=a b=b\n")
+        assert (err.value.line, err.value.column) == (3, 17)
 
     def test_unknown_state_status_is_located(self):
         with pytest.raises(ParseError) as err:
@@ -235,6 +239,13 @@ class TestParseScenario:
             parse_scenario(f"input eye p=0.5\nconfig activation=0.2 {setting}\n")
         assert err.value.line == 2
         assert err.value.column == len("config activation=0.2 ") + 1
+
+    def test_a_mode_is_read_in_any_case_and_an_unknown_one_is_named(self):
+        doc = parse_scenario("input eye p=0.5\nconfig mode=SIMPLIFIED\n")
+        assert build_task(parse_kb(FACE_KB), doc).config.mode is Mode.SIMPLIFIED
+        with pytest.raises(ParseError) as err:
+            parse_scenario("config mode=Weird\n")
+        assert "bad config value mode=Weird: 'weird' is not a valid Mode" in str(err.value)
 
     def test_inconsistent_config_names_its_line(self):
         doc = parse_scenario("config activation=0.2\ninput eye p=0.5\nconfig collapse=0.1\n")

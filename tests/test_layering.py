@@ -108,6 +108,54 @@ def test_only_the_kernel_writes_state_fields():
     assert calls_state == {"probability"}  # ``net.state(id)`` is the door to write, and only the kernel writes
 
 
+ENUMS = {enum.__name__: set(enum.__members__) for enum in (dcnet.Status, dcnet.RelationKind, dcnet.Mode)}
+
+
+def _enum_member_reads_in_bodies(tree: ast.Module) -> list[str]:
+    """Each ``Status.X``, ``RelationKind.X`` or ``Mode.X`` read inside a function or lambda body.
+
+    Default values and decorators run once, where the function is defined, so they do not count.
+    """
+    found = []
+
+    def visit(node: ast.AST, in_body: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            outer = [node.args, *getattr(node, "decorator_list", []), getattr(node, "returns", None)]
+            for child in filter(None, outer):
+                visit(child, in_body)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, True)
+            return
+        if (in_body and isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in ENUMS.get(node.value.id, ())):
+            found.append(f"{node.lineno} reads {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_body)
+
+    visit(tree, False)
+    return found
+
+
+def test_hot_code_reads_enum_members_from_module_globals():
+    """A function reads ``_SUPERPOSED``, bound once at module level, not ``Status.SUPERPOSED``.
+
+    On CPython 3.10 and 3.11 an enum class attribute read goes through
+    ``EnumType.__getattr__``, about eight times the cost of a global read,
+    and the kernel's loops read members on every step.
+    """
+    assert [
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _enum_member_reads_in_bodies(ast.parse(path.read_text(encoding="utf-8")))
+    ] == []
+
+
+def test_enum_members_hash_by_identity():
+    """Members are singletons, so the C identity hash serves, not ``Enum``'s Python hash of the name."""
+    for enum in (dcnet.Status, dcnet.RelationKind, dcnet.Mode):
+        assert enum.__hash__ is object.__hash__
+
+
 LAYERS = [
     "trace", "core", "probability", "matching", "growth", "kbio", "lifecycle", "query", "learning", "cli",
     "__main__",

@@ -20,7 +20,7 @@ from dcnet.learning import (
 )
 from dcnet.probability import EngineConfig
 
-from scenes import concept, declare_tree, relation
+from scenes import concept, declare_tree, pattern_scenes, relation
 
 
 def _triangle_scene(n: int, parts=("p1", "p2", "p3")) -> Scene:
@@ -39,31 +39,6 @@ def _triangle_scene(n: int, parts=("p1", "p2", "p3")) -> Scene:
                 )
             )
     return Scene(concepts=concepts, relations=relations)
-
-
-def _pattern_scenes(rng: random.Random, count: int, two_share: float = 0.0) -> list[Scene]:
-    """Scenes of five patterns of 3-4 mutually adjacent parts.
-
-    A scene holds one pattern, or two disjoint ones at ``two_share``; about a
-    fifth of the first patterns miss one part.
-    """
-    scenes = []
-    for n in range(count):
-        patterns = rng.sample(range(5), 2) if rng.random() < two_share else [rng.randrange(5)]
-        concepts, relations = [], []
-        for k, pattern in enumerate(patterns):
-            parts = [f"k{pattern}p{i}" for i in range(3 + pattern % 2)]
-            if k == 0 and rng.random() < 0.2:
-                del parts[rng.randrange(1, len(parts))]
-            ids = [f"s{n}.{part}" for part in parts]
-            relations += [
-                RelationSpec(rel_id=f"{a}~{b}", kind=RelationKind.ADJOINING, a=a, b=b)
-                for i, a in enumerate(ids)
-                for b in ids[i + 1:]
-            ]
-            concepts += [ConceptSpec(base=part, p=1.0, as_id=i) for part, i in zip(parts, ids)]
-        scenes.append(Scene(concepts=concepts, relations=relations))
-    return scenes
 
 
 def _learned_tree(kb, root, members, adjacent):
@@ -204,7 +179,7 @@ class TestCnlRecovery:
         trees = 0
         for seed in range(10):
             kb = CognitiveNetwork()
-            cnl_run(_pattern_scenes(random.Random(f"roundtrip/{seed}"), 20, two_share=0.2), kb)
+            cnl_run(pattern_scenes(random.Random(f"roundtrip/{seed}"), 20, two_share=0.2), kb)
             back = parse_kb(serialize_kb(kb))
             ids = kb.element_ids()
             assert [back.element(e) for e in ids] == [kb.element(e) for e in ids]

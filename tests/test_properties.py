@@ -1,6 +1,11 @@
 """Cross-module invariants: circulation, suppression, optimization principle."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dcnet.core import (
@@ -139,3 +144,43 @@ class TestNetworkCirculation:
         assert task.states[0].net.has("m2_r2")
         report = fit_run(task)
         assert report.complete
+
+
+HASH_SEED_RUN = """
+import random
+from dcnet.core import CognitiveNetwork
+from dcnet.kbio import serialize_kb
+from dcnet.learning import cnl_run
+from dcnet.lifecycle import session_save
+from scenes import fork_task, pattern_scenes, step_fork_task
+
+task = fork_task(random.Random(7))
+for _ in step_fork_task(task):
+    pass
+print(len(task.states), len(task.trace.events))
+print(session_save(task))
+kb = CognitiveNetwork()
+report = cnl_run(pattern_scenes(random.Random("hash-seed"), 20, two_share=0.2), kb)
+print(report.learned_roots, report.merged)
+print(serialize_kb(kb, with_state=True))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """A forking fit's session and a learned knowledge base are the same text under any hash seed.
+
+    String hashes change with ``PYTHONHASHSEED`` and enum members hash by
+    identity, so any output that followed a set's order would differ here.
+    """
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_RUN], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].startswith("4 500\n")  # four states: the task forked
+    assert "learned#" in outputs[0]
+    assert outputs[0] == outputs[1]
