@@ -944,10 +944,24 @@ def up_closure(net: CognitiveNetwork, element_id: str) -> dict[str, None]:
     Keys come breadth-first, nearest first: the element, then its base, then
     the far ends of its belong-to and equal edges in incidence order, and so on.
     """
+    relations, incident = net.relations, net.incident_view
     seen = {element_id: None}
     order = [element_id]
     for cur in order:  # the list grows as it is walked
-        for nxt in _up_neighbors(net, cur):
+        rel = relations.get(cur)
+        if rel is not None and rel.base is not None and rel.base not in seen:
+            seen[rel.base] = None
+            order.append(rel.base)
+        for rel_id in incident(cur):  # ``_up_neighbors``, inlined
+            edge = relations[rel_id]
+            if edge.kind is _BELONG_TO:
+                if edge.a != cur:
+                    continue
+                nxt = edge.b
+            elif edge.kind is _EQUAL:
+                nxt = edge.other_end(cur)
+            else:
+                continue
             if nxt not in seen:
                 seen[nxt] = None
                 order.append(nxt)

@@ -303,7 +303,7 @@ class _TreeMatch:
             if arrivals is None:
                 ledger = ContributionLedger()
                 pps_launch(scratch, source, delta, self.config, ledger, NullTrace())
-                arrivals = [e.contribution for e in ledger.entries if e.target == self.tree.root]
+                arrivals = ledger.contributions(self.tree.root)
                 if len(memo.launches) >= _LAUNCH_LIMIT:
                     memo.launches.clear()
                 memo.launches[(key, source, delta)] = arrivals

@@ -12,10 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from collections.abc import ValuesView
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .core import (
@@ -31,7 +29,6 @@ from .core import (
     Relation,
     RelationKind,
     Status,
-    Touched,
     down_closure,
     kind_compatible,
     up_closure,
@@ -269,25 +266,30 @@ class LaunchRecord:
 class ContributionLedger:
     """Ordered log of applied contributions plus the launches that caused them.
 
-    Replaying a target's entries over its initial input reproduces its result
-    exactly, because results are only ever produced by that same fold.  The
-    entries keep their append order and are indexed by target and by launch,
-    so replay, undo and collapse touch only the entries they read or change;
-    sealing, which only pruning asks for, reads the whole log once.
+    Each contribution is one row, ``(launch_id, source, target, via,
+    contribution)``, numbered in append order and kept under its number in
+    two indexes, by target and by launch; the numbers of sealed rows form one
+    set.  Replaying a target's rows over its initial input reproduces its
+    result exactly, because results are only ever produced by that same fold.
+    Replay, undo and collapse touch only the rows they read or drop; sealing,
+    which only pruning asks for, reads every row once.  ``LedgerEntry``
+    objects are built only when ``entries`` is read.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[int, LedgerEntry] = {}
-        self._by_target: defaultdict[str, dict[int, LedgerEntry]] = defaultdict(dict)
-        self._by_launch: defaultdict[int, dict[int, LedgerEntry]] = defaultdict(dict)
+        self._by_target: defaultdict[str, dict[int, tuple]] = defaultdict(dict)
+        self._by_launch: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
+        self._sealed: set[int] = set()
         self._next_seq = 0
         self.launches: list[LaunchRecord] = []
         self.next_launch_id: int = 1
 
     @property
-    def entries(self) -> ValuesView[LedgerEntry]:
-        """Every entry in append order, as a read-only view."""
-        return self._entries.values()
+    def entries(self) -> tuple[LedgerEntry, ...]:
+        """Every entry in append order, built from the rows at each read."""
+        sealed = self._sealed
+        rows = sorted(item for bucket in self._by_launch.values() for item in bucket.items())
+        return tuple(LedgerEntry(*row, seq in sealed) for seq, row in rows)
 
     def open_launch(self, source: str, delta: float) -> LaunchRecord:
         rec = LaunchRecord(self.next_launch_id, source, delta)
@@ -296,96 +298,108 @@ class ContributionLedger:
         return rec
 
     def record(self, launch_id: int, source: str, target: str, via: str, contribution: float) -> None:
-        """Append the entry of one applied contribution (the kernel's only way in)."""
-        entry = LedgerEntry(launch_id, source, target, via, contribution)
+        """Append the row of one applied contribution (the kernel's only way in)."""
+        row = (launch_id, source, target, via, contribution)
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._entries[seq] = entry
-        self._by_target[target][seq] = entry
-        self._by_launch[launch_id][seq] = entry
+        self._by_target[target][seq] = row
+        self._by_launch[launch_id][seq] = row
 
     def add(self, entry: LedgerEntry) -> None:
         """Append an entry as it stands, sealed or not."""
+        row = (entry.launch_id, entry.source, entry.target, entry.via, entry.contribution)
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._entries[seq] = entry
-        self._by_target[entry.target][seq] = entry
-        self._by_launch[entry.launch_id][seq] = entry
+        self._by_target[entry.target][seq] = row
+        self._by_launch[entry.launch_id][seq] = row
+        if entry.sealed:
+            self._sealed.add(seq)
 
     def copy(self) -> "ContributionLedger":
-        """A ledger equal to this one, with entries and launch records of its own."""
+        """A ledger equal to this one, with indexes and launch records of its own."""
         clone = ContributionLedger()
-        for e in self.entries:  # in append order, so every index keeps its order
-            clone.add(LedgerEntry(e.launch_id, e.source, e.target, e.via, e.contribution, e.sealed))
+        vars(clone).update(  # rows are tuples, so only the buckets are copied
+            _by_target=defaultdict(dict, {key: dict(bucket) for key, bucket in self._by_target.items()}),
+            _by_launch=defaultdict(dict, {key: dict(bucket) for key, bucket in self._by_launch.items()}),
+            _sealed=set(self._sealed),
+            _next_seq=self._next_seq,
+        )
         clone.launches = [LaunchRecord(r.launch_id, r.source, r.delta, r.sealed) for r in self.launches]
         clone.next_launch_id = self.next_launch_id
         return clone
 
+    def contributions(self, target: str) -> list[float]:
+        """The contributions aimed at the target, sealed or not, in append order."""
+        return [row[4] for row in self._by_target.get(target, {}).values()]
+
     def replay(self, initial: float, target: str, mode: Mode = Mode.EXACT) -> float:
         acc = initial
-        for e in self._by_target.get(target, {}).values():
-            acc = mode.fold(acc, e.contribution)
+        for contribution in self.contributions(target):
+            acc = mode.fold(acc, contribution)
         return acc
 
     def launches_into(self, targets: Iterable[str]) -> set[int]:
-        """Ids of the launches with an unsealed entry aimed at any of the targets."""
+        """Ids of the launches with an unsealed row aimed at any of the targets."""
+        sealed = self._sealed
         return {
-            e.launch_id
+            row[0]
             for target in targets
-            for e in self._by_target.get(target, {}).values()
-            if not e.sealed
+            for seq, row in self._by_target.get(target, {}).items()
+            if seq not in sealed
         }
 
-    def purge_target(self, target: str) -> list[LedgerEntry]:
-        """Drop every unsealed entry aimed at the target; returns them in original order."""
-        return self._drop_unsealed(self._by_target, target, self._by_launch, _LAUNCH_OF)
+    def purge_target(self, target: str) -> list[tuple]:
+        """Drop every unsealed row aimed at the target; returns them in append order."""
+        return self._drop_unsealed(self._by_target, target, self._by_launch, 0)
 
-    def remove_launch(self, launch_id: int) -> list[LedgerEntry]:
-        """Drop every unsealed entry of the launch; returns them in original order."""
-        return self._drop_unsealed(self._by_launch, launch_id, self._by_target, _TARGET_OF)
+    def remove_launch(self, launch_id: int) -> list[tuple]:
+        """Drop every unsealed row of the launch; returns them in append order."""
+        return self._drop_unsealed(self._by_launch, launch_id, self._by_target, 2)
 
     def seal_elements(self, element_ids: Iterable[str]) -> None:
         """Freeze history around removed elements: nothing may undo it later.
 
-        The entries aimed at any of them go, sealed or not; every other entry
-        that came from or through one of them, and every launch one of them
-        made, is sealed.  One pass over the log and one over the launches,
-        however many elements there are.
+        The rows aimed at any of them go, sealed or not; every other row that
+        came from or through one of them, and every launch one of them made,
+        is sealed.  One pass over the rows and one over the launches, however
+        many elements there are.
         """
         gone = set(element_ids)
+        sealed = self._sealed
         for target in gone:
-            for seq, e in self._by_target.pop(target, {}).items():
-                del self._entries[seq]
-                _unindex(self._by_launch, e.launch_id, seq)
-        for e in self._entries.values():
-            if e.source in gone or e.via in gone:
-                e.sealed = True
+            for seq, row in self._by_target.pop(target, {}).items():
+                sealed.discard(seq)
+                _unindex(self._by_launch, row[0], seq)
+        for bucket in self._by_launch.values():
+            for seq, row in bucket.items():
+                if row[1] in gone or row[3] in gone:
+                    sealed.add(seq)
         for rec in self.launches:
             if rec.source in gone:
                 rec.sealed = True
 
-    def _drop_unsealed(self, index: dict, key, other: dict, other_key) -> list[LedgerEntry]:
-        """Pop the bucket ``index[key]`` whole, drop its unsealed entries from the log
-        and from ``other``, and put its sealed ones back in their order."""
+    def _drop_unsealed(self, index: dict, key, other: dict, other_field: int) -> list[tuple]:
+        """Pop the bucket ``index[key]`` whole, drop its unsealed rows from ``other``
+        too, and put its sealed ones back in their order."""
         bucket = index.pop(key, None)
         if bucket is None:
             return []
-        dropped: list[LedgerEntry] = []
-        kept: dict[int, LedgerEntry] = {}
-        for seq, e in bucket.items():
-            if e.sealed:
-                kept[seq] = e
+        sealed = self._sealed
+        dropped: list[tuple] = []
+        kept: dict[int, tuple] = {}
+        for seq, row in bucket.items():
+            if seq in sealed:
+                kept[seq] = row
                 continue
-            del self._entries[seq]
-            _unindex(other, other_key(e), seq)
-            dropped.append(e)
+            other_key = row[other_field]
+            other_bucket = other[other_key]  # ``_unindex``, inlined
+            del other_bucket[seq]
+            if not other_bucket:
+                del other[other_key]
+            dropped.append(row)
         if kept:
             index[key] = kept
         return dropped
-
-
-_LAUNCH_OF = attrgetter("launch_id")
-_TARGET_OF = attrgetter("target")
 
 
 def _unindex(index: dict, key, seq: int) -> None:
@@ -402,40 +416,6 @@ def _unindex(index: dict, key, seq: int) -> None:
 # ``state``, or after ``writable`` copied a shared element in, so a layer
 # never writes what it shares (``CognitiveNetwork.layer``).  A launch marks
 # the targets it folds into in the touched set itself.
-
-
-def _relation_degree(relations: dict[str, Relation], rel: Relation) -> float:
-    """``relational_membership`` against the relation's own base, or 1 without one.
-
-    The kind check is left out: a relation's lineage starts with its own base.
-    """
-    base = relations.get(rel.base)
-    if base is None or not base.params:
-        return 1.0  # the empty product
-    return _param_product(base, rel)
-
-
-def _apply_contribution(
-    state: ProbabilityState,
-    via: Relation,
-    config: EngineConfig,
-    ledger: ContributionLedger,
-    trace: Trace,
-    touched: Touched,
-    launch_id: int,
-    source: str,
-    target: str,
-    contribution: float,
-    event: str,
-) -> None:
-    applied = contribution
-    if config.mode is _SIMPLIFIED:
-        k = via.params.get("k")
-        applied = (float(k) if isinstance(k, (int, float)) else config.default_k) * contribution
-    state.result_prob = config.mode.fold(state.result_prob, applied)
-    touched[target] = None
-    ledger.record(launch_id, source, target, via.id, applied)
-    trace.record(event, source, target, applied, state.result_prob)
 
 
 def pps_launch(
@@ -458,18 +438,26 @@ def pps_launch(
 
     No state or status changes during a launch except the results it folds,
     so every stop rule but "already reached" is decided when a target is
-    pushed; the frontier then holds only targets that a pop may reach.
+    pushed; the frontier then holds only targets that a pop may reach.  One
+    loop pushes the neighbours of each element reached and applies each
+    contribution in place, through the fold, ``ledger.record`` and
+    ``trace.record`` as bound at the launch's start.
     """
     if not 0.0 < delta <= 1.0:
         raise ParameterError(f"launch delta must lie in (0, 1], got {delta}")
     relations, concepts, touched, owned = net.relations, net.concepts, net.touched(), net.owned_ids()
+    incident = net.incident_view
     src_state = net.writable(source).state  # not ``state``: readiness never reads ``launched``
     src_state.launched = True
     if launch is None:
         launch = ledger.open_launch(source, delta)
     launch_id = launch.launch_id
-    trace.record("launch", source, source, delta, src_state.result_prob)
+    record, note = ledger.record, trace.record
+    note("launch", source, source, delta, src_state.result_prob)
 
+    simplified = config.mode is _SIMPLIFIED
+    fold = config.mode.fold if simplified else superpose
+    default_k = config.default_k
     epsilon = config.decay_epsilon
     hop_limit = math.inf if config.max_hops is None else config.max_hops
     visited = {source}
@@ -477,67 +465,76 @@ def pps_launch(
     seq = 0
     # (-contribution, seq, target id, target element, via relation, upstream id, contribution, hops)
     heap: list[tuple] = []
+    element, carried, hops = source, delta, 0
+    while True:
+        # push the neighbours of the element just reached (relations launch no flows of their own)
+        if element not in relations and hops < hop_limit:
+            for rel_id in incident(element):
+                rel = relations[rel_id]
+                if rel.kind is _BELONG_TO:
+                    continue  # set-dimension derivation is not an evidence channel
+                if rel.state.status is _SUPPRESSED:
+                    continue
+                if element == rel.a:
+                    target, spec = rel.b, rel.cond.forward
+                else:
+                    target, spec = rel.a, rel.cond.backward
+                if target in visited:
+                    continue
+                target_el = concepts.get(target)
+                tval = None
+                if target_el is None:
+                    target_el = relations[target]
+                else:
+                    tval = target_el.value
+                if target_el.state.status is not _SUPERPOSED:
+                    continue  # collapsed or suppressed
+                if not isinstance(spec, Gaussian):
+                    cond = float(spec)
+                elif isinstance(tval, (int, float)):  # a Gaussian conditional scores the far end's value
+                    cond = gaussian_membership(float(tval), spec.mu, spec.sigma)
+                else:
+                    cond = 0.0
+                base = relations.get(rel.base)  # relational membership against the relation's own base
+                degree = _param_product(base, rel) if base is not None and base.params else 1.0
+                contribution = carried * degree * cond
+                if contribution < epsilon:
+                    continue
+                heapq.heappush(heap, (-contribution, seq, target, target_el, rel, element, contribution, hops))
+                seq += 1
 
-    def push_neighbors(element: str, carried: float, hops: int) -> None:
-        nonlocal seq
-        if element in relations or hops >= hop_limit:
-            return  # relations do not launch flows of their own
-        for rel_id in net.incident_view(element):
-            rel = relations[rel_id]
-            if rel.kind is _BELONG_TO:
-                continue  # set-dimension derivation is not an evidence channel
-            if rel.state.status is _SUPPRESSED:
-                continue
-            if element == rel.a:
-                target, spec = rel.b, rel.cond.forward
-            else:
-                target, spec = rel.a, rel.cond.backward
-            if target in visited:
-                continue
-            target_el = concepts.get(target)
-            tval = None
-            if target_el is None:
-                target_el = relations[target]
-            else:
-                tval = target_el.value
-            if target_el.state.status is not _SUPERPOSED:
-                continue  # collapsed or suppressed
-            if not isinstance(spec, Gaussian):
-                cond = float(spec)
-            elif isinstance(tval, (int, float)):  # a Gaussian conditional scores the far end's value
-                cond = gaussian_membership(float(tval), spec.mu, spec.sigma)
-            else:
-                cond = 0.0
-            contribution = carried * _relation_degree(relations, rel) * cond
-            if contribution < epsilon:
-                continue
-            heapq.heappush(heap, (-contribution, seq, target, target_el, rel, element, contribution, hops))
-            seq += 1
-
-    push_neighbors(source, delta, 0)
-    while heap:
-        _, _, target, target_el, rel, upstream, contribution, hops = heapq.heappop(heap)
-        if target in visited:
-            continue
+        # reach the best target not reached yet, through its relation first if that is open
+        while heap:
+            _, _, target, target_el, rel, upstream, contribution, hops = heapq.heappop(heap)
+            if target not in visited:
+                break
+        else:
+            return reached
         visited.add(target)
-        if rel.state.status is _SUPERPOSED and rel.id not in visited:
-            visited.add(rel.id)
-            if owned is not None and rel.id not in owned:
-                rel = net.writable(rel.id)
-            _apply_contribution(
-                rel.state, rel, config, ledger, trace, touched, launch_id, upstream, rel.id,
-                contribution, "contribute",
-            )
-            reached.append(rel.id)
+        applied = contribution
+        if simplified:
+            k = rel.params.get("k")
+            applied = (float(k) if isinstance(k, (int, float)) else default_k) * contribution
+        rel_id = rel.id
+        if rel.state.status is _SUPERPOSED and rel_id not in visited:
+            visited.add(rel_id)
+            if owned is not None and rel_id not in owned:
+                rel = net.writable(rel_id)
+            state = rel.state
+            state.result_prob = result = fold(state.result_prob, applied)
+            touched[rel_id] = None
+            record(launch_id, upstream, rel_id, rel_id, applied)
+            note("contribute", upstream, rel_id, applied, result)
+            reached.append(rel_id)
         if owned is not None and target not in owned:
             target_el = net.writable(target)
-        _apply_contribution(
-            target_el.state, rel, config, ledger, trace, touched, launch_id, upstream, target,
-            contribution, "superpose",
-        )
+        state = target_el.state
+        state.result_prob = result = fold(state.result_prob, applied)
+        touched[target] = None
+        record(launch_id, upstream, target, rel_id, applied)
+        note("superpose", upstream, target, applied, result)
         reached.append(target)
-        push_neighbors(target, contribution, hops + 1)
-    return reached
+        element, carried, hops = target, contribution, hops + 1
 
 
 def _restore_result(net: CognitiveNetwork, ledger: ContributionLedger, target: str, mode: Mode) -> None:
@@ -547,10 +544,9 @@ def _restore_result(net: CognitiveNetwork, ledger: ContributionLedger, target: s
 
 def undo_launch(net: CognitiveNetwork, ledger: ContributionLedger, launch_id: int, mode: Mode) -> None:
     """Remove one launch's entries and restore each touched target by replay."""
-    removed = ledger.remove_launch(launch_id)
-    for entry in removed:
-        if net.has(entry.target) and net.element(entry.target).state.status is not _COLLAPSED:
-            _restore_result(net, ledger, entry.target, mode)
+    for _, _, target, _, _ in ledger.remove_launch(launch_id):
+        if net.has(target) and net.element(target).state.status is not _COLLAPSED:
+            _restore_result(net, ledger, target, mode)
 
 
 def collapse_element(
@@ -613,8 +609,8 @@ class _ReadyQueue:
     """
 
     def __init__(self, net: CognitiveNetwork, config: EngineConfig):
-        self.net, self.config = net, config
-        ready, self.examined = net.seed_ready(config.collapse_at)
+        self.net, self.collapse_at = net, config.collapse_at
+        ready, self.examined = net.seed_ready(self.collapse_at)
         position_key = net.position_key
         self.heap: list[tuple[tuple[bool, int], str]] = sorted(
             (position_key(e), e) for e in ready if e not in net.knowledge
@@ -625,14 +621,19 @@ class _ReadyQueue:
         if element_id in self.net.knowledge:
             return False
         state = self.net.element(element_id).state
-        return state.status is _SUPERPOSED and self.config.collapse_ready(state.result_prob)
+        return state.status is _SUPERPOSED and state.result_prob >= self.collapse_at
 
     def offer(self, element_ids: Sequence[str]) -> None:
         self.examined += len(element_ids)
-        for element_id in element_ids:
-            if element_id not in self.queued and self.ready(element_id):
-                self.queued.add(element_id)
-                heapq.heappush(self.heap, (self.net.position_key(element_id), element_id))
+        net, queued, collapse_at = self.net, self.queued, self.collapse_at
+        knowledge = net.knowledge
+        for element_id in element_ids:  # ``ready``, inlined
+            if element_id in queued or element_id in knowledge:
+                continue
+            state = net.element(element_id).state
+            if state.status is _SUPERPOSED and state.result_prob >= collapse_at:
+                queued.add(element_id)
+                heapq.heappush(self.heap, (net.position_key(element_id), element_id))
 
     def pop(self) -> Optional[str]:
         while self.heap:

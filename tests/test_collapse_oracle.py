@@ -314,13 +314,21 @@ def test_collapse_and_settle_match_the_oracle():
 
 
 def assert_indexes_match_the_log(ledger: ContributionLedger, where: str = "") -> None:
-    """Each index holds the log's own entries, grouped in log order, and no empty bucket."""
-    for index, key in ((ledger._by_target, "target"), (ledger._by_launch, "launch_id")):
-        want: dict = {}
-        for e in ledger.entries:
-            want.setdefault(getattr(e, key), []).append(id(e))
-        got = {k: [id(e) for e in bucket.values()] for k, bucket in index.items()}
-        assert got == want, (where, key)
+    """Both indexes hold exactly the log's rows, each bucket those of its target or launch
+    in log order, with no empty bucket; the sealed numbers are those of logged rows."""
+    logs = []
+    for index, field in ((ledger._by_target, 2), (ledger._by_launch, 0)):
+        log: dict = {}
+        for key, bucket in index.items():
+            assert bucket, (where, field, key)
+            assert list(bucket) == sorted(bucket), (where, field, key)
+            assert all(row[field] == key for row in bucket.values()), (where, field, key)
+            log.update(bucket)
+        logs.append(log)
+    assert logs[0] == logs[1], where
+    assert ledger._sealed <= logs[0].keys(), where
+    want = [LedgerEntry(*logs[0][seq], seq in ledger._sealed) for seq in sorted(logs[0])]
+    assert list(ledger.entries) == want, where
 
 
 def test_ledger_matches_the_flat_list_oracle():
@@ -346,11 +354,13 @@ def test_ledger_matches_the_flat_list_oracle():
                 slow.entries.append(copy.copy(entry))
             elif roll < 0.6:
                 target = rng.choice(elements)
-                assert fast.purge_target(target) == slow.purge_target(target), where
+                dropped = [LedgerEntry(*row) for row in fast.purge_target(target)]
+                assert dropped == slow.purge_target(target), where
                 kept_sealed += target in fast._by_target
             elif roll < 0.7:
                 launch = rng.randint(1, 5)
-                assert fast.remove_launch(launch) == slow.remove_launch(launch), where
+                dropped = [LedgerEntry(*row) for row in fast.remove_launch(launch)]
+                assert dropped == slow.remove_launch(launch), where
                 kept_sealed += launch in fast._by_launch
             elif roll < 0.75:
                 batch = rng.sample(elements, rng.randint(1, 3))
@@ -363,12 +373,21 @@ def test_ledger_matches_the_flat_list_oracle():
                 fast.open_launch(source, 0.5)
                 slow.open_launch(source, 0.5)
             elif roll < 0.85:
-                clone = fast.copy()
+                clone, scrap = fast.copy(), fast.copy()
                 assert list(clone.entries) == list(fast.entries), where
                 assert clone.launches == fast.launches, where
                 assert clone.next_launch_id == fast.next_launch_id, where
-                assert not {id(e) for e in clone.entries} & {id(e) for e in fast.entries}, where
                 assert not {id(r) for r in clone.launches} & {id(r) for r in fast.launches}, where
+                # a copy shares nothing that changes: emptying one leaves the original whole
+                before = list(fast.entries)
+                scrap.seal_elements(elements[:2])
+                for launch in range(1, 6):
+                    scrap.remove_launch(launch)
+                for target in elements:
+                    scrap.purge_target(target)
+                scrap.record(9, "a", "b", "r1", 0.5)
+                assert list(fast.entries) == before, where
+                assert_indexes_match_the_log(scrap, where)
                 fast = clone  # the rest of the case runs on the copy
                 copies += 1
             else:
@@ -409,8 +428,14 @@ def test_a_collapse_chain_round_leaves_no_empty_bucket():
 
 
 def test_entries_view_is_read_only():
+    """``entries`` builds its objects from the rows at each read: neither changing the
+    sequence nor an entry in it reaches the ledger."""
     ledger = ContributionLedger()
     ledger.record(1, "a", "b", "r", 0.5)
     with pytest.raises(AttributeError):
         ledger.entries.append(LedgerEntry(2, "a", "b", "r", 0.5))
-    assert [e.target for e in ledger.entries] == ["b"]
+    with pytest.raises(TypeError):
+        ledger.entries[0] = LedgerEntry(2, "a", "b", "r", 0.5)
+    ledger.entries[0].sealed = True
+    assert ledger.entries == (LedgerEntry(1, "a", "b", "r", 0.5),)
+    assert ledger.remove_launch(1) == [(1, "a", "b", "r", 0.5)]

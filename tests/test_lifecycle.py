@@ -26,7 +26,7 @@ from dcnet.lifecycle import (
     session_load,
     session_save,
 )
-from dcnet.probability import ContributionLedger, EngineConfig, LaunchRecord, LedgerEntry, Mode
+from dcnet.probability import ContributionLedger, EngineConfig, LaunchRecord, Mode
 from dcnet.trace import Trace
 
 from scenes import (
@@ -79,26 +79,28 @@ class TestPrune:
         assert not state.net.has("nose1")
 
     def test_a_prune_reads_each_entry_and_launch_record_once(self):
-        """Sealing after a prune that removes k elements reads the log and the launch
-        records in one pass, not once per removed element."""
+        """Sealing after a prune that removes k elements reads the rows and the launch
+        records in one pass, not once per removed element: each source is hashed once and
+        compared at most once, as one set lookup does."""
         task, state = self._collapsed_face()
-        reads: Counter = Counter()
-        entry_cls = _source_read_counted(LedgerEntry, reads)
-        record_cls = _source_read_counted(LaunchRecord, reads)
+        hashes, compares = Counter(), Counter()
+        counted = _lookup_counted(hashes, compares)
         ledger = ContributionLedger()
-        # the fit purged every entry it made; these come from, go into and pass by the members
+        # the fit purged every row it made; these come from, go into and pass by the members
         for i, r in enumerate(state.ledger.launches):
             target = ("face1", "eye1", "elsewhere")[i % 3]
-            ledger.add(entry_cls(r.launch_id, r.source, target, "via", 0.1))
+            ledger.record(r.launch_id, counted(r.source), target, "via", 0.1)
         ledger.launches = [
-            record_cls(r.launch_id, r.source, r.delta, r.sealed) for r in state.ledger.launches
+            LaunchRecord(r.launch_id, counted(r.source), r.delta, r.sealed) for r in state.ledger.launches
         ]
-        reads.clear()
+        hashes.clear()
+        compares.clear()
         report = prune(state.net, PrunePolicy(), ledger=ledger, trace=task.trace)
         assert len(report.removed) >= 8
         assert any(e.sealed for e in ledger.entries) and any(not e.sealed for e in ledger.entries)
-        assert all(reads[id(x)] == 1 for x in [*ledger.entries, *ledger.launches])
-        assert max(reads.values()) == 1
+        kept = [e.source for e in ledger.entries] + [r.source for r in ledger.launches]
+        assert all(hashes[id(source)] == 1 for source in kept)
+        assert max(hashes.values()) == 1 and max(compares.values()) == 1
 
     def test_sealed_history_survives_replay(self):
         task, state = self._collapsed_face()
@@ -110,18 +112,17 @@ class TestPrune:
                 assert state.ledger.replay(st.input_prob, el) == pytest.approx(1.0)
 
 
-def _source_read_counted(cls, reads: Counter) -> type:
-    """``cls`` with each read of an instance's ``source`` counted in ``reads`` under its id."""
+def _lookup_counted(hashes: Counter, compares: Counter) -> type:
+    """``str`` whose instances count each hash and each equality test under their id."""
 
-    class Counted(cls):
-        @property
-        def source(self):
-            reads[id(self)] += 1
-            return self.__dict__["source"]
+    class Counted(str):
+        def __hash__(self):
+            hashes[id(self)] += 1
+            return str.__hash__(self)
 
-        @source.setter
-        def source(self, value):
-            self.__dict__["source"] = value
+        def __eq__(self, other):
+            compares[id(self)] += 1
+            return str.__eq__(self, other)
 
     return Counted
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -27,7 +26,6 @@ from dcnet.probability import (
     ContributionLedger,
     EngineConfig,
     LedgerCorruption,
-    LedgerEntry,
     Mode,
     gaussian_membership,
     collapse_element,
@@ -45,7 +43,7 @@ from dcnet import probability
 from dcnet.growth import ConceptSpec, fit_run, make_task
 from dcnet.kbio import Expectation, check_expectations, serialize_kb
 from dcnet.lifecycle import session_save
-from dcnet.trace import Trace, TraceEvent
+from dcnet.trace import Trace
 
 from scenes import FACE_INPUTS, face_kb, face_task
 from test_collapse_oracle import scan_xor_partners
@@ -569,12 +567,12 @@ class TestSimplifiedMode:
 
 
 class TestCountedEntryPoints:
-    """Every ledger entry enters through ``ContributionLedger.record`` and every trace event
+    """Every ledger row enters through ``ContributionLedger.record`` and every trace event
     through ``Trace.record``: the benchmark's tracer counts those two methods as
     ``probability.ledger_entries`` and ``trace.events``."""
 
     @staticmethod
-    def _counts(monkeypatch) -> Counter:
+    def _counts(monkeypatch) -> tuple[Counter, list[ContributionLedger]]:
         counts: Counter = Counter()
 
         def count_calls(owner, name: str, key: str) -> None:
@@ -586,50 +584,49 @@ class TestCountedEntryPoints:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        def count_builds(cls, key: str) -> type:
-            class Counted(cls):
-                def __init__(self, *args, **kwargs):
-                    counts[key] += 1
-                    super().__init__(*args, **kwargs)
-
-            return Counted
-
         count_calls(ContributionLedger, "record", "record calls")
         count_calls(Trace, "record", "trace record calls")
-        built = {
-            LedgerEntry: count_builds(LedgerEntry, "entries"),
-            TraceEvent: count_builds(TraceEvent, "events"),
-        }
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "dcnet":
-                continue
-            for cls, counted in built.items():
-                if vars(module).get(cls.__name__) is cls:
-                    monkeypatch.setattr(module, cls.__name__, counted)
-        return counts
+        # a ledger numbers each row it appends, purged or not, and a copy goes on from its
+        # original's number: the rows appended anywhere are the numbers no copy inherited
+        original_init, original_copy = ContributionLedger.__init__, ContributionLedger.copy
+        ledgers: list[ContributionLedger] = []
+
+        def init(self) -> None:
+            original_init(self)
+            ledgers.append(self)
+
+        def copy(self) -> ContributionLedger:
+            clone = original_copy(self)
+            counts["inherited rows"] += clone._next_seq
+            return clone
+
+        monkeypatch.setattr(ContributionLedger, "__init__", init)
+        monkeypatch.setattr(ContributionLedger, "copy", copy)
+        return counts, ledgers
 
     @staticmethod
-    def _check(counts: Counter, trace: Trace) -> None:
-        assert counts["record calls"] == counts["entries"] > 0
-        assert counts["trace record calls"] == counts["events"] == len(trace.events) > 0
+    def _check(counts: Counter, ledgers: list[ContributionLedger], trace: Trace) -> None:
+        rows = sum(ledger._next_seq for ledger in ledgers) - counts["inherited rows"]
+        assert counts["record calls"] == rows > 0
+        assert counts["trace record calls"] == len(trace.events) == trace.next_step > 0
 
     def test_a_launch(self, monkeypatch):
-        counts = self._counts(monkeypatch)
+        counts, ledgers = self._counts(monkeypatch)
         net, ledger, trace = face_kb(), ContributionLedger(), Trace()
         pps_launch(net, "eye", 0.8, EngineConfig(), ledger, trace)
-        self._check(counts, trace)
-        assert counts["entries"] == len(ledger.entries)
+        self._check(counts, ledgers, trace)
+        assert counts["record calls"] == len(ledger.entries)
 
     def test_a_collapse(self, monkeypatch):
-        counts = self._counts(monkeypatch)
+        counts, ledgers = self._counts(monkeypatch)
         net, ledger, trace = face_kb(), ContributionLedger(), Trace()
         pps_launch(net, "nose", 0.5, EngineConfig(), ledger, trace)
         collapse_element(net, "eye", EngineConfig(), ledger, trace)
-        self._check(counts, trace)
+        self._check(counts, ledgers, trace)
 
     def test_a_fit_of_the_face_scene(self, monkeypatch):
-        counts = self._counts(monkeypatch)
+        counts, ledgers = self._counts(monkeypatch)
         task = face_task()
         fit_run(task)
-        self._check(counts, task.trace)
+        self._check(counts, ledgers, task.trace)
         assert any(ev.event == "collapse" for ev in task.trace.events)
