@@ -9,6 +9,7 @@ belong to which.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -1204,84 +1205,121 @@ class PatternRelation(Protocol):
 
 def match_pattern(
     net: CognitiveNetwork,
-    nodes: Sequence[tuple[str, Sequence[str]]],
-    node_ok: Callable[[str, str], bool],
+    nodes: Sequence[tuple[str, Iterable[str]]],
+    node_ok: Optional[Callable[[str, str], bool]],
     relations: Sequence[PatternRelation],
     relation_pool: Sequence[str],
     relation_ok: Callable[[PatternRelation, Relation], bool],
+    *,
+    partial: bool = False,
+    many_to_one: bool = False,
 ) -> Iterator[dict[str, str]]:
-    """Every injective, topology-preserving mapping of a pattern into ``net``.
+    """Every topology-preserving mapping of a pattern into ``net``, yielded in search order.
 
     ``nodes`` pairs each pattern node with its candidate images and is placed
-    first, in the given order.  Each pattern relation follows once both of its
-    ends are placed; its images come from the relations incident to a placed
-    end's image, taken in ``relation_pool`` order, and only a relation with no
-    end in the pattern scans the whole pool.  An image relation must join the
-    ends' images (either way round for symmetric kinds).  As soon as all the
-    pattern ends of an unplaced relation are placed, some unused image must
-    remain for it, or the branch is cut.  Mappings are yielded in search
-    order, so the first is the smallest in placement order and pool order.
-    """
-    ordered = _endpoint_first(relations)
-    pattern_ids = {node for node, _ in nodes} | {rel.id for rel in ordered}
-    rank = {rel_id: i for i, rel_id in enumerate(relation_pool)}
-    watchers: dict[str, list[PatternRelation]] = {}
-    for rel in ordered:
-        for end in (rel.a, rel.b):
-            if end in pattern_ids:
-                watchers.setdefault(end, []).append(rel)
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    first, in the given order; the relations follow.  A relation's images join
+    its ends' images and come from the relations incident to a placed end's
+    image, in ``relation_pool`` order (a relation with no end in the pattern
+    scans the whole pool).  They are taken once, when its last pattern end is
+    placed, and a branch that leaves it none is cut there.  The open steps sit
+    on an explicit stack, not in recursion, so no pattern size meets the
+    recursion limit.  The first mapping is the smallest in placement order and
+    pool order.
 
-    def images(rel: PatternRelation) -> Iterator[str]:
+    By default the mapping is total and injective, each relation is placed
+    after the relations it ends on, and a symmetric kind (EQUAL, XOR) may join
+    its ends' images either way round; only this mode flips.  The fit asks for:
+
+    * ``partial``: a node may stay unplaced (tried first) and is then absent
+      from the mapping.  Relations keep the given order; one is placed exactly
+      when both its ends are pattern elements placed before its turn, and its
+      image joins them as written.
+    * ``many_to_one``: no used set, so pattern elements may share an image.
+    """
+    ordered = relations if partial else _endpoint_first(relations)
+    first_relation = len(nodes)
+    keys = [node for node, _ in nodes] + [rel.id for rel in ordered]
+    step_of = {key: i for i, key in enumerate(keys)}
+    rank = {rel_id: i for i, rel_id in enumerate(relation_pool)}
+    flips = () if partial else _SYMMETRIC_KINDS
+    triggers: dict[int, list[PatternRelation]] = {}  # step -> the relations whose last end it places
+    gates: list[Optional[tuple[str, str]]] = []  # per relation: the ends it waits for
+    for step, rel in enumerate(ordered, first_relation):
+        ends = [step_of[end] for end in (rel.a, rel.b) if end in step_of]
+        if ends and not (partial and (len(ends) < 2 or max(ends) > step)):
+            triggers.setdefault(max(ends), []).append(rel)
+            gates.append((rel.a, rel.b))
+        else:
+            gates.append(None)  # partial: never placed; total: its images scan the whole pool
+    assignment: dict[str, str] = {}
+    used: set[str] = set()  # stays empty when many_to_one
+    found: dict[str, list[str]] = {}  # relation -> its images, taken when its last end was placed
+
+    def images(rel: PatternRelation) -> list[str]:
+        """The unused pool relations, in pool order, that join ``rel``'s ends' images and pass ``relation_ok``."""
         im_a, im_b = assignment.get(rel.a), assignment.get(rel.b)
         anchor = im_a if im_a is not None else im_b
-        pool = relation_pool
-        if anchor is not None:
-            pool = sorted((r for r in net.incident(anchor) if r in rank), key=rank.__getitem__)
-        ends = [(im_a, im_b)]
-        if rel.kind in _SYMMETRIC_KINDS:
-            ends.append((im_b, im_a))
-        for rel_id in pool:
-            if rel_id in used:
-                continue
-            image = net.relations[rel_id]
-            if not any(
-                (ea is None or ea == image.a) and (eb is None or eb == image.b) for ea, eb in ends
-            ):
-                continue
-            if relation_ok(rel, image):
-                yield rel_id
+        flip = rel.kind in flips
+        joining = []
+        for rel_id in rank if anchor is None else net.incident_view(anchor):
+            if rel_id in rank and rel_id not in used:
+                image = net.relations[rel_id]
+                if (im_a is None or im_a == image.a) and (im_b is None or im_b == image.b) or flip and (
+                    (im_b is None or im_b == image.a) and (im_a is None or im_a == image.b)
+                ):
+                    joining.append(image)
+        joining.sort(key=lambda image: rank[image.id])
+        return [image.id for image in joining if relation_ok(rel, image)]
 
-    def viable(placed: str) -> bool:
-        for rel in watchers.get(placed, ()):
-            if rel.id in assignment:
-                continue
-            if all(end in assignment for end in (rel.a, rel.b) if end in pattern_ids):
-                if next(images(rel), None) is None:
-                    return False
-        return True
-
-    def place(key: str, candidates: Iterable[str], step: int) -> Iterator[dict[str, str]]:
-        for image in candidates:
-            assignment[key] = image
-            used.add(image)
-            if viable(key):
-                yield from extend(step + 1)
-            used.discard(image)
-            del assignment[key]
-
-    def extend(step: int) -> Iterator[dict[str, str]]:
-        if step < len(nodes):
-            node, pool = nodes[step]
-            yield from place(node, (d for d in pool if d not in used and node_ok(node, d)), step)
-        elif step < len(nodes) + len(ordered):
-            rel = ordered[step - len(nodes)]
-            yield from place(rel.id, images(rel), step)
-        else:
+    stack: list[tuple[int, Optional[str], Iterator[Optional[str]]]] = []  # the open steps below the top
+    top, key, tried = -1, None, iter(())  # the open step and its options to try; None leaves it unplaced
+    step = 0  # the step to open next
+    while True:
+        while partial and first_relation <= step < len(keys):  # skip the relations left unplaced
+            gate = gates[step - first_relation]
+            if gate is not None and gate[0] in assignment and gate[1] in assignment:
+                break
+            step += 1
+        if step == len(keys):
             yield dict(assignment)
+        else:
+            stack.append((top, key, tried))
+            top, key = step, keys[step]
+            if step < first_relation:
+                node, pool = nodes[step]
+                tried = itertools.filterfalse(used.__contains__, pool)
+                if node_ok is not None:
+                    tried = filter(functools.partial(node_ok, node), tried)
+                if partial:
+                    tried = itertools.chain((None,), tried)
+            elif gates[step - first_relation] is None:  # no pattern end: its images scan the whole pool
+                tried = iter(images(ordered[step - first_relation]))
+            else:
+                tried = itertools.filterfalse(used.__contains__, found[key])
+        while True:  # the top step's next option; a step out of options hands back to the one below
+            used.discard(assignment.pop(key, None))
+            image = next(tried, _EXHAUSTED)
+            if image is _EXHAUSTED:
+                if not stack:
+                    return
+                top, key, tried = stack.pop()
+                continue
+            if image is None:
+                break
+            assignment[key] = image
+            if not many_to_one:
+                used.add(image)
+            for rel in triggers.get(top, ()):  # forward checking
+                if not partial or rel.a in assignment and rel.b in assignment:
+                    found[rel.id] = images(rel)
+                    if not found[rel.id]:
+                        break
+            else:
+                break
+        step = top + 1
 
-    return extend(0)
+
+_EXHAUSTED = object()  # the end of a step's options in ``match_pattern``
 
 
 def _endpoint_first(relations: Sequence[PatternRelation]) -> list[PatternRelation]:

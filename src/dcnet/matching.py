@@ -1,11 +1,11 @@
 """Membership of known fragments against base knowledge trees.
 
 Matching is pure: it never mutates the knowledge network or the fragment.
-Structure placement is an exhaustive backtracking search; each fragment
-concept's up-closure is taken once per call and decides the tree concepts it
-can take.  Membership is then the root's own input folded, in sorted source
-order, with what each placed element's launch over a zero-state scratch copy
-of the base tree brings the root.
+Structure placement is ``core.match_pattern`` in its partial, many-to-one
+mode; each fragment concept's up-closure is taken once per call and decides
+the tree concepts it can take.  Membership is then the root's own input
+folded, in sorted source order, with what each placed element's launch over a
+zero-state scratch copy of the base tree brings the root.
 
 A launch into a zero-state scratch reads no result or status that another
 launch folded into it, so one launch per distinct scratch, source and input
@@ -50,6 +50,7 @@ from .core import (
     belongs_to,
     check_derived_network,
     kind_compatible,
+    match_pattern,
     up_closure,
 )
 from .probability import (
@@ -312,59 +313,6 @@ class _TreeMatch:
         return acc
 
 
-def _placements(match: _TreeMatch, fragment_ids: list[str]) -> list[dict[str, str]]:
-    """All structure-consistent assignments fragment element -> base element.
-
-    Fragment elements may stay unplaced (they are then simply not evidence) and
-    several fragment elements may land on one base element, since a derived
-    network may extend its base.  A fragment relation whose two endpoints are
-    both placed is a hard constraint: some compatible base relation must
-    connect their images, otherwise that combination of placements is invalid.
-    """
-    net, tree = match.net, match.tree
-    concepts = sorted(f for f in fragment_ids if f in net.concepts)
-    relations = sorted(f for f in fragment_ids if f in net.relations)
-    tree_relations = sorted(tree.longitudinal + tree.additional)
-    results: list[dict[str, str]] = []
-    assignment: dict[str, str] = {}
-
-    def place_relation(idx: int) -> None:
-        if idx == len(relations):
-            results.append(dict(assignment))
-            return
-        f = relations[idx]
-        frel = net.relations[f]
-        im_a, im_b = assignment.get(frel.a), assignment.get(frel.b)
-        if im_a is None or im_b is None:
-            place_relation(idx + 1)
-            return
-        for base_rel_id in tree_relations:
-            brel = net.relations.get(base_rel_id)  # a tree view may still name a removed relation
-            if brel is None or brel.a != im_a or brel.b != im_b:
-                continue  # the ends decide first: the kind test walks lineages
-            if not kind_compatible(net, f, base_rel_id):
-                continue
-            assignment[f] = base_rel_id
-            place_relation(idx + 1)
-            del assignment[f]
-
-    def place_concept(idx: int) -> None:
-        if idx == len(concepts):
-            place_relation(0)
-            return
-        f = concepts[idx]
-        for opt in [None, *match.takes(f)]:
-            if opt is None:
-                place_concept(idx + 1)
-            else:
-                assignment[f] = opt
-                place_concept(idx + 1)
-                del assignment[f]
-
-    place_concept(0)
-    return results
-
-
 # ---------------------------------------------------------------------------
 # membership evaluation
 
@@ -427,7 +375,7 @@ def match_tree(
     base_tree: TreeNetworkView,
     config: EngineConfig,
 ) -> MatchResult:
-    """Two steps: structure match by backtracking, then membership by propagation.
+    """Two steps: structure placement by ``core.match_pattern``, then membership by propagation.
 
     Among structurally valid placements the one maximizing membership wins;
     ties resolve to the lexicographically smallest assignment.  A placement's
@@ -440,12 +388,21 @@ def match_tree(
 
 
 def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
-    root = match.tree.root
-    if not match.net.has(root):
+    net, root = match.net, match.tree.root
+    if not net.has(root):
         raise StructureError(f"base tree root {root} does not resolve")
     best = MatchResult(base=root, membership=0.0)
     best_score = (-1.0, -1)
-    for placement in _placements(match, list(fragment_ids)):
+    for placement in match_pattern(
+        net,
+        [(f, match.takes(f)) for f in sorted(f for f in fragment_ids if f in net.concepts)],
+        None,
+        [net.relations[f] for f in sorted(f for f in fragment_ids if f in net.relations)],
+        sorted(match.tree.longitudinal + match.tree.additional),
+        lambda frel, image: kind_compatible(net, frel.id, image.id),
+        partial=True,
+        many_to_one=True,
+    ):
         if not placement:
             continue
         membership = match.membership(*_placement_inputs(match, placement))

@@ -257,6 +257,32 @@ def tree_scene(trees: list[int]) -> tuple[list[ConceptSpec], list[RelationSpec]]
     return concepts, relations
 
 
+def hub_kb(d: int) -> CognitiveNetwork:
+    """A root ``o`` and members m0..md: HAS_COMPONENT o->mi (pba 0.9, pab 0.8), ADJOINING m0->mi (0.7), i >= 1."""
+    kb = CognitiveNetwork()
+    concept(kb, "o")
+    scope = ["o"]
+    for i in range(d + 1):
+        concept(kb, f"m{i}")
+        relation(kb, f"h{i}", RelationKind.HAS_COMPONENT, "o", f"m{i}", pba=0.9, pab=0.8)
+        scope += [f"m{i}", f"h{i}"]
+    for i in range(1, d + 1):
+        relation(kb, f"j{i}", RelationKind.ADJOINING, "m0", f"m{i}", pba=0.7, pab=0.7)
+        scope.append(f"j{i}")
+    declare_tree(kb, "o", scope)
+    return kb
+
+
+def hub_scene(d: int) -> tuple[list[ConceptSpec], list[RelationSpec]]:
+    """``input mi p=0.8 as=s.mi`` for every member of ``hub_kb(d)``, and ADJOINING s.m0->s.mi."""
+    concepts = [ConceptSpec(base=f"m{i}", p=0.8, as_id=f"s.m{i}") for i in range(d + 1)]
+    relations = [
+        RelationSpec(rel_id=f"s.m0~s.m{i}", kind=RelationKind.ADJOINING, a="s.m0", b=f"s.m{i}")
+        for i in range(1, d + 1)
+    ]
+    return concepts, relations
+
+
 def pattern_scenes(rng: random.Random, count: int, two_share: float = 0.0) -> list[Scene]:
     """Scenes of five patterns of 3-4 mutually adjacent parts.
 

@@ -23,8 +23,8 @@ from dcnet.lifecycle import session_load, session_save
 from dcnet.matching import match_complete, match_concept, match_nested, match_tree
 from dcnet.probability import EngineConfig, Mode, superpose_n
 
-from scenes import FACE_INPUTS, concept, declare_tree, face_kb, relation
-from test_matching_oracle import oracle_match_nested, oracle_membership
+from scenes import FACE_INPUTS, concept, declare_tree, face_kb, hub_kb, hub_scene, relation
+from test_matching_oracle import oracle_match_nested, oracle_match_tree, oracle_membership
 
 
 def _config(**kw):
@@ -114,6 +114,45 @@ class TestMatchTree:
         # root evidence 1.0 superposed with the member's flow through the deviant angle
         expected = superpose_n([1.0 * math.exp(-0.5) * 1.0, 1.0])
         assert result.membership == pytest.approx(expected, abs=1e-12)
+
+    def test_a_symmetric_fragment_relation_takes_its_ends_as_written(self):
+        """The fit flips no EQUAL or XOR relation: EQUAL s2->s1 on EQUAL m1->m2 maps s2 to m1."""
+        net = CognitiveNetwork()
+        for cid in ("o", "m1", "m2", "s1", "s2"):
+            concept(net, cid)
+        relation(net, "h1", RelationKind.HAS_COMPONENT, "o", "m1")
+        relation(net, "h2", RelationKind.HAS_COMPONENT, "o", "m2")
+        relation(net, "x", RelationKind.EQUAL, "m1", "m2")
+        declare_tree(net, "o", ["o", "m1", "m2", "h1", "h2", "x"])
+        for inst in ("s1", "s2"):
+            net.add_belong(inst, "m1")
+            net.add_belong(inst, "m2")
+        relation(net, "fx", RelationKind.EQUAL, "s2", "s1")
+        ids = ["s1", "s2", "fx"]
+        result = match_tree(net, ids, net.trees["o"], _config())
+        assert list(result.mapping.pairs.items()) == [("x", "fx"), ("m2", "s1"), ("m1", "s2")]
+        assert result == oracle_match_tree(net, ids, net.trees["o"], _config())
+
+    def test_a_relation_sorting_before_the_relation_it_ends_on_stays_unplaced(self):
+        """Fragment relations are placed in sorted order, not ends first: COMPARISON aa on
+        ADJOINING zz finds zz unplaced at its turn, so it asks for no image and t keeps s3."""
+        net = CognitiveNetwork()
+        for cid in ("o", "m1", "m2", "t", "s1", "s2", "s3"):
+            concept(net, cid)
+        relation(net, "h1", RelationKind.HAS_COMPONENT, "o", "m1")
+        relation(net, "h2", RelationKind.HAS_COMPONENT, "o", "m2")
+        relation(net, "ht", RelationKind.HAS_ATTRIBUTE, "o", "t")
+        relation(net, "adj", RelationKind.ADJOINING, "m1", "m2")
+        declare_tree(net, "o", ["o", "m1", "m2", "t", "h1", "h2", "ht", "adj"])
+        for inst, base in (("s1", "m1"), ("s2", "m2"), ("s3", "t")):
+            net.add_belong(inst, base)
+        relation(net, "zz", RelationKind.ADJOINING, "s1", "s2")
+        relation(net, "aa", RelationKind.COMPARISON, "s3", "zz")
+        ids = ["s1", "s2", "s3", "zz", "aa"]
+        result = match_tree(net, ids, net.trees["o"], _config())
+        want = [("m1", "s1"), ("m2", "s2"), ("t", "s3"), ("adj", "zz")]
+        assert list(result.mapping.pairs.items()) == want
+        assert result == oracle_match_tree(net, ids, net.trees["o"], _config())
 
     def test_oracle_equivalence_on_all_subsets(self):
         """Membership equals brute-force superposition of per-member contributions."""
@@ -208,6 +247,40 @@ def _counted(monkeypatch) -> Counter:
     monkeypatch.setattr(matching, "_scratch_tree", counting_scratch)
     monkeypatch.setattr(matching, "pps_launch", counting_launch)
     return counts
+
+
+class TestHub:
+    """The hub of ``scenes.hub_kb``: every member takes its input, every input relation its ADJOINING."""
+
+    # kind_compatible calls of one match_tree of the whole d=8 scene before the fit's placements
+    # moved into core.match_pattern: each relation's images were taken once per full assignment
+    PARENT_KIND_TESTS = 1024
+
+    @staticmethod
+    def _scene(d: int):
+        concepts, relations = hub_scene(d)
+        net = make_task(hub_kb(d), EngineConfig(), concepts, relations).states[0].net
+        return net, [c.as_id for c in concepts] + [r.rel_id for r in relations]
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_match_nested_matches_the_oracle(self, d):
+        net, ids = self._scene(d)
+        got = match_nested(net, ids, net.trees["o"], EngineConfig())
+        assert got == oracle_match_nested(net, ids, net.trees["o"], EngineConfig())
+        assert len(got.mapping.pairs) == len(ids)  # the whole scene is placed
+
+    def test_match_tree_takes_each_relations_images_once(self, monkeypatch):
+        net, ids = self._scene(8)
+        calls = Counter()
+        kind_compatible = matching.kind_compatible
+
+        def counting(*args):
+            calls["kind_compatible"] += 1
+            return kind_compatible(*args)
+
+        monkeypatch.setattr(matching, "kind_compatible", counting)
+        match_tree(net, ids, net.trees["o"], EngineConfig())
+        assert 0 < calls["kind_compatible"] <= self.PARENT_KIND_TESTS, calls
 
 
 class TestKnowledgeBaseMemo:

@@ -4,8 +4,13 @@ The oracles are the engine's earlier matcher, kept as it was:
 
 * ``oracle_candidates``: every tree in ``net.trees`` order goes through
   ``match_nested``, and only then are results without the fragment dropped;
-* ``oracle_placements``: a fragment concept's candidates come from scanning
-  every tree concept with ``match_concept``;
+* ``oracle_placements``: the fit's own recursive placement search, kept as
+  the reference for ``core.match_pattern``'s partial, many-to-one mode.  It
+  places every fragment concept (unplaced first, then the tree concepts that
+  ``match_concept`` scores above 0, sorted), then every fragment relation in
+  sorted order, each on the tree relations in sorted order that join its
+  ends' images as written; a relation whose end is unplaced at its turn stays
+  unplaced;
 * ``oracle_membership``: every placement gets a zero-state scratch tree of its
   own and launches each placed element's input into it in sorted order; the
   root's result is the membership;
@@ -14,7 +19,9 @@ The oracles are the engine's earlier matcher, kept as it was:
 
 The engine now visits only the trees the fragment can land in
 (``trees_taking``, which reads them from an index of the trees holding each
-concept and nesting each tree), takes one up-closure per fragment concept, and launches
+concept and nesting each tree), takes one up-closure per fragment concept,
+places with ``core.match_pattern`` (no recursion, a relation's images taken
+once its last end is placed and a branch without them cut), and launches
 each distinct source once, folding the root's share of every launch in sorted
 source order.  A launch is kept in a memo keyed by the tree's content and
 the config, and serves every later call until the tree or the config
@@ -26,8 +33,12 @@ Gaussian-``value`` concepts, trees that share members and nest other trees
 (some past ``match_depth_limit``, some in a cycle), trees rooted at a
 relation (a lateral root is missing from the scratch copy, so matching raises
 LookupMissing once anything is placed), relation parameters that
-give degrees below 1, and configurations with ``Mode.SIMPLIFIED``,
-``max_hops`` and a large ``decay_epsilon``.
+give degrees below 1, EQUAL relations between tree members and fragment
+EQUAL or XOR relations written either way round (the fit matches ends as
+written, with no symmetric flip), relations on relations whose ids sort
+before or after the relation they end on (only those after it are placed),
+and configurations with ``Mode.SIMPLIFIED``, ``max_hops`` and a large
+``decay_epsilon``.
 """
 from __future__ import annotations
 
@@ -79,6 +90,7 @@ from scenes import concept, relation, tree_kb
 CASES = 260
 LONGITUDINAL = (RelationKind.HAS_COMPONENT, RelationKind.HAS_PART, RelationKind.HAS_ATTRIBUTE)
 LATERAL = (RelationKind.ADJOINING, RelationKind.COMPARISON)
+SYMMETRIC = (RelationKind.EQUAL, RelationKind.XOR)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +319,20 @@ def random_kb(rng: random.Random) -> CognitiveNetwork:
     if len(roots) > 1 and rng.random() < 0.25:  # two trees nested in each other
         a, b = rng.sample(roots, 2)
         relation(net, "cyc", RelationKind.HAS_COMPONENT, a, b)
-    for root in roots:
-        members = [r.b for r in net.relations.values() if r.a == root and r.kind in LONGITUDINAL]
+    for t, root in enumerate(roots):
+        from_root = (r.b for r in net.relations.values() if r.a == root and r.kind in LONGITUDINAL)
+        members = list(dict.fromkeys(from_root))
+        inner = [r.id for r in net.relations.values() if r.a in members and r.b in members]
+        if len(members) > 1 and rng.random() < 0.4:  # an EQUAL relation between two members
+            relation(net, f"e{t}", RelationKind.EQUAL, *rng.sample(members, 2))
+        if inner and rng.random() < 0.4:  # a relation ending on a relation between members
+            relation(net, f"q{t}", rng.choice(LATERAL), rng.choice(members), rng.choice(inner))
         try:
             declare_tree(net, root, members)
         except StructureError:
             pass
     if rng.random() < 0.2:  # a tree rooted at a relation
-        rel = rng.choice([r for r in net.relations.values() if r.kind in LONGITUDINAL + LATERAL])
+        rel = rng.choice([r for r in net.relations.values() if r.kind in LONGITUDINAL + LATERAL and r.b not in net.relations])
         declare_tree(net, rel.id, [rel.a, rel.b])
     return net
 
@@ -337,7 +355,9 @@ def add_fragments(net: CognitiveNetwork, rng: random.Random) -> list[str]:
     ends, and their parameters lie on, near or off its specs.
     """
     known = list(net.concepts)
-    tree_rels = [r for r in net.relations.values() if r.kind in LONGITUDINAL + LATERAL]
+    tree_rels = [r for r in net.relations.values() if r.kind in LONGITUDINAL + LATERAL and r.b in net.concepts]
+    equal = [r for r in net.relations.values() if r.kind is RelationKind.EQUAL]
+    on_relations = [r for r in net.relations.values() if r.b in net.relations and r.kind in LATERAL]
     concepts: list[str] = []
     relations: list[str] = []
 
@@ -371,6 +391,32 @@ def add_fragments(net: CognitiveNetwork, rng: random.Random) -> list[str]:
         except ParameterError:  # an observed value outside its base's range
             relation(net, f"ir{k}", kind, a, b, pba=pba, params=params)
         relations.append(f"ir{k}")
+    for k in range(rng.randint(0, 2)):  # symmetric relations, written either way round
+        base = rng.choice(equal) if equal and rng.random() < 0.7 else None
+        if base is not None:
+            a, b = instance(base.a, 0.0), instance(base.b, 0.0)
+            kind = RelationKind.EQUAL
+        else:
+            a, b = rng.sample(concepts, 2)
+            kind = rng.choice(SYMMETRIC)
+        if rng.random() < 0.5:
+            a, b = b, a
+        p = 0.0 if kind is RelationKind.XOR else 1.0
+        relation(net, f"is{k}", kind, a, b, pba=p, pab=p)
+        relations.append(f"is{k}")
+    for k in range(rng.randint(0, 2)):  # relations on relations, sorting before ("ia") or after ("iz") their end
+        base = rng.choice(on_relations) if on_relations and rng.random() < 0.7 else None
+        if base is not None:
+            under = net.relations[base.b]
+            end = f"ie{k}"
+            relation(net, end, under.kind, instance(under.a, 0.0), instance(under.b, 0.0))
+            relations.append(end)
+            a, kind = instance(base.a, 0.0), base.kind
+        else:
+            a, end, kind = rng.choice(concepts), rng.choice(relations), rng.choice(LATERAL)
+        rid = f"{rng.choice(['ia', 'iz'])}{k}"
+        relation(net, rid, kind, a, end)
+        relations.append(rid)
     return concepts + relations
 
 
@@ -456,6 +502,43 @@ def test_match_tree_and_match_nested_match_the_oracle():
     assert seen["mapped"] >= 450 and seen["fractional"] >= 180, seen
     assert seen["DepthError"] >= 100 and seen["above one"] >= 40, seen
     assert seen["ParameterError"] >= 7 and seen["LookupMissing"] >= 10, seen
+
+
+def with_ends(net, picked, frags):
+    """``picked`` with the fragment ends of its relations, and theirs in turn."""
+    closed = list(dict.fromkeys(picked))
+    for element in closed:
+        rel = net.relations.get(element)
+        if rel is not None:
+            closed.extend(end for end in (rel.a, rel.b) if end in frags and end not in closed)
+    return closed
+
+
+def test_fragment_relations_with_their_ends_match_the_oracle():
+    """Each relation is matched with its ends, so symmetric relations and relations on
+    relations get placed, and their order and orientation decide the mapping."""
+    seen = Counter()
+    for seed, rng, net, frags, config in cases():
+        relations = [f for f in frags if f in net.relations]
+        for root, tree in net.trees.items():
+            ids = with_ends(net, rng.sample(relations, rng.randint(1, min(2, len(relations)))), frags)
+            for ours, theirs in ((match_tree, oracle_match_tree), (match_nested, oracle_match_nested)):
+                want = outcome(lambda: theirs(net, ids, tree, config))
+                got = outcome(lambda: ours(net, ids, tree, config))
+                assert got == want, f"seed {seed}, {ours.__name__} on {root} of {ids}"
+            if want[0] != "raise":
+                placed = {frag for _, frag in want[0][1]}
+                for f in ids:
+                    rel = net.relations.get(f)
+                    if rel is None:
+                        continue
+                    seen["symmetric placed"] += f in placed and rel.kind in SYMMETRIC
+                    seen["placed after their end"] += f in placed and rel.b in net.relations
+                    seen["unplaced before their end"] += f < rel.b and rel.b in placed and f not in placed
+    # both orientations of a symmetric relation place, and a relation on a relation is placed
+    # only when it sorts after the relation it ends on
+    assert seen["symmetric placed"] >= 30 and seen["placed after their end"] >= 8, seen
+    assert seen["unplaced before their end"] >= 8, seen
 
 
 def edit(net, rng, config):

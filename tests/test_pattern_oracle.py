@@ -8,7 +8,8 @@ For queries the oracle tests every store element against a template
 element with ``belongs_to`` (``element_ok``), where the engine takes the
 candidates from the down-closure of the element's base.
 Pattern relations may end on other pattern relations, including ones that
-sort after them.
+sort after them.  A chain pattern of 600 concepts checks that no pattern size
+meets the recursion limit.
 """
 from __future__ import annotations
 
@@ -260,3 +261,45 @@ def test_query_match_matches_the_oracle():
         assert got == expected, f"seed {seed}: {got} != {expected}"
         answered += bool(expected)
     assert CASES // 10 < answered < CASES - CASES // 10
+
+
+def _chain(n: int) -> CognitiveNetwork:
+    """Base concepts c0..c(n-1) joined by ADJOINING, and a derived chain d0.. under them."""
+    net = CognitiveNetwork()
+    for i in range(n):
+        concept(net, f"c{i}")
+        concept(net, f"d{i}")
+        net.add_belong(f"d{i}", f"c{i}")
+    for i in range(n - 1):
+        relation(net, f"cr{i}", RelationKind.ADJOINING, f"c{i}", f"c{i + 1}")
+        relation(net, f"dr{i}", RelationKind.ADJOINING, f"d{i}", f"d{i + 1}")
+    return net
+
+
+CHAIN = 600  # well past the 300 concepts at which a search recursing per pattern element overflows
+
+
+def test_check_derived_network_answers_on_a_long_chain():
+    net = _chain(CHAIN)
+    base = [f"c{i}" for i in range(CHAIN)] + [f"cr{i}" for i in range(CHAIN - 1)]
+    derived = [f"d{i}" for i in range(CHAIN)] + [f"dr{i}" for i in range(CHAIN - 1)]
+    mapping = check_derived_network(net, derived, base)
+    assert mapping is not None
+    want = {f"c{i}": f"d{i}" for i in range(CHAIN)} | {f"cr{i}": f"dr{i}" for i in range(CHAIN - 1)}
+    assert mapping.pairs == want
+
+
+def test_query_match_answers_an_anchored_chain_template():
+    """x000 is anchored at d0 and each later variable is typed by its c; only the d chain joins them."""
+    net = _chain(CHAIN)
+    template = QueryTemplate(
+        elements=[TemplateElement(id="x000", base="d0")] + [
+            TemplateElement(id=f"x{i:03d}", var=True, base=f"c{i}") for i in range(1, CHAIN)
+        ],
+        relations=[
+            TemplateRelation(id=f"r{i:03d}", kind=RelationKind.ADJOINING, a=f"x{i:03d}", b=f"x{i + 1:03d}")
+            for i in range(CHAIN - 1)
+        ],
+    )
+    want = [{f"x{i:03d}": f"d{i}" for i in range(1, CHAIN)}]
+    assert [b.values for b in query_match(template, net)] == want
