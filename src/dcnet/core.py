@@ -1206,13 +1206,12 @@ class PatternRelation(Protocol):
 def match_pattern(
     net: CognitiveNetwork,
     nodes: Sequence[tuple[str, Iterable[str]]],
-    node_ok: Optional[Callable[[str, str], bool]],
+    node_ok: Callable[[str, str], bool],
     relations: Sequence[PatternRelation],
     relation_pool: Sequence[str],
     relation_ok: Callable[[PatternRelation, Relation], bool],
     *,
     partial: bool = False,
-    many_to_one: bool = False,
 ) -> Iterator[dict[str, str]]:
     """Every topology-preserving mapping of a pattern into ``net``, yielded in search order.
 
@@ -1228,13 +1227,15 @@ def match_pattern(
 
     By default the mapping is total and injective, each relation is placed
     after the relations it ends on, and a symmetric kind (EQUAL, XOR) may join
-    its ends' images either way round; only this mode flips.  The fit asks for:
+    its ends' images either way round; only this mode flips.  ``partial`` is
+    the fit's mode:
 
-    * ``partial``: a node may stay unplaced (tried first) and is then absent
-      from the mapping.  Relations keep the given order; one is placed exactly
-      when both its ends are pattern elements placed before its turn, and its
-      image joins them as written.
-    * ``many_to_one``: no used set, so pattern elements may share an image.
+    * a node may stay unplaced (tried first) and is then absent from the
+      mapping;
+    * relations keep the given order; one is placed exactly when both its
+      ends are pattern elements placed before its turn, and its image joins
+      them as written;
+    * there is no used set, so pattern elements may share an image.
     """
     ordered = relations if partial else _endpoint_first(relations)
     first_relation = len(nodes)
@@ -1242,21 +1243,21 @@ def match_pattern(
     step_of = {key: i for i, key in enumerate(keys)}
     rank = {rel_id: i for i, rel_id in enumerate(relation_pool)}
     flips = () if partial else _SYMMETRIC_KINDS
-    triggers: dict[int, list[PatternRelation]] = {}  # step -> the relations whose last end it places
+    triggers: list[list[PatternRelation]] = [[] for _ in keys]  # per step: the relations it completes
     gates: list[Optional[tuple[str, str]]] = []  # per relation: the ends it waits for
     for step, rel in enumerate(ordered, first_relation):
         ends = [step_of[end] for end in (rel.a, rel.b) if end in step_of]
         if ends and not (partial and (len(ends) < 2 or max(ends) > step)):
-            triggers.setdefault(max(ends), []).append(rel)
+            triggers[max(ends)].append(rel)
             gates.append((rel.a, rel.b))
         else:
             gates.append(None)  # partial: never placed; total: its images scan the whole pool
     assignment: dict[str, str] = {}
-    used: set[str] = set()  # stays empty when many_to_one
+    used: set[str] = set()  # stays empty when partial
     found: dict[str, list[str]] = {}  # relation -> its images, taken when its last end was placed
 
     def images(rel: PatternRelation) -> list[str]:
-        """The unused pool relations, in pool order, that join ``rel``'s ends' images and pass ``relation_ok``."""
+        """Unused pool relations joining ``rel``'s ends' images that pass ``relation_ok``, in pool order."""
         im_a, im_b = assignment.get(rel.a), assignment.get(rel.b)
         anchor = im_a if im_a is not None else im_b
         flip = rel.kind in flips
@@ -1273,53 +1274,52 @@ def match_pattern(
 
     stack: list[tuple[int, Optional[str], Iterator[Optional[str]]]] = []  # the open steps below the top
     top, key, tried = -1, None, iter(())  # the open step and its options to try; None leaves it unplaced
-    step = 0  # the step to open next
+    step, last = 0, len(keys)  # the step to open next, and the step past the last
     while True:
-        while partial and first_relation <= step < len(keys):  # skip the relations left unplaced
+        while partial and first_relation <= step < last:  # skip the relations left unplaced
             gate = gates[step - first_relation]
             if gate is not None and gate[0] in assignment and gate[1] in assignment:
                 break
             step += 1
-        if step == len(keys):
+        if step == last:
             yield dict(assignment)
         else:
             stack.append((top, key, tried))
             top, key = step, keys[step]
             if step < first_relation:
                 node, pool = nodes[step]
-                tried = itertools.filterfalse(used.__contains__, pool)
-                if node_ok is not None:
-                    tried = filter(functools.partial(node_ok, node), tried)
+                ok = functools.partial(node_ok, node)
                 if partial:
-                    tried = itertools.chain((None,), tried)
+                    tried = itertools.chain((None,), filter(ok, pool))
+                else:
+                    tried = filter(ok, itertools.filterfalse(used.__contains__, pool))
             elif gates[step - first_relation] is None:  # no pattern end: its images scan the whole pool
                 tried = iter(images(ordered[step - first_relation]))
             else:
                 tried = itertools.filterfalse(used.__contains__, found[key])
         while True:  # the top step's next option; a step out of options hands back to the one below
-            used.discard(assignment.pop(key, None))
-            image = next(tried, _EXHAUSTED)
-            if image is _EXHAUSTED:
+            for image in tried:
+                used.discard(assignment.pop(key, None))
+                if image is None:  # left unplaced
+                    break
+                assignment[key] = image
+                if not partial:
+                    used.add(image)
+                for rel in triggers[top]:  # forward checking
+                    if not partial or rel.a in assignment and rel.b in assignment:
+                        found[rel.id] = images(rel)
+                        if not found[rel.id]:
+                            break
+                else:
+                    break  # every relation it completes keeps an image
+            else:  # out of options
+                used.discard(assignment.pop(key, None))
                 if not stack:
                     return
                 top, key, tried = stack.pop()
                 continue
-            if image is None:
-                break
-            assignment[key] = image
-            if not many_to_one:
-                used.add(image)
-            for rel in triggers.get(top, ()):  # forward checking
-                if not partial or rel.a in assignment and rel.b in assignment:
-                    found[rel.id] = images(rel)
-                    if not found[rel.id]:
-                        break
-            else:
-                break
+            break
         step = top + 1
-
-
-_EXHAUSTED = object()  # the end of a step's options in ``match_pattern``
 
 
 def _endpoint_first(relations: Sequence[PatternRelation]) -> list[PatternRelation]:

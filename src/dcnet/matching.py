@@ -1,11 +1,11 @@
 """Membership of known fragments against base knowledge trees.
 
 Matching is pure: it never mutates the knowledge network or the fragment.
-Structure placement is ``core.match_pattern`` in its partial, many-to-one
-mode; each fragment concept's up-closure is taken once per call and decides
-the tree concepts it can take.  Membership is then the root's own input
-folded, in sorted source order, with what each placed element's launch over a
-zero-state scratch copy of the base tree brings the root.
+Structure placement is ``core.match_pattern`` in its partial (and so
+many-to-one) mode; each fragment concept's up-closure is taken once per call
+and decides the tree concepts it can take.  Membership is then the root's own
+input folded, in sorted source order, with what each placed element's launch
+over a zero-state scratch copy of the base tree brings the root.
 
 A launch into a zero-state scratch reads no result or status that another
 launch folded into it, so one launch per distinct scratch, source and input
@@ -396,12 +396,11 @@ def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
     for placement in match_pattern(
         net,
         [(f, match.takes(f)) for f in sorted(f for f in fragment_ids if f in net.concepts)],
-        None,
+        lambda node, image: True,
         [net.relations[f] for f in sorted(f for f in fragment_ids if f in net.relations)],
         sorted(match.tree.longitudinal + match.tree.additional),
         lambda frel, image: kind_compatible(net, frel.id, image.id),
         partial=True,
-        many_to_one=True,
     ):
         if not placement:
             continue

@@ -116,7 +116,7 @@ def query_match(template: QueryTemplate, store: CognitiveNetwork) -> list[Bindin
     search = match_pattern(
         store,
         [(e.id, candidates(e)) for e in sorted(template.elements, key=lambda e: e.id)],
-        None,
+        lambda node, image: True,
         sorted(template.relations, key=lambda r: r.id),
         relations,
         lambda rel, image: _relation_ok(store, rel, image),

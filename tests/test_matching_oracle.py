@@ -5,7 +5,7 @@ The oracles are the engine's earlier matcher, kept as it was:
 * ``oracle_candidates``: every tree in ``net.trees`` order goes through
   ``match_nested``, and only then are results without the fragment dropped;
 * ``oracle_placements``: the fit's own recursive placement search, kept as
-  the reference for ``core.match_pattern``'s partial, many-to-one mode.  It
+  the reference for ``core.match_pattern``'s partial (many-to-one) mode.  It
   places every fragment concept (unplaced first, then the tree concepts that
   ``match_concept`` scores above 0, sorted), then every fragment relation in
   sorted order, each on the tree relations in sorted order that join its
