@@ -3,13 +3,15 @@
 A fit task is the unit of continuous calculation: everything it owns (networks,
 ledgers, configuration, fragment queue, trace position) serializes as one
 canonical text payload, so saving, loading and resuming behaves exactly like
-never having stopped.
+never having stopped.  The session's line records are stated once, in the
+record table ``_RECORDS``, which both writes and reads every one of them.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, TextIO, Union
+from math import isfinite
+from typing import Container, Iterable, Optional, Sequence, TextIO, Union
 
 from .core import (
     CognitiveNetwork,
@@ -45,7 +47,7 @@ from .probability import (
     format_config_value,
     parse_config_value,
 )
-from .trace import Trace, TraceEvent
+from .trace import EVENT_KINDS, Trace, TraceEvent
 
 # Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
 _COLLAPSED = Status.COLLAPSED
@@ -346,83 +348,139 @@ def _base_of_endpoint(mapping: dict[str, str], inst_el: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # sessions
 
+# A session line record is a tag and then its type's fields in the order the
+# type declares them.  ``_RECORDS`` gives each field one codec: a write, an
+# expression over the field value ``{}`` that makes its text, and a read that
+# raises ValueError on any text the write could not make.  The table is the
+# one statement of the line format, for writing and reading alike.
 
-def _config_lines(config: EngineConfig) -> list[str]:
-    return [f"{f.name}={format_config_value(getattr(config, f.name))}" for f in fields(config)]
+
+def _read_id(text: str) -> str:
+    if not text or text == "-" or "=" in text or "," in text:
+        raise ValueError(f"bad id {text!r}")
+    return text
 
 
-def _emit_state(state: FitState, out: list[str]) -> None:
-    out.append("begin net")
-    text = serialize_kb(state.net, with_state=True)
-    if text:
-        out.extend(text.rstrip("\n").split("\n"))
-    out.append("end net")
-    out.append("begin counters")
-    for key, value in state.net.counters.items():
-        out.append(f"{key}={value}")
-    out.append("end counters")
-    out.append("begin instances")
-    for inst in state.net.tree_instances:
-        pairs = ",".join(f"{b}={d}" for b, d in inst.mapping.items())
-        out.append(f"instance {inst.base_root} {inst.root or '-'} {pairs or '-'}")
-    out.append("end instances")
-    out.append("begin ledger")
-    out.append(f"next_launch_id={state.ledger.next_launch_id}")
-    for rec in state.ledger.launches:
-        out.append(
-            f"launch {rec.launch_id} {rec.source} {rec.delta!r} {1 if rec.sealed else 0}"
-        )
-    for entry in state.ledger.entries:
-        out.append(
-            f"entry {entry.launch_id} {entry.source} {entry.target} {entry.via} "
-            f"{entry.contribution!r} {1 if entry.sealed else 0}"
-        )
-    out.append("end ledger")
-    out.append("begin fragments")
-    for frag in state.fragments:
-        out.append(
-            "fragment "
-            f"{frag.element} {frag.input_prob!r} {frag.base or '-'} "
-            f"{1 if frag.var else 0} {1 if frag.consumed else 0} "
-            f"{1 if frag.unmatched else 0} {frag.grown_root or '-'} "
-            f"{','.join(frag.excluded) or '-'}"
-        )
-    out.append("end fragments")
-    out.append("begin deferred")
-    for entry in state.deferred:
-        out.append(f"defer {entry.instance_index} {entry.base_member}")
-    out.append("end deferred")
+def _read_float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _read_one_of(values: dict):
+    """The read of a field whose text must be one of ``values``' keys."""
+    def read(text: str):
+        if text not in values:
+            raise ValueError(f"{text!r} is not one of {sorted(values)}")
+        return values[text]
+    return read
+
+
+def _read_pairs(text: str) -> dict[str, str]:
+    mapping = {}
+    for pair in text.split(","):
+        base_el, sep, inst_el = pair.partition("=")
+        if not sep or base_el in mapping:
+            raise ValueError(f"bad base=instance pair {pair!r}")
+        mapping[_read_id(base_el)] = _read_id(inst_el)
+    return mapping
+
+
+def _or_dash(read, empty):
+    """The read of a field whose empty value, made by ``empty()``, is written ``-``."""
+    return lambda text: empty() if text == "-" else read(text)
+
+
+_INT = ("{}", int)
+_FLOAT = ("{}!r", _read_float)
+_FLAG = ("1 if {} else 0", _read_one_of({"0": False, "1": True}))
+_ID = ("{}", _read_id)
+_KIND = ("{}", _read_one_of({kind: kind for kind in EVENT_KINDS}))
+_OPTIONAL_ID = ("{} or '-'", _or_dash(_read_id, lambda: None))
+_ROOT = ("{} or '-'", _or_dash(_read_id, str))
+_LIST = ("','.join({}) or '-'", _or_dash(lambda text: [_read_id(item) for item in text.split(",")], list))
+_PAIRS = ("','.join(map('='.join, {}.items())) or '-'", _or_dash(_read_pairs, dict))
+
+
+def _record(tag: str, cls, *codecs) -> tuple:
+    """A table entry: the line's field count, its writer and its reader.
+
+    Both are compiled once from the codecs, as ``dataclasses`` compiles
+    ``__init__``, so a line costs what a hand-written f-string or parse does.
+    For ``defer``: ``lambda records: [f"defer {r.instance_index} {r.base_member}"
+    for r in records]`` and ``lambda p: cls(read1(p[1]), read2(p[2]))``.
+    """
+    named = zip(fields(cls), codecs, strict=True)
+    writes = " ".join("{%s}" % write.format("r." + f.name) for f, (write, _) in named)
+    reads = {f"read{i}": read for i, (_, read) in enumerate(codecs, 1)}
+    calls = ", ".join(f"{name}(p[{i}])" for i, name in enumerate(reads, 1))
+    write = eval(f'lambda records: [f"{tag} {writes}" for r in records]', {})
+    return len(codecs), write, eval(f"lambda p: cls({calls})", {"cls": cls, **reads})
+
+
+_RECORDS = {tag: _record(tag, *spec) for tag, spec in {
+    "instance": (TreeInstance, _ID, _ROOT, _PAIRS),
+    "launch": (LaunchRecord, _INT, _ID, _FLOAT, _FLAG),
+    "entry": (LedgerEntry, _INT, _ID, _ID, _ID, _FLOAT, _FLAG),
+    "fragment": (FragmentRecord, _ID, _FLOAT, _OPTIONAL_ID, _FLAG, _FLAG, _FLAG, _OPTIONAL_ID, _LIST),
+    "defer": (DeferredGrowth, _INT, _ID),
+    "event": (TraceEvent, _INT, _KIND, _ID, _ID, _FLOAT, _FLOAT),
+}.items()}
+
+
+def _decoded(read, text, line: str, line_no: int):
+    """``read(text)``, where a ValueError becomes a LoadError naming the line."""
+    try:
+        return read(text)
+    except ValueError as err:
+        raise LoadError(f"{err} in {line!r}", line_no) from None
+
+
+def _read_record(line: str, line_no: int):
+    """The record a line writes; LoadError unless its tag, field count and every field are right."""
+    parts = line.split()
+    entry = _RECORDS.get(parts[0]) if parts else None
+    if entry is None or len(parts) != entry[0] + 1:
+        raise LoadError(f"bad record line {line!r}", line_no)
+    return _decoded(entry[2], parts, line, line_no)
+
+
+def _write_block(name: str, lines: Iterable[str] = (), **records: Iterable) -> list[str]:
+    """Block ``name``: the given lines, then the records of each tag, one line each."""
+    body = [line for tag, items in records.items() for line in _RECORDS[tag][1](items)]
+    return [f"begin {name}", *lines, *body, f"end {name}"]
+
+
+def _state_lines(state: FitState) -> list[str]:
+    net, ledger = state.net, state.ledger
+    return [
+        *_write_block("net", serialize_kb(net, with_state=True).split("\n")[:-1]),  # each line ends in "\n"
+        *_write_block("counters", [f"{key}={value}" for key, value in net.counters.items()]),
+        *_write_block("instances", instance=net.tree_instances),
+        *_write_block(
+            "ledger", [f"next_launch_id={ledger.next_launch_id}"],
+            launch=ledger.launches, entry=ledger.entries,
+        ),
+        *_write_block("fragments", fragment=state.fragments),
+        *_write_block("deferred", defer=state.deferred),
+    ]
 
 
 def session_save(task: FitTask, sink: Union[str, os.PathLike, TextIO, None] = None) -> str:
     """Serialize a task as one canonical text payload; save-load-save is byte-identical."""
-    out: list[str] = [SESSION_HEADER]
-    out.append("begin config")
-    out.extend(_config_lines(task.config))
-    out.append("end config")
-    out.append("begin task")
-    out.append(f"processed={task.processed}")
-    out.append("end task")
-    out.append("begin kb")
-    kb_text = serialize_kb(task.kb)
-    if kb_text:
-        out.extend(kb_text.rstrip("\n").split("\n"))
-    out.append("end kb")
-    out.append("begin trace")
-    out.append(f"next_step={task.trace.next_step}")
-    for ev in task.trace.events:
-        out.append(
-            f"event {ev.step} {ev.event} {ev.src} {ev.dst} {ev.value!r} {ev.result!r}"
-        )
-    out.append("end trace")
+    config = [f"{f.name}={format_config_value(getattr(task.config, f.name))}" for f in fields(task.config)]
+    out = [
+        SESSION_HEADER,
+        *_write_block("config", config),
+        *_write_block("task", [f"processed={task.processed}"]),
+        *_write_block("kb", serialize_kb(task.kb).split("\n")[:-1]),
+        *_write_block("trace", [f"next_step={task.trace.next_step}"], event=task.trace.events),
+    ]
     for index, state in enumerate(task.states):
-        out.append(f"begin state {index}")
-        _emit_state(state, out)
-        out.append(f"end state {index}")
+        out += _write_block(f"state {index}", _state_lines(state))
     for fork in task.forks:
-        out.append(f"begin fork {fork.fragment_index} {fork.base_root}")
-        _emit_state(fork.state, out)
-        out.append("end fork")
+        out += [f"begin fork {fork.fragment_index} {fork.base_root}", *_state_lines(fork.state), "end fork"]
     out.append("end session")
     payload = "\n".join(out) + "\n"
     if sink is None:
@@ -438,58 +496,55 @@ def session_save(task: FitTask, sink: Union[str, os.PathLike, TextIO, None] = No
 class _Reader:
     def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos
+        self.line_no = 0  # of the line read last
 
     def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise LoadError("unexpected end of payload", self.pos + 1)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+        if self.line_no >= len(self.lines):
+            raise LoadError("unexpected end of payload", self.line_no + 1)
+        self.line_no += 1
+        return self.lines[self.line_no - 1]
 
     def expect(self, token: str) -> None:
         line = self.next()
         if line != token:
-            raise LoadError(f"expected {token!r}, found {line!r}", self.pos)
-
-    def peek(self) -> Optional[str]:
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos]
+            raise LoadError(f"expected {token!r}, found {line!r}", self.line_no)
 
 
-def _read_block(reader: _Reader, name: str) -> list[tuple[int, str]]:
-    """The lines between ``begin name`` and ``end name``, each with its line number."""
+def _read_block(reader: _Reader, name: str) -> tuple[list[str], int]:
+    """The lines between ``begin name`` and ``end name``, and the line number of the first."""
     reader.expect(f"begin {name}")
-    body: list[tuple[int, str]] = []
-    terminator = f"end {name}"
-    while True:
-        line = reader.next()
-        if line == terminator:
-            return body
-        body.append((reader.line_no, line))
+    start = reader.line_no
+    try:
+        end = reader.lines.index(f"end {name}", start)
+    except ValueError:
+        raise LoadError(f"no 'end {name}' line", len(reader.lines) + 1) from None
+    reader.line_no = end + 1
+    return reader.lines[start:end], start + 1
 
 
 def _parse_block_kb(reader: _Reader, name: str) -> CognitiveNetwork:
     """A block of KB text; a parse error names its line in the payload."""
-    first = reader.line_no + 2  # the line after ``begin name``
-    body = _read_block(reader, name)
+    lines, first = _read_block(reader, name)
     try:
-        return parse_kb("\n".join(line for _, line in body))
+        return parse_kb("\n".join(lines))
     except ParseError as err:
         raise LoadError(str(err), first + err.line - 1) from err
 
 
-def _number(kind, text: str, line: str, line_no: int):
-    """``kind(text)`` for an int or float field of a payload line; LoadError if malformed."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise LoadError(f"not a number: {text!r} in {line!r}", line_no) from None
+def _read_records(reader: _Reader, name: str, *tags: str, keys: Optional[Container[str]] = ()):
+    """Block ``name``: its records of the given tags, each as (line number, line, record),
+    and its ``key=int`` values; ``keys`` None allows any key."""
+    records: list[tuple[int, str, object]] = []
+    values: dict[str, int] = {}
+    for line_no, line in enumerate(*_read_block(reader, name)):
+        if line.partition(" ")[0] in tags:
+            records.append((line_no, line, _read_record(line, line_no)))
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or (keys is not None and key not in keys):
+            raise LoadError(f"bad {name} line {line!r}", line_no)
+        values[key] = _decoded(int, value, line, line_no)
+    return records, values
 
 
 def _load_state(reader: _Reader, mode: Mode) -> FitState:
@@ -499,85 +554,33 @@ def _load_state(reader: _Reader, mode: Mode) -> FitState:
         for element_id in net.element_ids():
             if net.element(element_id).state.result_prob > 1.0:
                 raise LoadError(f"result probability of {element_id} passes 1 in exact mode", begin)
-    for line_no, line in _read_block(reader, "counters"):
-        key, _, value = line.partition("=")
-        net.counters[key] = _number(int, value, line, line_no)
-    for line_no, line in _read_block(reader, "instances"):
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "instance":
-            raise LoadError(f"bad instance line {line!r}", line_no)
-        mapping: dict[str, str] = {}
-        if parts[3] != "-":
-            for pair in parts[3].split(","):
-                base_el, _, inst_el = pair.partition("=")
-                mapping[base_el] = inst_el
-        net.tree_instances.append(
-            TreeInstance(
-                base_root=parts[1],
-                root="" if parts[2] == "-" else parts[2],
-                mapping=mapping,
-            )
-        )
+    net.counters.update(_read_records(reader, "counters", keys=None)[1])
+    for line_no, line, inst in _read_records(reader, "instances", "instance")[0]:
+        named = [*inst.mapping, *inst.mapping.values(), *([inst.root] if inst.root else [])]
+        if inst.base_root not in net.trees or not all(map(net.has, named)):
+            raise LoadError(f"instance line {line!r} names no tree or element of the state's net", line_no)
+        net.tree_instances.append(inst)
     ledger = ContributionLedger()
-    for line_no, line in _read_block(reader, "ledger"):
-        parts = line.split()
-        if line.startswith("next_launch_id="):
-            ledger.next_launch_id = _number(int, line.partition("=")[2], line, line_no)
-        elif parts[:1] == ["launch"] and len(parts) == 5:
-            ledger.launches.append(
-                LaunchRecord(
-                    _number(int, parts[1], line, line_no),
-                    parts[2],
-                    _number(float, parts[3], line, line_no),
-                    parts[4] == "1",
-                )
-            )
-        elif parts[:1] == ["launch"]:
-            raise LoadError(f"bad launch line {line!r}", line_no)
-        elif parts[:1] == ["entry"] and len(parts) == 7:
-            ledger.add(
-                LedgerEntry(
-                    launch_id=_number(int, parts[1], line, line_no),
-                    source=parts[2],
-                    target=parts[3],
-                    via=parts[4],
-                    contribution=_number(float, parts[5], line, line_no),
-                    sealed=parts[6] == "1",
-                )
-            )
+    records, values = _read_records(reader, "ledger", "launch", "entry", keys={"next_launch_id"})
+    ledger.next_launch_id = values.get("next_launch_id", ledger.next_launch_id)
+    for _, _, rec in records:
+        if isinstance(rec, LaunchRecord):
+            ledger.launches.append(rec)
         else:
-            raise LoadError(f"bad ledger line {line!r}", line_no)
+            ledger.add(rec)
     fragments: list[FragmentRecord] = []
-    for line_no, line in _read_block(reader, "fragments"):
-        parts = line.split()
-        if len(parts) != 9 or parts[0] != "fragment":
-            raise LoadError(f"bad fragment line {line!r}", line_no)
-        if not net.has(parts[1]):
+    for line_no, line, frag in _read_records(reader, "fragments", "fragment")[0]:
+        if not net.has(frag.element):
             raise LoadError(f"fragment line {line!r} names no element of the state's net", line_no)
-        fragments.append(
-            FragmentRecord(
-                element=parts[1],
-                input_prob=_number(float, parts[2], line, line_no),
-                base=None if parts[3] == "-" else parts[3],
-                var=parts[4] == "1",
-                consumed=parts[5] == "1",
-                unmatched=parts[6] == "1",
-                grown_root=None if parts[7] == "-" else parts[7],
-                excluded=[] if parts[8] == "-" else parts[8].split(","),
-            )
-        )
+        fragments.append(frag)
     deferred: list[DeferredGrowth] = []
-    for line_no, line in _read_block(reader, "deferred"):
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "defer":
-            raise LoadError(f"bad deferred line {line!r}", line_no)
-        index = _number(int, parts[1], line, line_no)
+    for line_no, line, entry in _read_records(reader, "deferred", "defer")[0]:
+        index = entry.instance_index
         if not 0 <= index < len(net.tree_instances):
             raise LoadError(f"deferred line {line!r} names no tree instance of the state", line_no)
-        tree = net.trees.get(net.tree_instances[index].base_root)
-        if tree is None or parts[2] not in tree.concepts:
+        if entry.base_member not in net.trees[net.tree_instances[index].base_root].concepts:
             raise LoadError(f"deferred line {line!r} names no concept of its instance's base tree", line_no)
-        deferred.append(DeferredGrowth(index, parts[2]))
+        deferred.append(entry)
     return FitState(net=net, ledger=ledger, fragments=fragments, deferred=deferred)
 
 
@@ -593,75 +596,41 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
         else:
             text = path
     reader = _Reader(text)
-    header = reader.next()
-    if header != SESSION_HEADER:
-        raise LoadError(f"bad header {header!r}; expected {SESSION_HEADER!r}", 1)
+    reader.expect(SESSION_HEADER)
 
     config_kw: dict[str, object] = {}
-    for line_no, line in _read_block(reader, "config"):
+    for line_no, line in enumerate(*_read_block(reader, "config")):
         key, _, value = line.partition("=")
-        if key == "discard_floor":  # older sessions write it; it sets nothing now
-            continue
-        try:
-            config_kw[key] = parse_config_value(key, value)
-        except ValueError as err:
-            raise LoadError(f"bad config line {line!r}: {err}", line_no) from err
+        if key != "discard_floor":  # older sessions write it; it sets nothing now
+            config_kw[key] = _decoded(lambda text: parse_config_value(key, text), value, line, line_no)
     try:
         config = EngineConfig(**config_kw)
     except DcnetError as err:
         raise LoadError(f"bad config: {err}", reader.line_no) from err
 
-    processed = 0
-    for line_no, line in _read_block(reader, "task"):
-        key, _, value = line.partition("=")
-        if key == "processed":
-            processed = _number(int, value, line, line_no)
-
+    processed = _read_records(reader, "task", keys={"processed"})[1].get("processed", 0)
     kb = _parse_block_kb(reader, "kb")
     knowledge = kb.element_set()
-
     trace = Trace()
-    for line_no, line in _read_block(reader, "trace"):
-        if line.startswith("next_step="):
-            trace.next_step = _number(int, line.partition("=")[2], line, line_no)
-            continue
-        parts = line.split()
-        if len(parts) != 7 or parts[0] != "event":
-            raise LoadError(f"bad trace line {line!r}", line_no)
-        trace.events.append(
-            TraceEvent(
-                _number(int, parts[1], line, line_no),
-                parts[2],
-                parts[3],
-                parts[4],
-                _number(float, parts[5], line, line_no),
-                _number(float, parts[6], line, line_no),
-            )
-        )
+    events, values = _read_records(reader, "trace", "event", keys={"next_step"})
+    trace.next_step = values.get("next_step", 0)
+    trace.events.extend(event for _, _, event in events)
 
     states: list[FitState] = []
     forks: list[Fork] = []
-    while True:
-        line = reader.peek()
-        if line is None:
-            raise LoadError("missing end-of-session marker", reader.line_no + 1)
-        if line == "end session":
-            reader.next()
-            break
-        parts = line.split()
-        if parts[:2] == ["begin", "state"] and len(parts) == 3:
-            reader.next()
-            state = _load_state(reader, config.mode)
-            reader.expect(f"end state {parts[2]}")
-            states.append(state)
-        elif parts[:2] == ["begin", "fork"] and len(parts) == 4:
-            reader.next()
-            fragment_index = _number(int, parts[2], line, reader.line_no)
-            state = _load_state(reader, config.mode)
-            reader.expect("end fork")
-            forks.append(Fork(state=state, fragment_index=fragment_index, base_root=parts[3]))
-        else:
-            raise LoadError(f"unexpected line {line!r}", reader.line_no + 1)
+    while (line := reader.next()) != "end session":
+        match line.split():
+            case ["begin", "state", index]:
+                state = _load_state(reader, config.mode)
+                reader.expect(f"end state {index}")
+                states.append(state)
+            case ["begin", "fork", index, base_root]:
+                fragment_index = _decoded(int, index, line, reader.line_no)
+                state = _load_state(reader, config.mode)
+                reader.expect("end fork")
+                forks.append(Fork(state=state, fragment_index=fragment_index, base_root=base_root))
+            case _:
+                raise LoadError(f"unexpected line {line!r}", reader.line_no)
         state.net.knowledge = knowledge
 
     return FitTask(

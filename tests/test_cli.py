@@ -165,7 +165,14 @@ def test_validate_unknown_state_status_is_a_parse_error(tmp_path, capsys):
     assert "line 1, column 25" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prefix, bad", [("processed=", "processed=zz"), ("next_step=", "next_step=x0")])
+@pytest.mark.parametrize(
+    "prefix, bad",
+    [
+        ("processed=", "processed=zz"),
+        ("next_step=", "next_step=x0"),
+        ("instance ", "instance face ghost -"),  # no element of the state's net
+    ],
+)
 def test_fit_corrupt_session_is_a_load_error(tmp_path, capsys, prefix, bad):
     session = tmp_path / "run.session"
     args = ["--scenario", str(DATA / "face.scenario"), "--session", str(session)]

@@ -11,14 +11,17 @@ from dcnet.core import (
     KindError,
     RelationKind,
     Status,
+    TreeInstance,
     belongs_to,
     element_count,
 )
-from dcnet.growth import fit_run, fit_step
+from dcnet.growth import DeferredGrowth, FragmentRecord, fit_run, fit_step
 from dcnet.kbio import build_task, parse_kb, parse_scenario
 from dcnet.lifecycle import (
+    _RECORDS,
     LoadError,
     PrunePolicy,
+    _read_record,
     iterate_step,
     prune,
     prune_task,
@@ -26,8 +29,8 @@ from dcnet.lifecycle import (
     session_load,
     session_save,
 )
-from dcnet.probability import ContributionLedger, EngineConfig, LaunchRecord, Mode
-from dcnet.trace import Trace
+from dcnet.probability import ContributionLedger, EngineConfig, LaunchRecord, LedgerEntry, Mode
+from dcnet.trace import EVENT_KINDS, Trace, TraceEvent
 
 from scenes import (
     assert_same_task,
@@ -397,6 +400,12 @@ class TestSessions:
             ("launch 1 ", "launch 1 eye1 much 0"),
             ("entry ", "entry L1 eye1 face1 r_fe#1 0.5 0"),
             ("entry ", "entry 1 eye1 face1 r_fe#1 half 0"),
+            ("launch 1 ", "launch 1 eye1 0.6 7"),  # a flag is 0 or 1
+            ("entry ", "entry 1 eye1 face1 r_fe#1 0.5 2"),
+            ("fragment ", "fragment eye1 0.6 eye 0 7 0 face -"),
+            ("launch 1 ", "launch 1 eye1 nan 0"),  # a number is finite
+            ("event ", "event 4 launch eye1 eye1 0.6 inf"),
+            ("event ", "event 4 bogus eye1 eye1 0.6 0.6"),  # no trace event kind
             ("entry ", ""),  # a blank ledger line
             ("next_step=", "next_step=x0"),
             ("event ", "event 1 launch eye1 eye1 0.6 high"),
@@ -439,6 +448,28 @@ class TestSessions:
         assert err.value.line == text.split("\n").index("begin net") + 1
         assert "result probability of face passes 1 in exact mode" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("instance t1 t1#1 ", "instance t1 ghost "),  # a root
+            ("instance t1 ", "instance ghost "),  # a base root that is no tree
+            ("p4=p4#1", "p4=ghost"),  # a mapped element
+            ("p4=p4#1", "ghost=p4#1"),  # a mapped base element
+            ("p4=p4#1", "p4"),  # a pair without '='
+        ],
+    )
+    def test_an_instance_naming_no_element_of_its_net_fails_the_load(self, old, new):
+        """Not the resumed fit, with ``LookupMissing``, or a silent resave."""
+        task = fork_task(random.Random(1))
+        fit_step(task)
+        lines = session_save(task).split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("instance t1 t1#1 "))
+        lines[at] = lines[at].replace(old, new, 1)
+        with pytest.raises(LoadError) as err:
+            session_load("\n".join(lines))
+        assert err.value.line == at + 1
+        assert repr(lines[at]) in str(err.value)
+
     def test_kb_block_error_names_its_payload_line(self):
         lines = session_save(face_task()).split("\n")
         at = lines.index("begin kb") + 2
@@ -447,3 +478,38 @@ class TestSessions:
             session_load("\n".join(lines))
         assert err.value.line == at + 1
         assert "unknown status bogus" in str(err.value)
+
+
+IDS = ["a", "t1#1", "k0.o1p2#12", "s0.part:a~1", "r#a:b.c~d"]
+FLOATS = [0.1 + 0.2, 1e-12, 0.0, 1.0, -0.25, 0.6399999999999999]
+RECORDS = {
+    "instance": lambda rng: TreeInstance(
+        rng.choice(IDS), rng.choice(["", *IDS]), dict(zip(rng.sample(IDS, 3), rng.sample(IDS, rng.randint(0, 3))))
+    ),
+    "launch": lambda rng: LaunchRecord(rng.randint(0, 99), rng.choice(IDS), rng.choice(FLOATS), rng.random() < 0.5),
+    "entry": lambda rng: LedgerEntry(
+        rng.randint(0, 99), *rng.choices(IDS, k=3), rng.choice(FLOATS), rng.random() < 0.5
+    ),
+    "fragment": lambda rng: FragmentRecord(
+        rng.choice(IDS), rng.choice(FLOATS), rng.choice([None, *IDS]), *rng.choices([False, True], k=3),
+        rng.choice([None, *IDS]), rng.sample(IDS, rng.randint(0, 3)),
+    ),
+    "defer": lambda rng: DeferredGrowth(rng.randint(0, 9), rng.choice(IDS)),
+    "event": lambda rng: TraceEvent(
+        rng.randint(0, 999), rng.choice(sorted(EVENT_KINDS)), *rng.choices(IDS, k=2), *rng.choices(FLOATS, k=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", list(_RECORDS))
+def test_every_record_round_trips_through_the_table(tag):
+    """Reading a written line gives an equal record; writing a read line gives the same text."""
+    _, write, _ = _RECORDS[tag]
+    rng = random.Random(tag)
+    for _ in range(200):
+        record = RECORDS[tag](rng)
+        [line] = write([record])
+        assert line.split(" ", 1)[0] == tag
+        again = _read_record(line, 1)
+        assert type(again) is type(record) and again == record, line
+        assert write([again]) == [line]
