@@ -361,10 +361,16 @@ def _read_id(text: str) -> str:
     return text
 
 
+def _read_int(text: str) -> int:
+    if str(value := int(text)) != text:  # only the text a write makes: no sign, space or leading zero
+        raise ValueError(f"{text!r} is not written as {value}")
+    return value
+
+
 def _read_float(text: str) -> float:
     value = float(text)
-    if not isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+    if not isfinite(value) or repr(value) != text:  # only the text a write makes: the repr
+        raise ValueError(f"{text!r} is no finite number as a write makes it")
     return value
 
 
@@ -392,7 +398,7 @@ def _or_dash(read, empty):
     return lambda text: empty() if text == "-" else read(text)
 
 
-_INT = ("{}", int)
+_INT = ("{}", _read_int)
 _FLOAT = ("{}!r", _read_float)
 _FLAG = ("1 if {} else 0", _read_one_of({"0": False, "1": True}))
 _ID = ("{}", _read_id)
@@ -543,7 +549,7 @@ def _read_records(reader: _Reader, name: str, *tags: str, keys: Optional[Contain
         key, sep, value = line.partition("=")
         if not sep or (keys is not None and key not in keys):
             raise LoadError(f"bad {name} line {line!r}", line_no)
-        values[key] = _decoded(int, value, line, line_no)
+        values[key] = _decoded(_read_int, value, line, line_no)
     return records, values
 
 
@@ -625,8 +631,11 @@ def session_load(source: Union[str, os.PathLike, TextIO]) -> FitTask:
                 reader.expect(f"end state {index}")
                 states.append(state)
             case ["begin", "fork", index, base_root]:
-                fragment_index = _decoded(int, index, line, reader.line_no)
+                at = reader.line_no
+                fragment_index = _decoded(_read_int, index, line, at)
                 state = _load_state(reader, config.mode)
+                if not 0 <= fragment_index < len(state.fragments) or base_root not in kb.trees:
+                    raise LoadError(f"fork line {line!r} names no fragment of its state or tree of its kb", at)
                 reader.expect("end fork")
                 forks.append(Fork(state=state, fragment_index=fragment_index, base_root=base_root))
             case _:

@@ -29,10 +29,15 @@ fork and learning scene made from it, and a base parsed or loaded again):
   base keeps every tree it touches; one memo holds at most
   ``_SCRATCH_LIMIT`` scratches and ``_LAUNCH_LIMIT`` launches.  A full
   table drops the keys used longest ago, so the trees in use stay warm.
+* A memo keeps, per fragment shape, the best placement by fragment position
+  and its membership (at most ``_BEST_LIMIT`` shapes).  The shape is all the
+  search reads of the fragment: sorted concepts' ``takes``, sorted relations'
+  end positions, kind, base chain and ``params``; so a hit equals the search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .core import (
@@ -50,6 +55,7 @@ from .core import (
     belongs_to,
     check_derived_network,
     kind_compatible,
+    lineage,
     match_pattern,
     up_closure,
 )
@@ -218,14 +224,16 @@ def _tree_index(net: CognitiveNetwork) -> _TreeIndex:
 _MEMO_LIMIT = 64  # tree content keys kept at least; a full table drops the one used longest ago
 _SCRATCH_LIMIT = 16  # scratches (distinct relation degrees) one tree memo holds
 _LAUNCH_LIMIT = 1024  # launches (degrees, source, input) one tree memo holds
+_BEST_LIMIT = 1024  # fragment shapes one tree memo holds the best placement of
 
 
 class _TreeMemo:
-    """The zero-state scratches of one tree content key, and the root's arrivals from each launch."""
+    """One tree content key's zero-state scratches, root arrivals per launch and best placements."""
 
     def __init__(self) -> None:
         self.scratches: dict[frozenset, CognitiveNetwork] = {}
         self.launches: dict[tuple, list[float]] = {}
+        self.best: dict[tuple, tuple[tuple[Optional[str], ...], float]] = {}
 
 
 _MEMOS: dict[tuple, _TreeMemo] = {}
@@ -266,14 +274,13 @@ class _TreeMatch:
     root, in sorted source order.  Each distinct (degrees, source, input)
     launches once into the zero-state scratch of its degrees, and the fold
     equals launching every source of a placement into a fresh scratch of its
-    own (see the module docstring).  The scratches and launches live in the
-    tree's memo in ``_MEMOS``, taken at the first membership.
+    own (see the module docstring).  The scratches, launches and best
+    placements live in the tree's ``memo`` in ``_MEMOS``, taken at first use.
     """
 
     def __init__(self, net: CognitiveNetwork, tree: TreeNetworkView, config: EngineConfig):
         self.net, self.tree, self.config = net, tree, config
         self._taken: dict[str, dict[str, float]] = {}
-        self._memo: Optional[_TreeMemo] = None
 
     def takes(self, fragment_el: str) -> dict[str, float]:
         """The tree concepts a fragment concept can take, sorted, with its membership in each."""
@@ -284,10 +291,29 @@ class _TreeMatch:
             found = self._taken[fragment_el] = {b: scores[b] for b in sorted(scores) if scores[b] > 0.0}
         return found
 
+    @cached_property
+    def memo(self) -> _TreeMemo:
+        return _tree_memo(self.net, self.tree, self.config)
+
+    def best(self, fragment_ids: list[str]) -> tuple[dict[str, str], float]:
+        """``_search``'s placement of the fragment and its membership, once per shape, in these ids."""
+        net, ids = self.net, sorted(set(fragment_ids))
+        concepts, relations = [f for f in ids if f in net.concepts], [f for f in ids if f in net.relations]
+        keys = concepts + relations
+        step = {key: i for i, key in enumerate(keys)}
+        shape = (tuple((*t, *t.values()) for t in map(self.takes, concepts)), tuple(
+            (step.get(r.a), step.get(r.b), r.kind, tuple(lineage(net, r.id)[1:]), tuple(r.params.items()))
+            for r in map(net.relations.__getitem__, relations)))
+        table = self.memo.best
+        if (found := table.get(shape)) is None:
+            placement, membership = _search(self, concepts, relations)
+            if len(table) >= _BEST_LIMIT:
+                table.clear()
+            found = table[shape] = (tuple(map(placement.get, keys)), membership)
+        return {key: base for key, base in zip(keys, found[0]) if base is not None}, found[1]
+
     def membership(self, inputs: dict[str, float], degrees: dict[str, float]) -> float:
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = _tree_memo(self.net, self.tree, self.config)
+        memo = self.memo
         key = frozenset((rel_id, d) for rel_id, d in degrees.items() if d != 1.0)
         scratch = memo.scratches.get(key)
         if scratch is None:
@@ -391,13 +417,18 @@ def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
     net, root = match.net, match.tree.root
     if not net.has(root):
         raise StructureError(f"base tree root {root} does not resolve")
-    best = MatchResult(base=root, membership=0.0)
-    best_score = (-1.0, -1)
+    placement, membership = match.best(fragment_ids)
+    return MatchResult(base=root, mapping=_invert(placement), membership=membership)
+
+
+def _search(match: _TreeMatch, concepts: list[str], relations: list[str]) -> tuple[dict[str, str], float]:
+    """The placement of highest membership, the first of equals in search order, and its membership."""
+    net, best, best_score = match.net, {}, (0.0, -1)
     for placement in match_pattern(
         net,
-        [(f, match.takes(f)) for f in sorted(f for f in fragment_ids if f in net.concepts)],
+        [(f, match.takes(f)) for f in concepts],
         lambda node, image: True,
-        [net.relations[f] for f in sorted(f for f in fragment_ids if f in net.relations)],
+        [net.relations[f] for f in relations],
         sorted(match.tree.longitudinal + match.tree.additional),
         lambda frel, image: kind_compatible(net, frel.id, image.id),
         partial=True,
@@ -408,9 +439,8 @@ def _match_flat(match: _TreeMatch, fragment_ids: list[str]) -> MatchResult:
         # equal membership prefers the placement explaining more of the fragment
         score = (membership, len(placement))
         if score > best_score:
-            best_score = score
-            best = MatchResult(base=root, mapping=_invert(placement), membership=membership)
-    return best
+            best, best_score = placement, score
+    return best, best_score[0]
 
 
 def _invert(placement: dict[str, str]) -> DerivedMapping:

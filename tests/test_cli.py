@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from dcnet.cli import main
+from dcnet.growth import fit_step
+from dcnet.lifecycle import session_save
+
+from scenes import fork_task
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -199,6 +204,20 @@ def test_fit_session_deferring_no_member_of_its_tree_is_a_load_error(tmp_path, c
     assert main(["fit", *args]) == 2
     err = capsys.readouterr().err
     assert f"load error at line {at + 1}" in err and "'defer 0 nope'" in err
+
+
+@pytest.mark.parametrize("header", ["begin fork 9 t0", "begin fork 2 ghost"])
+def test_fit_session_forking_on_no_fragment_or_tree_is_a_load_error(tmp_path, capsys, header):
+    task = fork_task(random.Random(1))
+    fit_step(task)
+    lines = session_save(task).split("\n")
+    at = lines.index("begin fork 2 t0")
+    lines[at] = header
+    session = tmp_path / "run.session"
+    session.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["fit", "--scenario", str(DATA / "face.scenario"), "--session", str(session)]) == 2
+    err = capsys.readouterr().err
+    assert f"load error at line {at + 1}" in err and repr(header) in err
 
 
 def test_match_command(capsys, tmp_path):

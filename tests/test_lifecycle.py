@@ -417,6 +417,11 @@ class TestSessions:
             ("begin deferred", "defer -1 mouth"),
             ("begin deferred", "defer 0 nope"),  # no concept of instance 0's base tree
             ("begin deferred", "defer 0 egg"),
+            ("launch 1 ", "launch +1 eye1 6e-1 0"),  # a number reads only as it is written
+            ("launch 1 ", "launch 01 eye1 0.6 0"),
+            ("launch 1 ", "launch 1 eye1 0.60 0"),
+            ("event ", "event 4 launch eye1 eye1 0.6 1"),
+            ("processed=", "processed=+0"),
         ],
     )
     def test_malformed_line_names_its_line(self, anchor, bad):
@@ -469,6 +474,21 @@ class TestSessions:
             session_load("\n".join(lines))
         assert err.value.line == at + 1
         assert repr(lines[at]) in str(err.value)
+
+    @pytest.mark.parametrize("header", ["begin fork 9 t0", "begin fork 3 t0", "begin fork -1 t0",
+                                        "begin fork 02 t0", "begin fork 2 ghost", "begin fork 2 p0"])
+    def test_a_fork_naming_no_fragment_of_its_state_or_tree_of_the_kb_fails_the_load(self, header):
+        """Not the resumed fit, with ``IndexError``, or a silent fit of another alternative."""
+        task = fork_task(random.Random(1))
+        fit_step(task)
+        lines = session_save(task).split("\n")
+        at = lines.index("begin fork 2 t0")
+        assert len(task.forks[0].state.fragments) == 3
+        lines[at] = header
+        with pytest.raises(LoadError) as err:
+            session_load("\n".join(lines))
+        assert err.value.line == at + 1
+        assert repr(header) in str(err.value)
 
     def test_kb_block_error_names_its_payload_line(self):
         lines = session_save(face_task()).split("\n")

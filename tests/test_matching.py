@@ -1,6 +1,7 @@
 """Fragment membership against base trees: single concepts, trees, nesting."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -24,7 +25,7 @@ from dcnet.matching import match_complete, match_concept, match_nested, match_tr
 from dcnet.probability import EngineConfig, Mode, superpose_n
 
 from scenes import FACE_INPUTS, concept, declare_tree, face_kb, hub_kb, hub_scene, relation
-from test_matching_oracle import oracle_match_nested, oracle_match_tree, oracle_membership
+from test_matching_oracle import counting_searches, oracle_match_nested, oracle_match_tree, oracle_membership
 
 
 def _config(**kw):
@@ -272,6 +273,7 @@ class TestHub:
         assert len(got.mapping.pairs) == len(ids)  # the whole scene is placed
 
     def test_match_tree_takes_each_relations_images_once(self, monkeypatch):
+        matching._MEMOS.clear()  # the count measures the search, which a remembered placement skips
         net, ids = self._scene(8)
         calls = Counter()
         kind_compatible = matching.kind_compatible
@@ -281,8 +283,54 @@ class TestHub:
             return kind_compatible(*args)
 
         monkeypatch.setattr(matching, "kind_compatible", counting)
-        match_tree(net, ids, net.trees["o"], EngineConfig())
+        first = match_tree(net, ids, net.trees["o"], EngineConfig())
         assert 0 < calls["kind_compatible"] <= self.KIND_TESTS, calls
+        calls.clear()
+        assert match_tree(net, ids, net.trees["o"], EngineConfig()) == first
+        assert calls["kind_compatible"] == 0, calls
+
+
+class TestBestPlacementMemo:
+    """The best placement of each fragment shape, kept in the tree's memo and renamed to the caller's ids."""
+
+    def test_a_renamed_fragment_hits_and_keeps_its_own_id_order(self, monkeypatch):
+        concepts, relations = hub_scene(4)
+        names = {c.as_id: c.as_id.replace("s.", "x.") for c in concepts}
+        names.update((r.rel_id, f"z.r{i}") for i, r in enumerate(relations))
+        names[relations[0].rel_id] = "a.r0"  # sorts before every concept, as no original relation does
+        renamed = [dataclasses.replace(c, as_id=names[c.as_id]) for c in concepts]
+        renamed += [dataclasses.replace(r, rel_id=names[r.rel_id], a=names[r.a], b=names[r.b]) for r in relations]
+        net = make_task(hub_kb(4), EngineConfig(), concepts + renamed[:5], relations + renamed[5:]).states[0].net
+        tree, ids = net.trees["o"], list(names)
+        matching._MEMOS.clear()
+        searched = counting_searches(monkeypatch)
+        first = match_tree(net, ids, tree, EngineConfig())
+        assert first == oracle_match_tree(net, ids, tree, EngineConfig())
+        got = match_tree(net, [names[f] for f in ids], tree, EngineConfig())
+        assert searched["searches"] == 1  # the renamed copy has the same shape
+        want = oracle_match_tree(net, [names[f] for f in ids], tree, EngineConfig())
+        assert list(got.mapping.pairs.items()) == list(want.mapping.pairs.items())
+        assert got.membership == want.membership == first.membership
+        pairs = [(base, names[frag]) for base, frag in first.mapping.pairs.items()]
+        assert list(got.mapping.pairs.items()) != pairs and sorted(got.mapping.pairs.items()) == sorted(pairs)
+        assert next(iter(got.mapping.pairs.values())) == "a.r0"
+
+    def test_an_id_given_twice_is_matched_once(self):
+        """Not as the remembered fragment of two concepts that take the same tree concepts."""
+        net = CognitiveNetwork()
+        concept(net, "o")
+        concept(net, "m", params={"value": Gaussian(0.0, 1.0)})
+        relation(net, "h", RelationKind.HAS_COMPONENT, "o", "m", pba=0.9, pab=0.8)
+        declare_tree(net, "o", ["o", "m", "h"])
+        for cid in ("c1", "c2"):  # each takes m at exp(-1/2); placed together they superpose
+            concept(net, cid, value=1.0)
+        tree, config = net.trees["o"], EngineConfig()
+        matching._MEMOS.clear()
+        both = match_tree(net, ["c1", "c2"], tree, config)
+        assert both == oracle_match_tree(net, ["c1", "c2"], tree, config)
+        twice = match_tree(net, ["c1", "c1"], tree, config)
+        assert twice == oracle_match_tree(net, ["c1"], tree, config)
+        assert twice.membership < both.membership
 
 
 class TestKnowledgeBaseMemo:
@@ -433,16 +481,23 @@ class TestKnowledgeBaseMemo:
         for i in range(1, n + 1):  # a stream of distinct inputs
             want = oracle_membership(net, tree, {"leaf1": i / n}, {}, config)
             assert match.membership({"leaf1": i / n}, {}) == want
-            assert len(match._memo.launches) <= matching._LAUNCH_LIMIT
+            assert len(match.memo.launches) <= matching._LAUNCH_LIMIT
         for i in range(1, 4 * matching._SCRATCH_LIMIT):  # a stream of distinct relation degrees
             degrees = {"ri1": i / (4 * matching._SCRATCH_LIMIT)}
             want = oracle_membership(net, tree, {"leaf1": 0.5}, degrees, config)
             assert match.membership({"leaf1": 0.5}, degrees) == want
-            assert len(match._memo.scratches) <= matching._SCRATCH_LIMIT
+            assert len(match.memo.scratches) <= matching._SCRATCH_LIMIT
+        relation(net, "rx", RelationKind.HAS_COMPONENT, "in1", "leafx1")
+        for i in range(1, 3 * matching._BEST_LIMIT):  # a stream of fragment shapes: one relation's params
+            net.relations["rx"].params["d"] = float(i)
+            assert match.best(["leafx1", "rx"]) == matching._search(match, ["leafx1"], ["rx"])
+            assert len(match.memo.best) <= matching._BEST_LIMIT
 
-    def test_a_dropped_base_and_its_task_are_collected(self):
+    def test_a_dropped_base_and_its_task_are_collected(self, monkeypatch):
         kb = face_kb()
         specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
+        fit_run(make_task(kb, _config(), specs))
+        monkeypatch.setattr(matching, "_search", None)  # the second fit finds every placement remembered
         task = make_task(kb, _config(), specs)
         fit_run(task)
         assert matching._MEMOS  # the table outlives them

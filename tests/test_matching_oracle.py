@@ -25,8 +25,11 @@ once its last end is placed and a branch without them cut), and launches
 each distinct source once, folding the root's share of every launch in sorted
 source order.  A launch is kept in a memo keyed by the tree's content and
 the config, and serves every later call until the tree or the config
-changes, which the edit sequence checks.  Bases, mappings (in order), memberships and
-raised exceptions must be equal, not close.
+changes, which the edit sequence checks.  The same memo keeps the best
+placement of each fragment shape; a warm call, a renamed fragment and a
+fragment relation changed in place are checked against the cold search and
+the oracle.  Bases, mappings (in order), memberships and raised exceptions
+must be equal, not close.
 
 Seeded networks mix a belong-to hierarchy, equal edges, scalar, interval and
 Gaussian-``value`` concepts, trees that share members and nest other trees
@@ -539,6 +542,73 @@ def test_fragment_relations_with_their_ends_match_the_oracle():
     # only when it sorts after the relation it ends on
     assert seen["symmetric placed"] >= 30 and seen["placed after their end"] >= 8, seen
     assert seen["unplaced before their end"] >= 8, seen
+
+
+def counting_searches(monkeypatch) -> Counter:
+    """Counts of the placement searches matching runs from now on."""
+    searched = Counter()
+    search = matching._search
+
+    def counting(*args):
+        searched["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(matching, "_search", counting)
+    return searched
+
+
+def test_a_remembered_placement_equals_the_search_and_the_oracle(monkeypatch):
+    """Cold (the table cleared) and warm, ``match_tree`` returns what the oracle returns, pairs in
+    the same order; a warm call searches nothing, except after a call that raised."""
+    searched = counting_searches(monkeypatch)
+    seen = Counter()
+    for seed, rng, net, frags, config in cases():
+        relations = [f for f in frags if f in net.relations]
+        for root, tree in net.trees.items():
+            for ids in (rng.sample(frags, rng.randint(1, min(5, len(frags)))),
+                        with_ends(net, rng.sample(relations, 1), frags)):
+                want = outcome(lambda: oracle_match_tree(net, ids, tree, config))
+                matching._MEMOS.clear()
+                cold = outcome(lambda: match_tree(net, ids, tree, config))
+                before = searched["searches"]
+                warm = outcome(lambda: match_tree(net, ids, tree, config))
+                raised = want[0] == "raise"
+                assert searched["searches"] - before == raised, f"seed {seed} on {root} of {ids}"
+                again = outcome(lambda: match_tree(net, [*ids, ids[-1]], tree, config))  # an id twice
+                assert cold == warm == again == want, f"seed {seed} on {root} of {ids}"
+                if raised:
+                    seen[want[1]] += 1
+                else:
+                    seen["relation placed"] += any(f in net.relations for _, f in want[0][1])
+                    seen["mapped" if want[0][1] else "empty"] += 1
+    assert seen["mapped"] >= 1000 and seen["empty"] >= 500 and seen["relation placed"] >= 200, seen
+    assert seen["LookupMissing"] >= 10, seen
+
+
+def test_a_fragment_relation_changed_in_place_is_searched_again(monkeypatch):
+    """Its params decide its degree and its base decides ``kind_compatible``: each change misses."""
+    searched = counting_searches(monkeypatch)
+    seen = Counter()
+    for seed, rng, net, frags, config in cases():
+        frel = net.relations[rng.choice([f for f in frags if f in net.relations])]
+        ids = with_ends(net, [frel.id], frags)
+        tree = rng.choice(list(net.trees.values()))
+        matching._MEMOS.clear()
+        first = outcome(lambda: match_tree(net, ids, tree, config))
+        old = frel.params.get("d")
+        frel.params["d"] = next(value for value in (0.0, 3.0, 6.0) if value != old)
+        tree_relations = tree.longitudinal + tree.additional
+        changes = [lambda: None]
+        if tree_relations:
+            changes.append(lambda: setattr(frel, "base", None if frel.base else rng.choice(tree_relations)))
+        for step, change in enumerate(changes):
+            change()
+            before = searched["searches"]
+            got = outcome(lambda: match_tree(net, ids, tree, config))
+            assert got == outcome(lambda: oracle_match_tree(net, ids, tree, config)), f"seed {seed}, {step}"
+            assert searched["searches"] == before + 1, f"seed {seed}, change {step}"
+            seen["changed"] += got != first
+    assert seen["changed"] >= 5, seen  # most changes leave the result as it was, but not all
 
 
 def edit(net, rng, config):

@@ -11,6 +11,12 @@ changed membership shows here as a changed digest.  A digest covers:
 * the bindings ``query_match`` returns for anchored, typed and chained
   templates over ``random_network`` stores, symmetric kinds included.
 
+Each fit and learning digest is taken twice.  Cold, the fit's match table
+(``matching._MEMOS``) is cleared before each task or ``cnl_run``, so every
+placement is searched.  Warm, the same task or ``cnl_run`` runs once first,
+so every placement it needs is remembered and none is searched.  Both must
+give the same digest, whatever order the tests run in.
+
 A change that alters these outputs on purpose records new digests here and
 says why.
 """
@@ -19,6 +25,9 @@ from __future__ import annotations
 import hashlib
 import random
 
+import pytest
+
+from dcnet import matching
 from dcnet.core import CognitiveNetwork, ConflictError, GrowthBlockedError, RelationKind
 from dcnet.growth import fit_run, make_task
 from dcnet.kbio import serialize_kb
@@ -48,37 +57,71 @@ def _digest(chunks) -> str:
     return acc.hexdigest()
 
 
-def _fitted(task) -> str:
+MEMO = pytest.mark.parametrize("memo", ["cold", "warm"])
+
+
+def _run(memo: str, run):
+    """``run()``, with the match table cleared before it (cold) or after ``run()`` once (warm)."""
+    if memo == "cold":
+        matching._MEMOS.clear()
+        return run()
+    run()
+    search = matching._search
+
+    def searched(*args):
+        raise AssertionError("a warm run searched for a placement")
+
+    matching._search = searched  # the run before remembered every placement this one needs
     try:
-        fit_run(task)
-    except (ConflictError, GrowthBlockedError) as exc:
-        return f"raise {type(exc).__name__}: {exc}"
-    return session_save(task)
+        return run()
+    finally:
+        matching._search = search
 
 
-def test_fork_task_sessions():
-    assert _digest(_fitted(fork_task(random.Random(f"pinned/fork/{seed}"))) for seed in range(60)) == FORK_TASKS
+def _fitted(memo: str, make) -> str:
+    def run():
+        task = make()
+        try:
+            fit_run(task)
+        except (ConflictError, GrowthBlockedError) as exc:
+            return f"raise {type(exc).__name__}: {exc}"
+        return session_save(task)
+
+    return _run(memo, run)
 
 
-def test_tree_scene_sessions():
+@MEMO
+def test_fork_task_sessions(memo):
+    def sessions():
+        for seed in range(60):
+            yield _fitted(memo, lambda: fork_task(random.Random(f"pinned/fork/{seed}")))
+
+    assert _digest(sessions()) == FORK_TASKS
+
+
+@MEMO
+def test_tree_scene_sessions(memo):
     kb = tree_kb(12)
 
     def tasks():
         for seed in range(30):
             rng = random.Random(f"pinned/tree/{seed}")
             concepts, relations = tree_scene(rng.sample(range(12), rng.randint(1, 3)))
-            yield _fitted(make_task(kb, EngineConfig(), concepts, relations))
+            yield _fitted(memo, lambda: make_task(kb, EngineConfig(), concepts, relations))
 
     assert _digest(tasks()) == TREE_TASKS
 
 
-def test_learned_knowledge():
+@MEMO
+def test_learned_knowledge(memo):
     def learned():
         for seed in range(6):
-            kb = CognitiveNetwork()
-            report = cnl_run(pattern_scenes(random.Random(f"pinned/learn/{seed}"), 20, two_share=0.1), kb)
-            yield serialize_kb(kb)
-            yield repr((report.learned_roots, report.extended_roots, report.merged))
+            def run():
+                kb = CognitiveNetwork()
+                report = cnl_run(pattern_scenes(random.Random(f"pinned/learn/{seed}"), 20, two_share=0.1), kb)
+                return serialize_kb(kb), repr((report.learned_roots, report.extended_roots, report.merged))
+
+            yield from _run(memo, run)
 
     assert _digest(learned()) == LEARNED
 
