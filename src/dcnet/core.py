@@ -343,7 +343,10 @@ class CognitiveNetwork:
     relations of each element, the store indexes what collapse asks about:
     each element's insertion serial, the XOR relations at each end, and the
     relations derived from each base.  Change a stored relation's ``base``
-    through ``set_base`` so that the last index stays true.
+    through ``set_base`` so that the last index stays true.  It also keeps
+    the XOR reach set (``xor_reach``): the elements whose up-closure may hold
+    an XOR end.  The set may hold more elements than that, as a removal
+    leaves it as it was, but it never misses one.
 
     A generation counter moves with every change of structure: adding or
     removing an element, ``set_base``, ``set_tree`` and ``drop_tree``.
@@ -370,7 +373,7 @@ class CognitiveNetwork:
     or ``relations`` is to read only.
     """
 
-    _OWNERSHIP = ("_own", "_own_incident", "_own_xor", "_own_derived")
+    _OWNERSHIP = ("_own", "_own_incident", "_own_xor", "_own_derived", "_own_reach")
 
     def __init__(self) -> None:
         self.concepts: dict[str, Concept] = {}
@@ -383,6 +386,7 @@ class CognitiveNetwork:
         self._next_serial = 0
         self._xor_by_end: dict[str, dict[str, None]] = {}
         self._derived: dict[str, dict[str, None]] = {}
+        self._xor_reach: set[str] = set()  # the edge down-closures of the XOR ends, or more
         self._generation = 0
         self._valid_at = -1  # the generation validate() last passed
         self._touched: Touched = {}
@@ -394,6 +398,7 @@ class CognitiveNetwork:
         self._own_incident: Optional[set[str]] = None
         self._own_xor: Optional[set[str]] = None
         self._own_derived: Optional[set[str]] = None
+        self._own_reach: Optional[set[str]] = None  # empty, not None, while a layer shares the reach set
         self._knowledge: frozenset[str] = frozenset()
         self._instance_mark = 0  # the serial from which instance_ids reads
         self._ids: tuple[int, frozenset[str]] = (-1, frozenset())  # element_set() and its generation
@@ -512,10 +517,6 @@ class CognitiveNetwork:
         """Sort key that orders element ids the way ``element_ids()`` lists them."""
         return element_id in self.relations, self._serial[element_id]
 
-    def xor_relations(self) -> list[str]:
-        """XOR relations, in insertion order."""
-        return sorted({r for ids in self._xor_by_end.values() for r in ids}, key=self.position_key)
-
     def xor_ends(self) -> Collection[str]:
         """The elements an XOR relation ends on, to read only."""
         return self._xor_by_end.keys()
@@ -523,6 +524,13 @@ class CognitiveNetwork:
     def xor_relations_at(self, element_id: str) -> Collection[str]:
         """XOR relations with an end at ``element_id``, in insertion order, to read only."""
         return self._xor_by_end.get(element_id, {}).keys()
+
+    def xor_reach(self) -> Collection[str]:
+        """Every element whose up-closure holds an XOR end, and maybe more, to read only.
+
+        An element outside it has no XOR partner unless it holds a value.
+        """
+        return self._xor_reach
 
     def relations_based_on(self, base_id: str) -> list[str]:
         """Relations whose ``base`` is ``base_id``, in the order they got it."""
@@ -616,6 +624,14 @@ class CognitiveNetwork:
                 _writable_entry(self._xor_by_end, self._own_xor, end, dict)[relation.id] = None
         if relation.base is not None:
             _writable_entry(self._derived, self._own_derived, relation.base, dict)[relation.id] = None
+        if relation.kind is _XOR:
+            self._reach_down(relation.a, relation.b)
+        elif relation.kind is _BELONG_TO and relation.b in self._xor_reach:
+            self._reach_down(relation.a)
+        elif relation.kind is _EQUAL and (relation.a in self._xor_reach or relation.b in self._xor_reach):
+            self._reach_down(relation.a, relation.b)
+        if relation.base in self._xor_reach:
+            self._reach_down(relation.id)
         self._generation += 1
         return relation
 
@@ -626,6 +642,8 @@ class CognitiveNetwork:
         rel.base = base_id
         if base_id is not None:
             _writable_entry(self._derived, self._own_derived, base_id, dict)[rel_id] = None
+            if base_id in self._xor_reach:
+                self._reach_down(rel_id)
         self._generation += 1
 
     def set_state(self, element_id: str, state: ProbabilityState) -> None:
@@ -708,6 +726,26 @@ class CognitiveNetwork:
         self._generation += 1
         return removed
 
+    def _reach_down(self, *element_ids: str) -> None:
+        """Add each element's down-closure over edges to the XOR reach set.
+
+        Every edge into a member adds its far end as it is added, so the set
+        holds the down-closure of each member and the walk stops at them.
+        """
+        reach = self._xor_reach
+        frontier = [e for e in element_ids if e not in reach]
+        if not frontier:
+            return
+        if self._own_reach is not None:  # a layer shares the set: copy it in first
+            reach = self._xor_reach = set(reach)
+            self._own_reach = None
+        reach.update(frontier)
+        while frontier:
+            for nxt in _down_neighbors(self, frontier.pop()):
+                if nxt not in reach:
+                    reach.add(nxt)
+                    frontier.append(nxt)
+
     def _forget_base(self, rel: Relation) -> None:
         if rel.base in self._derived:
             derived = _writable_entry(self._derived, self._own_derived, rel.base, dict)
@@ -729,11 +767,11 @@ class CognitiveNetwork:
         """A copy that shares this network's elements and index entries until either side writes them.
 
         Only the tables are copied, each one level deep, and the tree
-        instances in full; the elements with their states, the incident lists
-        and the XOR and derived sets stay shared.  From now on both networks
-        copy a shared element or entry in on their first write to it (see the
-        class docstring), so the cost of a layer and of its writes follows
-        what changes, not the size of the network.
+        instances in full; the elements with their states, the incident lists,
+        the XOR and derived sets and the XOR reach set stay shared.  From now
+        on both networks copy a shared element or entry in on their first
+        write to it (see the class docstring), so the cost of a layer and of
+        its writes follows what changes, not the size of the network.
 
         With ``knowledge``, every element of this network is the layer's
         knowledge (``element_set``) and ``instance_ids`` reads only what the
@@ -777,8 +815,8 @@ class CognitiveNetwork:
         for name, value in vars(self).items():
             if name in ("_incident", "_xor_by_end", "_derived"):
                 value = {key: inner.copy() for key, inner in value.items()}
-            elif name in ("_serial", "_touched", "_ready_before"):
-                value = dict(value)
+            elif name in ("_serial", "_touched", "_ready_before", "_xor_reach"):
+                value = value.copy()
             elif name in self._OWNERSHIP:
                 value = None  # the copy holds every object it has alone
             elif name not in ("_knowledge", "_ids"):  # immutable, so shared

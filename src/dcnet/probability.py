@@ -689,15 +689,17 @@ def _xor_partners(net: CognitiveNetwork, x: str) -> list[str]:
     belongs to, the elements that belong to the far end follow in
     ``element_ids()`` order; each partner is listed once.
 
-    Work: in a network with no XOR relation, one lookup.  Otherwise, for an
-    unvalued x, its up-closure, the XOR relations at the elements of that
-    closure and a down-closure per qualifying end, whatever the size of the
-    XOR table.  Only a valued x also reads every XOR end, since an end whose
-    value contains x's value qualifies without any edge between them.
+    Work: for an unvalued x outside the network's XOR reach set, which
+    holds every element whose up-closure reaches an XOR end, one lookup.
+    For an unvalued x inside it, its up-closure, the XOR relations at the
+    elements of that closure and a down-closure per qualifying end, whatever
+    the size of the XOR table.  Only a valued x also reads every XOR end,
+    since an end whose value contains x's value qualifies without any edge
+    between them.
     """
     x_value = _value(net, x)
     xor_ends = net.xor_ends()
-    if not xor_ends:
+    if not xor_ends or (x_value is None and x not in net.xor_reach()):
         return []
     up = up_closure(net, x)
     if x_value is None:

@@ -8,12 +8,15 @@ every lookup scans.  Seeded random networks mix belong-to chains, equal
 2-cycles, derived relations with base chains (some bases set after
 insertion), scalar and interval values, XOR between concepts and between
 relations, removed and re-added elements, knowledge elements and both modes.
-XOR partners are compared again after each later change of the XOR table.
+XOR partners are compared again after each later change of the XOR table or of
+the edges and bases into the XOR reach set, on a network, on a layer of it and
+on its reload through the KB text.
 """
 from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -28,7 +31,7 @@ from dcnet.core import (
     down_closure,
     up_closure,
 )
-from dcnet.kbio import parse_kb
+from dcnet.kbio import parse_kb, serialize_kb
 from dcnet.probability import (
     ContributionLedger,
     EngineConfig,
@@ -43,7 +46,7 @@ from dcnet.probability import (
 )
 from dcnet.trace import Trace
 
-from scenes import random_network, relation
+from scenes import random_network, relation, xor_reach_from_scratch, xor_relations
 
 CASES = 250
 
@@ -207,7 +210,7 @@ def partner_routes(net: CognitiveNetwork, x: str) -> dict[str, set[str]]:
     relation (``relation end``) leads there."""
     up = up_closure(net, x)
     routes: dict[str, set[str]] = {}
-    for rel_id in net.xor_relations():
+    for rel_id in xor_relations(net):
         rel = net.relations[rel_id]
         on_relation = rel.a in net.relations or rel.b in net.relations
         for near, far in ((rel.a, rel.b), (rel.b, rel.a)):
@@ -224,45 +227,95 @@ def partner_routes(net: CognitiveNetwork, x: str) -> dict[str, set[str]]:
     return routes
 
 
-def change_xor_table(net: CognitiveNetwork, rng: random.Random, step: int) -> bool:
-    """Remove an XOR relation or one of its ends, or add an XOR relation; True for a removal."""
-    xor_ids = net.xor_relations()
-    roll = rng.random()
-    if xor_ids and roll < 0.6:
-        rel = net.relations[rng.choice(xor_ids)]
-        net.remove_element(rel.id if roll < 0.3 else rng.choice((rel.a, rel.b)))
-        return True
+CHANGES = ("remove xor", "remove end", "add xor", "belong", "equal", "set base", "derived")
+
+
+def change_reach(net: CognitiveNetwork, rng: random.Random, step: int) -> Optional[str]:
+    """One change that the XOR end index or the XOR reach set must follow: remove an XOR
+    relation or one of its ends, add an XOR relation, add a belong-to or equal edge into
+    the reach, point a relation at a base in the reach, or add a relation derived from
+    one.  Returns the change made, or None when there was nothing to change or the
+    network refused it.  The reach is rebuilt from scratch to pick the targets."""
     ids = net.element_ids()
-    if len(ids) >= 2:
-        pool = list(net.relations) if net.relations and rng.random() < 0.4 else ids
-        a = rng.choice(pool)
-        b = rng.choice([e for e in ids if e != a])
-        relation(net, f"xa{step}", RelationKind.XOR, a, b, pba=0.0, pab=0.0)
-    return False
+    reach = xor_reach_from_scratch(net)
+    inside = [e for e in ids if e in reach]
+    outside = [e for e in ids if e not in reach] or ids
+    reached_relations = [r for r in inside if r in net.relations]
+    xor_ids = xor_relations(net)
+    change = rng.choice(CHANGES)
+    try:
+        if change in ("remove xor", "remove end") and xor_ids:
+            rel = net.relations[rng.choice(xor_ids)]
+            net.remove_element(rel.id if change == "remove xor" else rng.choice((rel.a, rel.b)))
+        elif change == "add xor" and len(ids) >= 2:
+            pool = list(net.relations) if net.relations and rng.random() < 0.4 else ids
+            a = rng.choice(pool)
+            b = rng.choice([e for e in ids if e != a])
+            relation(net, f"xa{step}", RelationKind.XOR, a, b, pba=0.0, pab=0.0)
+        elif change in ("belong", "equal") and inside and len(ids) >= 2:
+            b = rng.choice(inside)
+            a = rng.choice([e for e in outside if e != b] or [e for e in ids if e != b])
+            if change == "belong":
+                net.add_belong(a, b)
+            else:
+                relation(net, f"eq{step}", RelationKind.EQUAL, *rng.sample((a, b), 2))
+        elif change == "set base" and reached_relations:
+            base = net.relations[rng.choice(reached_relations)]
+            pool = [r for r in net.relations if r not in reach and base.id not in derived_from(net, r)]
+            if not pool:
+                return None
+            net.set_base(rng.choice(pool), base.id)
+        elif change == "derived" and reached_relations:
+            base = net.relations[rng.choice(reached_relations)]
+            a, b = rng.sample(ids, 2)
+            relation(net, f"d{step}", base.kind, a, b, pba=base.cond.forward, pab=base.cond.backward, base=base.id)
+        else:
+            return None
+    except DcnetError:  # a cycle of belong-to, or a kind the base does not allow
+        return None
+    return change
+
+
+def derived_from(net: CognitiveNetwork, rel_id: str) -> set[str]:
+    """The relations that have ``rel_id`` in their base chain, itself included, so that
+    none of them may become its base."""
+    below, frontier = {rel_id}, [rel_id]
+    while frontier:
+        for derived in net.relations_based_on(frontier.pop()):
+            if derived not in below:
+                below.add(derived)
+                frontier.append(derived)
+    return below
 
 
 def test_xor_partners_match_the_oracle():
-    """Every element's partners, on each network and again after each change of its XOR
-    table: the index must follow removals and additions made after earlier lookups."""
-    value_only = on_relations = removals = 0
+    """Every element's partners on each network, on a layer of it and on its reload
+    through the KB text, and again after each change of each of them (the network and
+    its layer both change): the indexes must follow changes made after earlier lookups.
+    After each change, the reach set holds at least every element whose up-closure
+    reaches an XOR end."""
+    value_only = on_relations = 0
+    made: Counter = Counter()
     for seed in range(CASES):
         rng = random.Random(f"partners/{seed}")
         net = random_network(rng)
+        sides = {"net": net, "layer": net.layer(), "reload": parse_kb(serialize_kb(net))}
         for step in range(4):
-            if step:
-                removals += change_xor_table(net, rng, step)
-            for x in net.element_ids():
-                where = f"seed {seed}, step {step}, element {x}"
-                want = _outcome(lambda: scan_xor_partners(net, x))
-                assert _outcome(lambda: _xor_partners(net, x)) == want, where
-                routes = partner_routes(net, x).values()
-                value_only += sum("edge" not in r and "value" in r for r in routes)
-                on_relations += sum("relation end" in r for r in routes)
-    # partners found by value containment alone, through XOR relations on relations, and
-    # lookups after removals of XOR relations or their ends
-    assert value_only >= 250 and on_relations >= 1000 and removals >= 250, (
-        value_only, on_relations, removals,
-    )
+            for name, side in sides.items():
+                if step:
+                    made[change_reach(side, rng, step)] += 1
+                where = f"seed {seed}, step {step}, {name}"
+                assert xor_reach_from_scratch(side) <= set(side.xor_reach()), where
+                for x in side.element_ids():
+                    want = _outcome(lambda: scan_xor_partners(side, x))
+                    assert _outcome(lambda: _xor_partners(side, x)) == want, f"{where}, element {x}"
+                    routes = partner_routes(side, x).values()
+                    value_only += sum("edge" not in r and "value" in r for r in routes)
+                    on_relations += sum("relation end" in r for r in routes)
+    # partners found by value containment alone and through XOR relations on relations,
+    # and every kind of change, each many times
+    assert value_only >= 250 and on_relations >= 1000, (value_only, on_relations)
+    assert all(made[change] >= 150 for change in CHANGES), made
 
 
 def test_collapse_and_settle_match_the_oracle():
@@ -278,7 +331,7 @@ def test_collapse_and_settle_match_the_oracle():
         config = random_config(rng)
         ids = net.element_ids()
         net.knowledge = kb_ids = frozenset(rng.sample(ids, rng.randint(0, len(ids) // 4)))
-        xor_ends = [end for r in net.xor_relations() for end in (net.relations[r].a, net.relations[r].b)]
+        xor_ends = [end for r in xor_relations(net) for end in (net.relations[r].a, net.relations[r].b)]
         fast = (net, ContributionLedger(), Trace())
         slow = (copy.deepcopy(net), ScanLedger(), Trace())
         for step in range(rng.randint(4, 10)):

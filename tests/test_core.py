@@ -26,6 +26,8 @@ from dcnet.growth import grow_concept
 from dcnet.probability import ContributionLedger, EngineConfig, collapse_element
 from dcnet.trace import Trace
 
+from scenes import xor_reach_from_scratch, xor_relations
+
 
 def _concept(net, cid, **kw):
     return net.add_concept(Concept(id=cid, **kw))
@@ -243,11 +245,11 @@ class TestCopy:
             clone.remove_element("r2")
             _rel(clone, "s", RelationKind.HAS_PART, "a", "c", base="r")
             assert net.incident("a") == ["r", "x"] and net.incident("c") == ["r2", "x", "y"]
-            assert net.xor_relations() == ["x", "y"] and net.relations_based_on("r") == ["r2"]
+            assert xor_relations(net) == ["x", "y"] and net.relations_based_on("r") == ["r2"]
             assert list(net.xor_relations_at("a")) == ["x"]
             assert list(net.xor_relations_at("c")) == ["x", "y"]
             assert clone.incident("a") == ["r", "s"] and clone.relations_based_on("r") == ["s"]
-            assert clone.xor_relations() == ["y"] and set(clone.xor_ends()) == {"b", "c"}
+            assert xor_relations(clone) == ["y"] and set(clone.xor_ends()) == {"b", "c"}
             assert clone.position_key("s") > clone.position_key("r") > clone.position_key("c")
             assert "s" not in net.relations
             # a layer shares what neither side has written; a copy shares nothing
@@ -259,6 +261,22 @@ class TestCopy:
             assert list(clone.xor_relations_at("c")) == ["y"]
 
 
+    def test_a_layer_extends_the_xor_reach_set_apart_from_its_source(self):
+        """The reach set a layer shares is copied in on the layer's first write to it: r
+        belongs a to b, which reaches an XOR end, so a, s (which belongs to a) and r (derived
+        from s) join the layer's set, and the source's set stays as it was."""
+        net = CognitiveNetwork()
+        for cid in ("a", "b", "e", "x", "y"):
+            _concept(net, cid)
+        _rel(net, "xe", RelationKind.XOR, "b", "e", pba=0.0, pab=0.0)
+        _rel(net, "s", RelationKind.BELONG_TO, "x", "y")
+        net.add_belong("s", "a")
+        clone = net.layer()
+        _rel(clone, "r", RelationKind.BELONG_TO, "a", "b", base="s")
+        assert {"a", "s", "r"} <= set(clone.xor_reach()) and set(net.xor_reach()) == {"b", "e"}
+        assert xor_reach_from_scratch(clone) <= set(clone.xor_reach())
+
+
 class TestRemoval:
     def test_relations_ending_on_a_removed_relation_go_with_it(self):
         net = CognitiveNetwork()
@@ -268,7 +286,7 @@ class TestRemoval:
         _rel(net, "x", RelationKind.XOR, "r", "c", pba=0.0, pab=0.0)
         assert net.remove_element("r") == ["r", "x"]
         net.validate()
-        assert net.xor_relations() == [] and net.incident("c") == []
+        assert xor_relations(net) == [] and net.incident("c") == []
         collapse_element(net, "d", EngineConfig(), ContributionLedger(), Trace())
         assert net.state("d").status is Status.COLLAPSED
 

@@ -70,6 +70,18 @@ def _rel(net, rid, a, b, pba=1.0, pab=1.0, kind=RelationKind.HAS_COMPONENT, para
     )
 
 
+def _tied_chains(n):
+    """n pairs of HAS_PART chains h -> t and rh -> rt, each tail XOR-tied to its rival's."""
+    net = CognitiveNetwork()
+    for i in range(n):
+        for cid in (f"h{i}", f"t{i}", f"rh{i}", f"rt{i}"):
+            _concept(net, cid)
+        _rel(net, f"p{i}", f"h{i}", f"t{i}", kind=RelationKind.HAS_PART)
+        _rel(net, f"q{i}", f"rh{i}", f"rt{i}", kind=RelationKind.HAS_PART)
+        _rel(net, f"x{i}", f"t{i}", f"rt{i}", pba=0.0, pab=0.0, kind=RelationKind.XOR)
+    return net
+
+
 def _engine(**kw):
     return EngineConfig(**kw)
 
@@ -381,16 +393,6 @@ class TestCollapse:
         """Partners come from the XOR relations at the collapsing element's up-closure,
         whatever the size of the XOR table: 2,000 tied chain pairs, no walk over them."""
 
-        def tied_chains(n):
-            net = CognitiveNetwork()
-            for i in range(n):
-                for cid in (f"h{i}", f"t{i}", f"rh{i}", f"rt{i}"):
-                    _concept(net, cid)
-                _rel(net, f"p{i}", f"h{i}", f"t{i}", kind=RelationKind.HAS_PART)
-                _rel(net, f"q{i}", f"rh{i}", f"rt{i}", kind=RelationKind.HAS_PART)
-                _rel(net, f"x{i}", f"t{i}", f"rt{i}", pba=0.0, pab=0.0, kind=RelationKind.XOR)
-            return net
-
         class NoWalk:
             """Membership and size of the XOR ends, but no walk over them."""
 
@@ -406,12 +408,8 @@ class TestCollapse:
             def __iter__(self):
                 raise AssertionError("walked every XOR end")
 
-        def no_table():
-            raise AssertionError("read every XOR relation")
-
-        net = tied_chains(2000)
+        net = _tied_chains(2000)
         ends = net.xor_ends()
-        monkeypatch.setattr(net, "xor_relations", no_table)
         monkeypatch.setattr(net, "xor_ends", lambda: NoWalk(ends))
         ledger, trace = ContributionLedger(), Trace()
         collapse_element(net, "h7", _engine(), ledger, trace)
@@ -419,9 +417,35 @@ class TestCollapse:
         assert changed == [("collapse", "h7"), ("collapse", "t7"), ("suppress", "rt7"), ("collapse", "p7")]
         assert _xor_partners(net, "t7") == ["rt7"] and _xor_partners(net, "rh7") == []
 
-        small = tied_chains(20)
+        small = _tied_chains(20)
         for x in small.element_ids():
             assert _xor_partners(small, x) == scan_xor_partners(small, x), x
+
+    def test_only_an_element_in_the_xor_reach_walks_a_closure_for_partners(self, monkeypatch):
+        """In h7's cascade only t7, whose up-closure holds an XOR end, takes closures for
+        its partners; an unvalued element outside the XOR reach set takes none.  A valued
+        element outside it still finds the partners its value gives it."""
+        calls = []
+        for name in ("up_closure", "down_closure"):
+            def counted(net, element_id, _name=name, _walk=getattr(probability, name)):
+                calls.append((_name, element_id))
+                return _walk(net, element_id)
+
+            monkeypatch.setattr(probability, name, counted)
+        net = _tied_chains(2000)
+        collapse_element(net, "h7", _engine(), ContributionLedger(), Trace())
+        assert calls == [("up_closure", "t7"), ("down_closure", "rt7")]
+        calls.clear()
+        assert [_xor_partners(net, x) for x in ("h8", "rh7", "p8", "q7")] == [[]] * 4
+        assert calls == []
+
+        small = _tied_chains(20)
+        small.add_concept(Concept(id="v", value=0.5))
+        small.add_concept(Concept(id="w", value=Interval(0.0, 1.0)))
+        _rel(small, "xw", "w", "rt3", pba=0.0, pab=0.0, kind=RelationKind.XOR)
+        assert "v" not in small.xor_reach()
+        assert _xor_partners(small, "v") == scan_xor_partners(small, "v") == ["rt3"]
+        assert ("up_closure", "v") in calls
 
     def test_collapsing_suppressed_is_conflict(self):
         net = CognitiveNetwork()
