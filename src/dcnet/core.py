@@ -1110,13 +1110,20 @@ def declare_tree(net: CognitiveNetwork, root: str, members: Iterable[str]) -> No
     """Record the tree over ``root``, ``members`` and every non-XOR relation among them.
 
     A relation joins when both its ends are already in the scope, so one that
-    ends on a joined relation joins too.  This is what a ``tree`` statement
-    declares; raises StructureError when the scope is no tree.
+    ends on a joined relation joins too.  The walk reads only the incident
+    lists of the scope's elements, so a declaration costs its tree, not the
+    network.  This is what a ``tree`` statement declares; raises
+    StructureError when the scope is no tree.
     """
     scope = {root, *members}
-    for rel in net.relations.values():
-        if rel.a in scope and rel.b in scope and rel.kind is not _XOR:
-            scope.add(rel.id)
+    worklist = [root, *members]
+    for cur in worklist:  # a joined relation is appended, so the walk reaches what ends on it
+        for rel_id in net.incident_view(cur):
+            if rel_id not in scope:
+                rel = net.relations[rel_id]
+                if rel.a in scope and rel.b in scope and rel.kind is not _XOR:
+                    scope.add(rel_id)
+                    worklist.append(rel_id)
     net.set_tree(classify_tree_network(net, root, restrict=scope))
 
 
@@ -1130,35 +1137,40 @@ def classify_tree_network(
     ``restrict`` limits the view to the given element ids; by default the whole
     connected component around ``root`` is classified.  Raises StructureError
     when an element has no longitudinal path defining its membership.
+
+    Both walks read the incident lists of the view's elements once each, and
+    every membership test is a set lookup, so the cost is linear in the tree.
     """
     root_el = net.element(root)
     members = _component(net, root, restrict)
+    member_set = set(members)
 
     tops: set[str] = set()
     if isinstance(root_el, Relation):
-        tops.update(e for e in (root_el.a, root_el.b) if e in members)
+        tops.update(e for e in (root_el.a, root_el.b) if e in member_set)
     else:
         tops.add(root)
 
     longitudinal: list[str] = []
+    longitudinal_set: set[str] = set()
     covered: set[str] = set(tops)
     frontier = list(tops)
-    while frontier:
-        cur = frontier.pop(0)
-        for rel_id in net.incident(cur):
-            if rel_id not in members or rel_id in longitudinal:
+    for cur in frontier:  # breadth first: the list grows as it is walked
+        for rel_id in net.incident_view(cur):
+            if rel_id not in member_set or rel_id in longitudinal_set:
                 continue
             rel = net.relations[rel_id]
             if not is_longitudinal(rel.kind) or rel.a != cur:
                 continue
             longitudinal.append(rel_id)
+            longitudinal_set.add(rel_id)
             if rel.b not in covered:
                 covered.add(rel.b)
                 frontier.append(rel.b)
 
     additional: list[str] = []
     for el_id in members:
-        if el_id in net.relations and el_id not in longitudinal and el_id != root:
+        if el_id in net.relations and el_id not in longitudinal_set and el_id != root:
             additional.append(el_id)
 
     concepts = [e for e in members if e in net.concepts]
@@ -1170,27 +1182,25 @@ def classify_tree_network(
     for rel_id in additional:
         rel = net.relations[rel_id]
         for end in (rel.a, rel.b):
-            if end in members and end in net.concepts and end not in covered:
+            if end in member_set and end in net.concepts and end not in covered:
                 raise StructureError(
                     f"tree rooted at {root}: additional relation {rel_id} hangs on "
                     f"uncovered element {end}"
                 )
 
-    ordered_concepts = [root] if root in net.concepts else []
+    ordered = dict.fromkeys([root] if root in net.concepts else [])  # a set that keeps insertion order
     for rel_id in longitudinal:
         rel = net.relations[rel_id]
         for end in (rel.a, rel.b):
-            if end in net.concepts and end not in ordered_concepts:
-                ordered_concepts.append(end)
-    for cid in concepts:
-        if cid not in ordered_concepts:
-            ordered_concepts.append(cid)
+            if end in net.concepts:
+                ordered[end] = None
+    ordered.update(dict.fromkeys(concepts))
 
     return TreeNetworkView(
         root=root,
         longitudinal=longitudinal,
         additional=sorted(additional),
-        concepts=ordered_concepts,
+        concepts=list(ordered),
     )
 
 
@@ -1199,8 +1209,7 @@ def _component(net: CognitiveNetwork, root: str, restrict: Optional[set[str]]) -
     members: list[str] = []
     seen: set[str] = set()
     frontier = [root]
-    while frontier:
-        cur = frontier.pop(0)
+    for cur in frontier:  # breadth first: the list grows as it is walked
         if cur in seen:
             continue
         seen.add(cur)
@@ -1209,7 +1218,7 @@ def _component(net: CognitiveNetwork, root: str, restrict: Optional[set[str]]) -
         if cur in net.relations:
             rel = net.relations[cur]
             neighbors.extend((rel.a, rel.b))
-        neighbors.extend(net.incident(cur))
+        neighbors.extend(net.incident_view(cur))
         for nxt in neighbors:
             if nxt in seen:
                 continue

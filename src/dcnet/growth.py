@@ -397,7 +397,7 @@ class FitTask:
     processed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ConceptSpec:
     base: Optional[str]
     p: float = 0.0
@@ -408,7 +408,7 @@ class ConceptSpec:
     line: int = field(default=0, compare=False, repr=False)  # where a scenario declared it
 
 
-@dataclass
+@dataclass(slots=True)
 class RelationSpec:
     rel_id: str
     kind: RelationKind

@@ -48,12 +48,10 @@ class ParseError(DcnetError):
 # token helpers
 
 
-def _split_statement(line: str) -> list[str]:
-    return line.split()
-
-
 def _strip_comment(raw_line: str) -> str:
     """Drop a trailing comment; a hash inside a token (instance ids) is not one."""
+    if "#" not in raw_line:
+        return raw_line
     if raw_line.lstrip().startswith("#"):
         return ""
     idx = 0
@@ -71,22 +69,36 @@ def _column_of(line: str, token: str) -> int:
     return pos + 1 if pos >= 0 else 1
 
 
-def _parse_float(token: str, line_no: int, line: str, label: str) -> float:
+def _value_column(line: str, key: str, offset: int = 0) -> int:
+    """Column of the character ``offset`` into the value of the last ``key=`` token, the one ``_kv`` keeps."""
+    column, pos = 1, 0
+    for token in line.split():
+        pos = line.index(token, pos)
+        if token.startswith(key + "="):
+            column = pos + len(key) + 2 + offset
+        pos += len(token)
+    return column
+
+
+def _parse_float(token: str, line_no: int, line: str, label: str, key: str, offset: int = 0) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"{label}: not a number: {token}", line_no, _column_of(line, token))
+        raise ParseError(f"{label}: not a number: {token}", line_no, _value_column(line, key, offset))
 
 
-def parse_param_value(raw: str, line_no: int = 0, line: str = "") -> Union[float, str, Interval, Gaussian]:
+def parse_param_value(
+    raw: str, line_no: int = 0, line: str = "", key: str = ""
+) -> Union[float, str, Interval, Gaussian]:
+    """A number, ``gauss:mu,sigma``, ``interval:lo,hi`` or else the text; ``key=`` locates an error."""
     if raw.startswith("gauss:"):
         mu, _, sigma = raw[6:].partition(",")
-        return Gaussian(_parse_float(mu, line_no, line, "gauss mu"),
-                        _parse_float(sigma, line_no, line, "gauss sigma"))
+        return Gaussian(_parse_float(mu, line_no, line, "gauss mu", key, 6),
+                        _parse_float(sigma, line_no, line, "gauss sigma", key, 7 + len(mu)))
     if raw.startswith("interval:"):
         lo, _, hi = raw[9:].partition(",")
-        return Interval(_parse_float(lo, line_no, line, "interval lo"),
-                        _parse_float(hi, line_no, line, "interval hi"))
+        return Interval(_parse_float(lo, line_no, line, "interval lo", key, 9),
+                        _parse_float(hi, line_no, line, "interval hi", key, 10 + len(lo)))
     try:
         return float(raw)
     except ValueError:
@@ -105,23 +117,24 @@ def format_param_value(value) -> str:
     return str(value)
 
 
-def _parse_prob_spec(raw: str, line_no: int, line: str):
-    value = parse_param_value(raw, line_no, line)
-    if isinstance(value, Gaussian):
-        return value
-    if isinstance(value, float):
-        if not 0.0 <= value <= 1.0:
-            raise ParseError(
-                f"probability out of range: {raw}", line_no, _column_of(line, raw)
-            )
-        return value
-    raise ParseError(f"bad probability spec: {raw}", line_no, _column_of(line, raw))
+def _parse_prob_spec(raw: str, line_no: int, line: str, key: str):
+    """A conditional probability: a number in [0, 1] or a Gaussian."""
+    try:
+        value = float(raw)  # what parse_param_value reads any float text as, at a fraction of its cost
+    except ValueError:
+        value = parse_param_value(raw, line_no, line, key)
+        if isinstance(value, Gaussian):
+            return value
+        raise ParseError(f"bad probability spec: {raw}", line_no, _value_column(line, key))
+    if not 0.0 <= value <= 1.0:
+        raise ParseError(f"probability out of range: {raw}", line_no, _value_column(line, key))
+    return value
 
 
 def _kind(raw: str, line_no: int, line: str) -> RelationKind:
     kind = _KIND_OF_TEXT.get(raw)
     if kind is None:
-        raise ParseError(f"unknown kind {raw}", line_no, _column_of(line, raw))
+        raise ParseError(f"unknown kind {raw}", line_no, _value_column(line, "kind"))
     return kind
 
 
@@ -139,29 +152,30 @@ def _kv(tokens: list[str], line_no: int, line: str) -> dict[str, str]:
 # knowledge documents
 
 
-def parse_kb(text: str) -> CognitiveNetwork:
-    net = CognitiveNetwork()
+def _read_statements(text: str, statements: dict, *target) -> None:
+    """Hand each statement to the reader its first token names: ``reader(*target, tokens, line_no, line)``.
+
+    A DcnetError that a reader raises becomes a ParseError of its line.
+    """
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
-        tokens = _split_statement(line)
-        head = tokens[0]
+        tokens = line.split()
+        reader = statements.get(tokens[0])
+        if reader is None:
+            raise ParseError(f"unknown statement {tokens[0]}", line_no, 1)
         try:
-            if head == "concept":
-                _parse_concept_line(net, tokens, line_no, line)
-            elif head == "belong":
-                _parse_belong_line(net, tokens, line_no, line)
-            elif head == "relation":
-                _parse_relation_line(net, tokens, line_no, line)
-            elif head == "tree":
-                _parse_tree_line(net, tokens, line_no, line)
-            else:
-                raise ParseError(f"unknown statement {head}", line_no, 1)
+            reader(*target, tokens, line_no, line)
         except ParseError:
             raise
         except DcnetError as err:
             raise ParseError(str(err), line_no) from err
+
+
+def parse_kb(text: str) -> CognitiveNetwork:
+    net = CognitiveNetwork()
+    _read_statements(text, _KB_STATEMENTS, net)
     return net
 
 
@@ -178,7 +192,7 @@ def _parse_concept_line(net, tokens, line_no, line) -> Concept:
         elif key == "state":
             state = _parse_state(value, line_no, line)
         else:
-            concept.params[key] = parse_param_value(value, line_no, line)
+            concept.params[key] = parse_param_value(value, line_no, line, key)
     net.add_concept(concept)
     if state is not None:
         net.set_state(concept.id, state)
@@ -192,7 +206,7 @@ def _parse_belong_line(net, tokens, line_no, line) -> None:
     state = None
     for key, value in _kv(tokens[3:], line_no, line).items():
         if key == "pab":
-            backward = _parse_float(value, line_no, line, "pab")
+            backward = _parse_float(value, line_no, line, "pab", key)
         elif key == "state":
             state = _parse_state(value, line_no, line)
     rel = net.add_belong(tokens[1], tokens[2], backward=backward)
@@ -208,7 +222,7 @@ def _parse_relation_line(net, tokens, line_no, line) -> Relation:
         state=_parse_state(kv.pop("state"), line_no, line) if "state" in kv else ProbabilityState(),
     )
     for key, value in kv.items():
-        relation.params[key] = parse_param_value(value, line_no, line)
+        relation.params[key] = parse_param_value(value, line_no, line, key)
     return net.add_relation(relation)
 
 
@@ -221,8 +235,8 @@ def _relation_statement(tokens, line_no, line):
         if required not in kv:
             raise ParseError(f"relation {tokens[1]} missing {required}=", line_no)
     kind = _kind(kv.pop("kind"), line_no, line)
-    pba = _parse_prob_spec(kv.pop("pba", "1.0"), line_no, line)
-    pab = _parse_prob_spec(kv.pop("pab", "1.0"), line_no, line)
+    pba = _parse_prob_spec(kv.pop("pba", "1.0"), line_no, line, "pba")
+    pab = _parse_prob_spec(kv.pop("pab", "1.0"), line_no, line, "pab")
     return kind, kv.pop("a"), kv.pop("b"), pba, pab, kv.pop("base", None), kv
 
 
@@ -231,11 +245,11 @@ def _set_value(target, key: str, raw: str, line_no: int, line: str) -> None:
     if key == "interval":
         lo, _, hi = raw.partition(",")
         target.value = Interval(
-            _parse_float(lo, line_no, line, "interval lo"),
-            _parse_float(hi, line_no, line, "interval hi"),
+            _parse_float(lo, line_no, line, "interval lo", key),
+            _parse_float(hi, line_no, line, "interval hi", key, len(lo) + 1),
         )
         return
-    parsed = parse_param_value(raw, line_no, line)
+    parsed = parse_param_value(raw, line_no, line, key)
     if isinstance(parsed, float):
         target.value = parsed
     else:
@@ -249,6 +263,14 @@ def _parse_tree_line(net, tokens, line_no, line) -> None:
     declare_tree(net, tokens[1], [m for m in kv.get("members", "").split(",") if m])
 
 
+_KB_STATEMENTS = {
+    "concept": _parse_concept_line,
+    "belong": _parse_belong_line,
+    "relation": _parse_relation_line,
+    "tree": _parse_tree_line,
+}
+
+
 def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
     """``input,result,status,launched``: an input in [0, 1], a result, a status and a 0/1 flag.
 
@@ -258,27 +280,30 @@ def _parse_state(raw: str, line_no: int, line: str) -> ProbabilityState:
     """
     parts = raw.split(",")
     if len(parts) != 4:
-        raise ParseError(f"bad state spec {raw}", line_no, _column_of(line, raw))
+        raise ParseError(f"bad state spec {raw}", line_no, _value_column(line, "state"))
 
-    def column(i: int) -> int:
-        return _column_of(line, raw) + sum(len(part) + 1 for part in parts[:i])
+    def offset(i: int) -> int:  # of part i in the value
+        return sum(len(part) + 1 for part in parts[:i])
 
-    input_prob = _parse_float(parts[0], line_no, line, "input")
+    input_prob = _parse_float(parts[0], line_no, line, "input", "state")
     if not 0.0 <= input_prob <= 1.0:  # NaN fails this too
-        raise ParseError(f"input probability out of [0, 1]: {parts[0]}", line_no, column(0))
-    result_prob = _parse_float(parts[1], line_no, line, "result")
+        column = _value_column(line, "state")
+        raise ParseError(f"input probability out of [0, 1]: {parts[0]}", line_no, column)
+    result_prob = _parse_float(parts[1], line_no, line, "result", "state", offset(1))
     if not 0.0 <= result_prob < math.inf:
-        raise ParseError(f"result probability negative or not finite: {parts[1]}", line_no, column(1))
-    status = _parse_status(parts[2], line_no, line)
+        column = _value_column(line, "state", offset(1))
+        raise ParseError(f"result probability negative or not finite: {parts[1]}", line_no, column)
+    status = _parse_status(parts[2], line_no, line, "state", offset(2))
     if parts[3] not in ("0", "1"):
-        raise ParseError(f"launched flag must be 0 or 1: {parts[3]}", line_no, column(3))
+        column = _value_column(line, "state", offset(3))
+        raise ParseError(f"launched flag must be 0 or 1: {parts[3]}", line_no, column)
     return ProbabilityState(input_prob, result_prob, status, launched=parts[3] == "1")
 
 
-def _parse_status(raw: str, line_no: int, line: str) -> Status:
+def _parse_status(raw: str, line_no: int, line: str, key: str, offset: int = 0) -> Status:
     status = _STATUS_OF_TEXT.get(raw)
     if status is None:
-        raise ParseError(f"unknown status {raw}", line_no, _column_of(line, raw))
+        raise ParseError(f"unknown status {raw}", line_no, _value_column(line, key, offset))
     return status
 
 
@@ -364,89 +389,91 @@ _CONFIG_ALIASES = {
 _CONFIG_KEYS = {_CONFIG_ALIASES.get(f.name, f.name): f.name for f in fields(EngineConfig)}
 
 
-def _declare_id(declared: dict[str, int], element_id: str, line_no: int, line: str, prefix: str) -> None:
-    """Record an element id that a statement declares as ``prefix`` + id; a repeat is a ParseError."""
-    if element_id in declared:
-        column = line.index(prefix + element_id, len(line.split(None, 1)[0])) + 1
-        raise ParseError(
-            f"duplicate id {element_id}, first declared on line {declared[element_id]}", line_no, column
-        )
-    declared[element_id] = line_no
+def _duplicate_id(
+    declared: dict[str, int], element_id: str, line_no: int, line: str, prefix: str
+) -> ParseError:
+    """The error for an id declared again, located at ``prefix`` + id after the statement's head."""
+    column = line.index(prefix + element_id, len(line.split(None, 1)[0])) + 1
+    first = declared[element_id]
+    return ParseError(f"duplicate id {element_id}, first declared on line {first}", line_no, column)
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
     """Read a scenario; an id declared twice is a ParseError."""
     doc = ScenarioDoc()
-    declared: dict[str, int] = {}  # element id -> the line that declared it
-    for line_no, raw_line in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw_line).strip()
-        if not line:
-            continue
-        tokens = _split_statement(line)
-        head = tokens[0]
-        if head == "config":
-            for key, value in _kv(tokens[1:], line_no, line).items():
-                if key not in _CONFIG_KEYS:
-                    raise ParseError(f"unknown config key {key}", line_no, _column_of(line, key))
-                try:
-                    parse_config_value(_CONFIG_KEYS[key], value)
-                except ValueError as err:
-                    token = f"{key}={value}"
-                    raise ParseError(
-                        f"bad config value {token}: {err}", line_no, _column_of(line, token)
-                    ) from err
-                if key in doc.config:
-                    doc.warnings.append(f"line {line_no}: duplicate config key {key}; last wins")
-                doc.config[key] = value
-                doc.config_line = line_no
-        elif head == "input":
-            if len(tokens) < 2:
-                raise ParseError("input needs a base id", line_no)
-            kv = _kv(tokens[2:], line_no, line)
-            spec = ConceptSpec(
-                base=tokens[1],
-                p=_parse_float(kv.pop("p", "0.0"), line_no, line, "p"),
-                as_id=kv.pop("as", None),
-                var=kv.pop("var", "false").lower() == "true",
-                line=line_no,
-            )
-            if not 0.0 <= spec.p <= 1.0:
-                raise ParseError(f"input probability out of range: {spec.p}", line_no)
-            if spec.as_id is not None:
-                _declare_id(declared, spec.as_id, line_no, line, "as=")
-            for key in ("value", "interval"):
-                if key in kv:
-                    _set_value(spec, key, kv.pop(key), line_no, line)
-            for key, value in kv.items():
-                spec.params[key] = parse_param_value(value, line_no, line)
-            doc.concepts.append(spec)
-        elif head == "relation":
-            kind, a, b, pba, pab, base, kv = _relation_statement(tokens, line_no, line)
-            _declare_id(declared, tokens[1], line_no, line, "")
-            p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p")
-            spec = RelationSpec(
-                rel_id=tokens[1], kind=kind, a=a, b=b, pba=pba, pab=pab, p=p, base=base, line=line_no
-            )
-            for key, value in kv.items():
-                spec.params[key] = parse_param_value(value, line_no, line)
-            doc.relations.append(spec)
-        elif head == "expect":
-            if len(tokens) < 2:
-                raise ParseError("expect needs an element id", line_no)
-            kv = _kv(tokens[2:], line_no, line)
-            status = None
-            if "status" in kv:
-                status = _parse_status(kv.pop("status"), line_no, line)
-            doc.expects.append(
-                Expectation(
-                    element=tokens[1],
-                    p=_parse_float(kv.pop("p", "1.0"), line_no, line, "p"),
-                    status=status,
-                )
-            )
-        else:
-            raise ParseError(f"unknown statement {head}", line_no, 1)
+    _read_statements(text, _SCENARIO_STATEMENTS, doc, {})  # element id -> the line that declared it
     return doc
+
+
+def _parse_config_statement(doc, declared, tokens, line_no, line) -> None:
+    for key, value in _kv(tokens[1:], line_no, line).items():
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key}", line_no, _column_of(line, key))
+        try:
+            parse_config_value(_CONFIG_KEYS[key], value)
+        except ValueError as err:
+            token = f"{key}={value}"
+            raise ParseError(f"bad config value {token}: {err}", line_no, _column_of(line, token)) from err
+        if key in doc.config:
+            doc.warnings.append(f"line {line_no}: duplicate config key {key}; last wins")
+        doc.config[key] = value
+        doc.config_line = line_no
+
+
+def _parse_input_statement(doc, declared, tokens, line_no, line) -> None:
+    if len(tokens) < 2:
+        raise ParseError("input needs a base id", line_no)
+    kv = _kv(tokens[2:], line_no, line)
+    p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p", "p")
+    if not 0.0 <= p <= 1.0:
+        raise ParseError(f"input probability out of range: {p}", line_no, _value_column(line, "p"))
+    as_id = kv.pop("as", None)
+    if as_id is not None:
+        if as_id in declared:
+            raise _duplicate_id(declared, as_id, line_no, line, "as=")
+        declared[as_id] = line_no
+    spec = ConceptSpec(tokens[1], p, as_id, kv.pop("var", "false").lower() == "true", None, {}, line_no)
+    if kv:
+        for key in ("value", "interval"):
+            if key in kv:
+                _set_value(spec, key, kv.pop(key), line_no, line)
+        for key, value in kv.items():
+            spec.params[key] = parse_param_value(value, line_no, line, key)
+    doc.concepts.append(spec)
+
+
+def _parse_relation_statement(doc, declared, tokens, line_no, line) -> None:
+    kind, a, b, pba, pab, base, kv = _relation_statement(tokens, line_no, line)
+    rel_id = tokens[1]
+    if rel_id in declared:
+        raise _duplicate_id(declared, rel_id, line_no, line, "")
+    declared[rel_id] = line_no
+    p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p", "p")
+    if not 0.0 <= p <= 1.0:
+        raise ParseError(f"relation probability out of range: {p}", line_no, _value_column(line, "p"))
+    spec = RelationSpec(rel_id, kind, a, b, pba, pab, p, base, {}, line_no)
+    for key, value in kv.items():
+        spec.params[key] = parse_param_value(value, line_no, line, key)
+    doc.relations.append(spec)
+
+
+def _parse_expect_statement(doc, declared, tokens, line_no, line) -> None:
+    if len(tokens) < 2:
+        raise ParseError("expect needs an element id", line_no)
+    kv = _kv(tokens[2:], line_no, line)
+    status = None
+    if "status" in kv:
+        status = _parse_status(kv.pop("status"), line_no, line, "status")
+    p = _parse_float(kv.pop("p", "1.0"), line_no, line, "p", "p")
+    doc.expects.append(Expectation(element=tokens[1], p=p, status=status))
+
+
+_SCENARIO_STATEMENTS = {
+    "config": _parse_config_statement,
+    "input": _parse_input_statement,
+    "relation": _parse_relation_statement,
+    "expect": _parse_expect_statement,
+}
 
 
 def engine_config(doc: ScenarioDoc, base: Optional[EngineConfig] = None) -> EngineConfig:

@@ -78,6 +78,7 @@ def test_fit_bad_scenario_id_is_a_parse_error(tmp_path, capsys, scenario):
          "does not match base r_fe"),
         ("input eye p=0.6 as=e1\nrelation r kind=BELONG_TO a=eye b=e1\n", 2, "would make eye belong to itself"),
         ("input eye p=0.6 as=e1\nrelation r kind=ADJOINING a=e1 b=e1\n", 2, "ends on itself"),
+        ("input nose p=0.5 as=n1\ninput eye p=0.6 as=e1 w=gauss:1,0\n", 2, "gaussian sigma must be positive"),
     ],
 )
 def test_fit_scenario_the_task_refuses_is_a_parse_error(tmp_path, capsys, scenario, line, message):
@@ -87,6 +88,14 @@ def test_fit_scenario_the_task_refuses_is_a_parse_error(tmp_path, capsys, scenar
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}, column 1: ")
     assert message in err and "internal error" not in err
+
+
+def test_fit_scenario_relation_probability_out_of_range_is_located(tmp_path, capsys):
+    path = tmp_path / "p.scenario"
+    path.write_text("input eye p=0.6 as=e1\ninput nose p=0.5 as=n1\nrelation r kind=ADJOINING a=e1 b=n1 p=1.5\n")
+    assert main(["fit", "--kb", str(DATA / "face.kb"), "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3, column 39: relation probability out of range: 1.5")
 
 
 def test_fit_meets_expectations(tmp_path, capsys):

@@ -303,6 +303,58 @@ class TestParseScenario:
     @pytest.mark.parametrize(
         "text, where, message",
         [
+            ("input eye p=1.5\n", "line 1, column 13", "input probability out of range: 1.5"),
+            (
+                "input f p=0.6 as=f1\ninput e p=0.6 as=e1\nrelation x kind=HAS_PART a=f1 b=e1 p=1.5\n",
+                "line 3, column 38", "relation probability out of range: 1.5",
+            ),
+            ("relation x kind=HAS_PART a=f1 b=e1 p=nan\n", "line 1, column 38", "relation probability out of range: nan"),
+            ("relation x kind=HAS_PART a=f1 b=e1 p=-0.1\n", "line 1, column 38", "relation probability out of range"),
+        ],
+    )
+    def test_a_scenario_probability_out_of_range_is_located(self, text, where, message):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(f"{where}: {message}")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("input eye p=0.6 as=e1 interval=1,1\n", 1, "interval requires lo < hi"),
+            ("input eye p=0.6 as=e1 value=interval:2,1\n", 1, "interval requires lo < hi"),
+            ("input eye p=0.6 as=e1 w=gauss:1,0\n", 1, "gaussian sigma must be positive"),
+            (
+                "input f p=0.6 as=f1\ninput e p=0.6 as=e1\nrelation x kind=HAS_PART a=f1 b=e1 pba=gauss:1,0\n",
+                3, "gaussian sigma must be positive",
+            ),
+        ],
+    )
+    def test_a_value_the_engine_refuses_is_a_parse_error_of_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == (line, 1)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "parse, text, column, message",
+        [
+            (parse_scenario, "input x p=x\n", 11, "p: not a number: x"),
+            (parse_scenario, "relation r kind=HAS_PART a=kind b=y pba=kind\n", 41, "bad probability spec: kind"),
+            (parse_kb, "concept kind\nrelation r kind=HAS_PART a=kind b=kind pba=kind\n", 44, "bad probability spec"),
+            (parse_scenario, "input i interval=1,i\n", 20, "interval hi: not a number: i"),
+            (parse_scenario, "input x w=gauss:1,1,\n", 19, "gauss sigma: not a number: 1,"),
+            (parse_kb, "concept x state=0.1,0.1,0,0\n", 25, "unknown status 0"),
+        ],
+    )
+    def test_a_bad_value_is_located_in_its_own_token(self, parse, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.column == column
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
             (
                 "input eye p=0.6 as=e1\ninput nose p=0.5 as=e1\n",
                 "line 2, column 18", "duplicate id e1, first declared on line 1",
