@@ -18,7 +18,6 @@ from dcnet import (
     RelationSpec,
     Scene,
     cnl_run,
-    element_count,
     serialize_kb,
 )
 
@@ -39,7 +38,7 @@ def main():
     kb = CognitiveNetwork()
     report = cnl_run([triangle_scene(n) for n in range(10)], kb)
     print("  learned roots:", report.learned_roots)
-    print("  knowledge size:", element_count(kb), "elements")
+    print("  knowledge size:", kb.element_count(), "elements")
     candidate = report.candidates["learned#1"]
     print("  applications:", candidate.success_count, "of", candidate.trial_count)
     print("  still flagged as new:", candidate.new_knowledge)
@@ -61,10 +60,10 @@ def main():
     print(f"  P(p3|root) = {fwd}  (structure retained: {kb2.has('p3')})")
 
     print("\nscenes already explained learn nothing more")
-    before = element_count(kb)
+    before = kb.element_count()
     again = cnl_run([triangle_scene(99)], kb, registry=report.candidates)
     print("  new roots:", again.learned_roots, "| knowledge size unchanged:",
-          element_count(kb) == before)
+          kb.element_count() == before)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from dcnet import (
     ConceptSpec,
     EngineConfig,
     PrunePolicy,
-    element_count,
     fit_run,
     make_task,
     parse_kb,
@@ -75,9 +74,9 @@ def main():
     print("  resumed trace suffix equals the uninterrupted one:", suffix == full[cut:])
 
     print("\nprune the collapsed tree and keep circulating")
-    before = element_count(resumed.states[0].net)
+    before = resumed.states[0].net.element_count()
     report = prune_task(resumed, PrunePolicy())
-    after = element_count(resumed.states[0].net)
+    after = resumed.states[0].net.element_count()
     print(f"  removed {len(report.removed)} elements ({before} -> {after});",
           "the root keeps its certainty:",
           resumed.states[0].net.element("face1").state.result_prob == 1.0)

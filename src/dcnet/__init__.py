@@ -4,107 +4,25 @@ Knowledge is a heterogeneous graph of concepts and bidirectional relations.
 Scenes are fitted by omnidirectional matching and growth driven by probability
 propagation and collapse; queries match templates completely; unexplained data
 grows new tree networks.
+
+The public API is ``__all__``: each module states its own share in its
+``__all__``, and the package re-exports exactly those names.
 """
-from .core import (
-    CognitiveNetwork,
-    Concept,
-    ConditionalProbabilityPair,
-    ConflictError,
-    DcnetError,
-    DepthError,
-    DerivedMapping,
-    Gaussian,
-    GrowthBlockedError,
-    Interval,
-    KindError,
-    LookupMissing,
-    ParameterError,
-    ProbabilityState,
-    Relation,
-    RelationKind,
-    Status,
-    StructureError,
-    TreeInstance,
-    TreeNetworkView,
-    belongs_to,
-    check_derived_network,
-    classify_tree_network,
-    element_count,
-)
-from .growth import (
-    ConceptSpec,
-    FitReport,
-    FitState,
-    FitTask,
-    FragmentRecord,
-    RelationSpec,
-    fit_run,
-    fit_step,
-    grow_concept,
-    grow_link,
-    grow_tree,
-    make_task,
-)
-from .kbio import (
-    Expectation,
-    ParseError,
-    ScenarioDoc,
-    build_task,
-    check_expectations,
-    emit_trace,
-    parse_kb,
-    parse_scenario,
-    serialize_kb,
-    trace_text,
-)
-from .learning import (
-    DeviationStandard,
-    KnowledgeCandidate,
-    LearnReport,
-    MergeReport,
-    Scene,
-    cnl_run,
-    deviation_membership,
-    merge_similar,
-    single_sample_structure,
-)
-from .lifecycle import (
-    ChainStep,
-    LoadError,
-    PrunePolicy,
-    PruneReport,
-    iterate_step,
-    prune,
-    prune_task,
-    reason_chain,
-    session_load,
-    session_save,
-)
-from .matching import MatchResult, match_complete, match_concept, match_nested, match_tree
-from .probability import (
-    ContributionLedger,
-    EngineConfig,
-    Mode,
-    collapse_element,
-    gaussian_membership,
-    mean_probability,
-    pps_launch,
-    relational_membership,
-    settle,
-    superpose,
-    superpose_n,
-    unsuperpose,
-)
-from .query import (
-    Binding,
-    QueryOutcome,
-    QueryTemplate,
-    ReasonedAnswer,
-    TemplateElement,
-    TemplateRelation,
-    query_match,
-    query_reason,
-)
-from .trace import Trace, TraceEvent
+from . import core, growth, kbio, learning, lifecycle, matching, probability, query, trace
+from .core import *
+from .growth import *
+from .kbio import *
+from .learning import *
+from .lifecycle import *
+from .matching import *
+from .probability import *
+from .query import *
+from .trace import *
+
+__all__ = [
+    name
+    for module in (trace, core, probability, matching, growth, kbio, lifecycle, query, learning)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

@@ -16,6 +16,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
+__all__ = [
+    "DcnetError", "LookupMissing", "StructureError", "ParameterError", "KindError", "ConflictError",
+    "GrowthBlockedError", "DepthError",
+    "RelationKind", "Interval", "Gaussian", "Status", "ProbabilityState", "ConditionalProbabilityPair",
+    "Concept", "Relation", "TreeNetworkView", "DerivedMapping", "TreeInstance", "CognitiveNetwork",
+    "belongs_to", "classify_tree_network", "check_derived_network",
+]
+
 
 class DcnetError(Exception):
     """Base class for all engine errors."""
@@ -303,9 +311,6 @@ class TreeInstance:
     root: str
     mapping: dict[str, str] = field(default_factory=dict)
 
-    def element_ids(self) -> list[str]:
-        return list(self.mapping.values())
-
     def copy(self) -> "TreeInstance":
         return TreeInstance(self.base_root, self.root, dict(self.mapping))
 
@@ -499,14 +504,10 @@ class CognitiveNetwork:
         """
         return self._trees_version
 
-    def incident(self, element_id: str) -> list[str]:
-        """Relations touching an element, in insertion order."""
-        return list(self._incident.get(element_id, ()))
-
     def incident_view(self, element_id: str) -> Sequence[str]:
-        """``incident(element_id)`` without the copy: the store's own list, to read only.
+        """Relations touching an element, in insertion order: the store's own list, to read only.
 
-        Do not change the network while walking it.
+        Do not change the network while walking it; take a ``list`` of it to keep.
         """
         return self._incident.get(element_id, ())
 
@@ -1429,8 +1430,3 @@ def check_derived_network(
     )
     found = next(search, None)
     return None if found is None else DerivedMapping(found)
-
-
-def element_count(net: CognitiveNetwork) -> int:
-    """Total number of concepts and relations."""
-    return net.element_count()

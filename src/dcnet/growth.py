@@ -41,6 +41,12 @@ from .probability import (
 )
 from .trace import Trace
 
+__all__ = [
+    "grow_concept", "grow_link", "grow_tree",
+    "FragmentRecord", "FitState", "FitTask", "ConceptSpec", "RelationSpec", "FitReport",
+    "make_task", "fit_step", "fit_run",
+]
+
 # Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
 _BELONG_TO = RelationKind.BELONG_TO
 _XOR = RelationKind.XOR
@@ -88,7 +94,7 @@ def grow_relation(net: CognitiveNetwork, base_rel_id: str, a: str, b: str, trace
 def _find_existing_link(
     net: CognitiveNetwork, a: str, b: str, base_rel: Relation
 ) -> Optional[Relation]:
-    for rel_id in net.incident(a):
+    for rel_id in net.incident_view(a):
         rel = net.relations[rel_id]
         if rel.kind is not base_rel.kind:
             continue
@@ -337,13 +343,10 @@ class FitState:
         """``net.knowledge``, read-only; kept for callers outside the engine."""
         return self.net.knowledge
 
-    def instance_ids(self) -> list[str]:
-        return self.net.instance_ids()
-
     def content_ids(self) -> list[str]:
         """Instance elements minus belong-to glue: the scene content proper."""
         out = []
-        for e in self.instance_ids():
+        for e in self.net.instance_ids():
             rel = self.net.relations.get(e)
             if rel is not None and rel.kind is _BELONG_TO:
                 continue
@@ -495,7 +498,7 @@ def _combine_context(state: FitState, element: str) -> list[str]:
     """The fragment element plus instance neighbors within one relation hop."""
     out = [element]
     net = state.net
-    for rel_id in net.incident(element):
+    for rel_id in net.incident_view(element):
         if rel_id in net.knowledge:
             continue
         rel = net.relations[rel_id]
@@ -669,17 +672,8 @@ class FitReport:
     complete: bool
     unmatched: list[str]
 
-    @property
-    def learning_trigger(self) -> bool:
-        return bool(self.unmatched)
-
     def selected_state(self) -> FitState:
         return self.task.states[self.selected]
-
-    def state_means(self) -> list[float]:
-        return [
-            mean_probability(s.net, s.content_ids()) for s in self.task.states
-        ]
 
 
 def fit_run(task: FitTask, limit: Optional[int] = None) -> FitReport:

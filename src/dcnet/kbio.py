@@ -6,10 +6,10 @@ and parse -> serialize -> parse is an identity.
 """
 from __future__ import annotations
 
-import io
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, Optional, Union
 
 from .core import (
     CognitiveNetwork,
@@ -28,7 +28,12 @@ from .core import (
 )
 from .growth import ConceptSpec, FitTask, RelationSpec, ingest, make_task
 from .probability import EngineConfig, parse_config_value
-from .trace import Trace, TraceEvent
+from .trace import Trace
+
+__all__ = [
+    "ParseError", "parse_kb", "serialize_kb", "Expectation", "ScenarioDoc", "parse_scenario",
+    "build_task", "check_expectations", "trace_text",
+]
 
 # Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
 _BELONG_TO = RelationKind.BELONG_TO
@@ -64,20 +69,23 @@ def _strip_comment(raw_line: str) -> str:
         idx += 1
 
 
-def _column_of(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _column(line: str, token: Union[int, str], offset: int = 0) -> int:
+    """The column of the character ``offset`` into a token, in the line as written.
+
+    ``token`` is an index into ``line.split()``, or a key, naming the last
+    ``key=`` token, the one ``_kv`` keeps; 1 when no token has the key.
+    Only error paths call this.
+    """
+    tokens = [(match.start(), match.group()) for match in re.finditer(r"\S+", line)]  # as ``line.split()``
+    if isinstance(token, str):
+        keyed = [start for start, text in tokens if text.startswith(token + "=")]
+        return keyed[-1] + 1 + offset if keyed else 1
+    return tokens[token][0] + 1 + offset
 
 
 def _value_column(line: str, key: str, offset: int = 0) -> int:
-    """Column of the character ``offset`` into the value of the last ``key=`` token, the one ``_kv`` keeps."""
-    column, pos = 1, 0
-    for token in line.split():
-        pos = line.index(token, pos)
-        if token.startswith(key + "="):
-            column = pos + len(key) + 2 + offset
-        pos += len(token)
-    return column
+    """The column of the character ``offset`` into the value of the last ``key=`` token."""
+    return _column(line, key, len(key) + 1 + offset)
 
 
 def _parse_float(token: str, line_no: int, line: str, label: str, key: str, offset: int = 0) -> float:
@@ -138,12 +146,14 @@ def _kind(raw: str, line_no: int, line: str) -> RelationKind:
     return kind
 
 
-def _kv(tokens: list[str], line_no: int, line: str) -> dict[str, str]:
+def _kv(tokens: list[str], start: int, line_no: int, line: str) -> dict[str, str]:
+    """The ``key=value`` tokens from ``tokens[start]`` on; a later key wins."""
     out: dict[str, str] = {}
-    for tok in tokens:
+    for tok in tokens[start:]:
         key, eq, value = tok.partition("=")
-        if not eq:
-            raise ParseError(f"expected key=value, got {tok}", line_no, _column_of(line, tok))
+        if not eq:  # a token equal to it, earlier, would have failed first: so ``index`` finds this one
+            column = _column(line, tokens.index(tok, start))
+            raise ParseError(f"expected key=value, got {tok}", line_no, column)
         out[key] = value
     return out
 
@@ -158,13 +168,13 @@ def _read_statements(text: str, statements: dict, *target) -> None:
     A DcnetError that a reader raises becomes a ParseError of its line.
     """
     for line_no, raw_line in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw_line).strip()
-        if not line:
-            continue
+        line = _strip_comment(raw_line)  # indented as written, so that error columns count from its start
         tokens = line.split()
+        if not tokens:
+            continue
         reader = statements.get(tokens[0])
         if reader is None:
-            raise ParseError(f"unknown statement {tokens[0]}", line_no, 1)
+            raise ParseError(f"unknown statement {tokens[0]}", line_no, _column(line, 0))
         try:
             reader(*target, tokens, line_no, line)
         except ParseError:
@@ -184,7 +194,7 @@ def _parse_concept_line(net, tokens, line_no, line) -> Concept:
         raise ParseError("concept needs an id", line_no)
     concept = Concept(id=tokens[1])
     state = None
-    for key, value in _kv(tokens[2:], line_no, line).items():
+    for key, value in _kv(tokens, 2, line_no, line).items():
         if key in ("value", "interval"):
             _set_value(concept, key, value, line_no, line)
         elif key == "name":
@@ -204,7 +214,7 @@ def _parse_belong_line(net, tokens, line_no, line) -> None:
         raise ParseError("belong needs derived and base ids", line_no)
     backward = 1.0
     state = None
-    for key, value in _kv(tokens[3:], line_no, line).items():
+    for key, value in _kv(tokens, 3, line_no, line).items():
         if key == "pab":
             backward = _parse_float(value, line_no, line, "pab", key)
         elif key == "state":
@@ -230,7 +240,7 @@ def _relation_statement(tokens, line_no, line):
     """A relation statement's kind, ends, conditional specs and base, then its other keys raw."""
     if len(tokens) < 2:
         raise ParseError("relation needs an id", line_no)
-    kv = _kv(tokens[2:], line_no, line)
+    kv = _kv(tokens, 2, line_no, line)
     for required in ("kind", "a", "b"):
         if required not in kv:
             raise ParseError(f"relation {tokens[1]} missing {required}=", line_no)
@@ -259,7 +269,7 @@ def _set_value(target, key: str, raw: str, line_no: int, line: str) -> None:
 def _parse_tree_line(net, tokens, line_no, line) -> None:
     if len(tokens) < 3:
         raise ParseError("tree needs a root and members=", line_no)
-    kv = _kv(tokens[2:], line_no, line)
+    kv = _kv(tokens, 2, line_no, line)
     declare_tree(net, tokens[1], [m for m in kv.get("members", "").split(",") if m])
 
 
@@ -390,11 +400,11 @@ _CONFIG_KEYS = {_CONFIG_ALIASES.get(f.name, f.name): f.name for f in fields(Engi
 
 
 def _duplicate_id(
-    declared: dict[str, int], element_id: str, line_no: int, line: str, prefix: str
+    declared: dict[str, int], element_id: str, line_no: int, line: str, token: Union[int, str]
 ) -> ParseError:
-    """The error for an id declared again, located at ``prefix`` + id after the statement's head."""
-    column = line.index(prefix + element_id, len(line.split(None, 1)[0])) + 1
+    """The error for an id declared again, located at the token that declares it (see ``_column``)."""
     first = declared[element_id]
+    column = _column(line, token)
     return ParseError(f"duplicate id {element_id}, first declared on line {first}", line_no, column)
 
 
@@ -406,14 +416,14 @@ def parse_scenario(text: str) -> ScenarioDoc:
 
 
 def _parse_config_statement(doc, declared, tokens, line_no, line) -> None:
-    for key, value in _kv(tokens[1:], line_no, line).items():
+    for key, value in _kv(tokens, 1, line_no, line).items():
         if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown config key {key}", line_no, _column_of(line, key))
+            raise ParseError(f"unknown config key {key}", line_no, _column(line, key))
         try:
             parse_config_value(_CONFIG_KEYS[key], value)
         except ValueError as err:
             token = f"{key}={value}"
-            raise ParseError(f"bad config value {token}: {err}", line_no, _column_of(line, token)) from err
+            raise ParseError(f"bad config value {token}: {err}", line_no, _column(line, key)) from err
         if key in doc.config:
             doc.warnings.append(f"line {line_no}: duplicate config key {key}; last wins")
         doc.config[key] = value
@@ -423,14 +433,14 @@ def _parse_config_statement(doc, declared, tokens, line_no, line) -> None:
 def _parse_input_statement(doc, declared, tokens, line_no, line) -> None:
     if len(tokens) < 2:
         raise ParseError("input needs a base id", line_no)
-    kv = _kv(tokens[2:], line_no, line)
+    kv = _kv(tokens, 2, line_no, line)
     p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p", "p")
     if not 0.0 <= p <= 1.0:
         raise ParseError(f"input probability out of range: {p}", line_no, _value_column(line, "p"))
     as_id = kv.pop("as", None)
     if as_id is not None:
         if as_id in declared:
-            raise _duplicate_id(declared, as_id, line_no, line, "as=")
+            raise _duplicate_id(declared, as_id, line_no, line, "as")
         declared[as_id] = line_no
     spec = ConceptSpec(tokens[1], p, as_id, kv.pop("var", "false").lower() == "true", None, {}, line_no)
     if kv:
@@ -446,7 +456,7 @@ def _parse_relation_statement(doc, declared, tokens, line_no, line) -> None:
     kind, a, b, pba, pab, base, kv = _relation_statement(tokens, line_no, line)
     rel_id = tokens[1]
     if rel_id in declared:
-        raise _duplicate_id(declared, rel_id, line_no, line, "")
+        raise _duplicate_id(declared, rel_id, line_no, line, 1)
     declared[rel_id] = line_no
     p = _parse_float(kv.pop("p", "0.0"), line_no, line, "p", "p")
     if not 0.0 <= p <= 1.0:
@@ -460,7 +470,7 @@ def _parse_relation_statement(doc, declared, tokens, line_no, line) -> None:
 def _parse_expect_statement(doc, declared, tokens, line_no, line) -> None:
     if len(tokens) < 2:
         raise ParseError("expect needs an element id", line_no)
-    kv = _kv(tokens[2:], line_no, line)
+    kv = _kv(tokens, 2, line_no, line)
     status = None
     if "status" in kv:
         status = _parse_status(kv.pop("status"), line_no, line, "status")
@@ -536,14 +546,6 @@ def check_expectations(net: CognitiveNetwork, expects: Iterable[Expectation], to
 # trace emission
 
 
-def emit_trace(events: Iterable[TraceEvent], sink: TextIO) -> None:
-    """One canonical line per event."""
-    for event in events:
-        sink.write(event.format())
-        sink.write("\n")
-
-
 def trace_text(trace: Trace) -> str:
-    buffer = io.StringIO()
-    emit_trace(trace.events, buffer)
-    return buffer.getvalue()
+    """One canonical line per event (``TraceEvent.format``), each ending in a newline."""
+    return "".join(f"{event.format()}\n" for event in trace.events)

@@ -27,6 +27,11 @@ from .core import (
 from .growth import ConceptSpec, FitReport, FitState, RelationSpec, fit_run, make_task
 from .probability import EngineConfig, gaussian_membership, param_membership
 
+__all__ = [
+    "Scene", "KnowledgeCandidate", "DeviationStandard", "LearnReport", "MergeReport",
+    "deviation_membership", "single_sample_structure", "cnl_run", "merge_similar",
+]
+
 # Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
 _HAS_COMPONENT = RelationKind.HAS_COMPONENT
 _ADJOINING = RelationKind.ADJOINING
@@ -73,9 +78,6 @@ class LearnReport:
 @dataclass
 class MergeReport:
     merged: list[tuple[str, str]] = field(default_factory=list)
-
-
-DEFAULT_PRIORS: dict = {"adjacency_kinds": frozenset({RelationKind.ADJOINING})}
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +129,10 @@ def deviation_membership(
 # hypothesis construction
 
 
-def _adjacency_components(
-    unexplained: list[str], scene_relations: Sequence[RelationSpec], kinds: frozenset
-) -> list[list[str]]:
+def _adjacency_components(unexplained: list[str], adjoining: Sequence[RelationSpec]) -> list[list[str]]:
     pool = set(unexplained)
     neighbors: dict[str, set[str]] = {e: set() for e in unexplained}
-    for spec in scene_relations:
-        if spec.kind not in kinds:
-            continue
+    for spec in adjoining:
         if spec.a in pool and spec.b in pool:
             neighbors[spec.a].add(spec.b)
             neighbors[spec.b].add(spec.a)
@@ -174,7 +172,7 @@ def _select(report: FitReport) -> FitState:
     """
     states = report.task.states
     collapsed = [i for i in report.ranking if states[i].fully_collapsed()]
-    best = min(collapsed, key=lambda i: len(states[i].instance_ids()), default=report.selected)
+    best = min(collapsed, key=lambda i: len(states[i].net.instance_ids()), default=report.selected)
     return states[best]
 
 
@@ -235,48 +233,34 @@ def _add_certain(
         kb.add_relation(Relation(id=rel_id, kind=kind, a=a, b=b, cond=cond, params=dict(params or {})))
 
 
-def hypothesize_scene(
+def _hypothesize(
     kb: CognitiveNetwork,
     scene,
-    report: FitReport,
-    priors: Optional[dict] = None,
-    registry: Optional[dict[str, KnowledgeCandidate]] = None,
+    state: FitState,
+    standard: Optional[DeviationStandard],
+    registry: Optional[dict[str, KnowledgeCandidate]],
 ) -> tuple[list[str], list[str]]:
-    """Create or extend hypothesis trees for a scene's unexplained instances.
+    """Create or extend hypothesis trees for the unexplained instances of a scene's fitted state.
 
     Returns (new roots, extended roots).  Clusters are connected components
     under the observed adjacency relations; a cluster adjacent to an explained
     instance extends that instance's tree instead of founding a new root.
     """
-    return _hypothesize(kb, scene, _select(report), priors, registry)
-
-
-def _hypothesize(
-    kb: CognitiveNetwork,
-    scene,
-    state: FitState,
-    priors: Optional[dict],
-    registry: Optional[dict[str, KnowledgeCandidate]],
-) -> tuple[list[str], list[str]]:
     unexplained = _unexplained(state)
     if not unexplained:
         return [], []
 
-    priors = {**DEFAULT_PRIORS, **(priors or {})}
-    kinds = frozenset(priors["adjacency_kinds"])
-    standard: Optional[DeviationStandard] = priors.get("deviation")
     spec_by_element: dict[str, ConceptSpec] = {}
     for frag, spec in zip(state.fragments, scene.concepts):
         spec_by_element[frag.element] = spec
     placements = _placements_of(state)
+    adjoining = [spec for spec in scene.relations if spec.kind is _ADJOINING]
     new_roots: list[str] = []
     extended: list[str] = []
-    for cluster in _adjacency_components(unexplained, scene.relations, kinds):
+    for cluster in _adjacency_components(unexplained, adjoining):
         host_root: Optional[str] = None
         bridges: list[tuple[str, str]] = []  # (explained base member, cluster element)
-        for spec in scene.relations:
-            if spec.kind not in kinds:
-                continue
+        for spec in adjoining:
             for near, far in ((spec.a, spec.b), (spec.b, spec.a)):
                 if near in cluster and far in placements:
                     root, member = placements[far]
@@ -298,9 +282,7 @@ def _hypothesize(
             base_id = _ensure_member_base(kb, spec or ConceptSpec(base=None), standard)
             member_bases[element] = base_id
             _add_certain(kb, f"r:{root_id}:{base_id}", _HAS_COMPONENT, root_id, base_id)
-        for spec in scene.relations:
-            if spec.kind not in kinds:
-                continue
+        for spec in adjoining:
             if spec.a in member_bases and spec.b in member_bases:
                 a, b = member_bases[spec.a], member_bases[spec.b]
                 observed = next(s.params for s in scene.relations if {s.a, s.b} == {spec.a, spec.b})
@@ -328,15 +310,18 @@ def _hypothesize(
 def single_sample_structure(
     kb: CognitiveNetwork,
     scene,
-    priors: Optional[dict] = None,
+    deviation: Optional[DeviationStandard] = None,
     config: Optional[EngineConfig] = None,
     registry: Optional[dict[str, KnowledgeCandidate]] = None,
 ) -> list[str]:
-    """One scene's hypothesis pipeline: fit, cluster the unexplained, build trees."""
-    config = config or EngineConfig()
-    task = make_task(kb, config, scene.concepts, scene.relations)
-    report = fit_run(task)
-    new_roots, extended = hypothesize_scene(kb, scene, report, priors, registry)
+    """One scene's hypothesis pipeline: fit, cluster the unexplained, build trees.
+
+    ``deviation`` acts on the hypotheses only: an unexplained observation it
+    finds outside its base's definition founds a derived base.  Unlike in
+    ``cnl_run``, the fit does not count a deviant instance as unexplained.
+    """
+    state = _select(fit_run(make_task(kb, config or EngineConfig(), scene.concepts, scene.relations)))
+    new_roots, extended = _hypothesize(kb, scene, state, deviation, registry)
     return new_roots + extended
 
 
@@ -347,7 +332,7 @@ def single_sample_structure(
 def cnl_run(
     scenes: Sequence,
     kb: CognitiveNetwork,
-    priors: Optional[dict] = None,
+    deviation: Optional[DeviationStandard] = None,
     config: Optional[EngineConfig] = None,
     registry: Optional[dict[str, KnowledgeCandidate]] = None,
 ) -> LearnReport:
@@ -357,24 +342,24 @@ def cnl_run(
     conditional probabilities are re-estimated as success ratios.  At the end
     each unconfirmed candidate's tree is declared again over its members, a
     candidate tried more than ``confirm_count`` times is confirmed, and similar
-    knowledge is merged.
+    knowledge is merged.  With ``deviation``, a fitted instance whose
+    parameters it finds deviant counts as unexplained, and an unexplained
+    observation outside its base's definition founds a derived base.
     """
-    priors = {**DEFAULT_PRIORS, **(priors or {})}
     config = config or EngineConfig()
     registry = registry if registry is not None else {}
-    standard: Optional[DeviationStandard] = priors.get("deviation")
     report = LearnReport(candidates=registry)
 
     for scene in scenes:
         if not scene.concepts:
             report.scenes += 1
             continue
-        state = _fit_scene(kb, scene, config, standard)
-        new_roots, extended = _hypothesize(kb, scene, state, priors, registry)
+        state = _fit_scene(kb, scene, config, deviation)
+        new_roots, extended = _hypothesize(kb, scene, state, deviation, registry)
         if new_roots or extended:
             report.learned_roots.extend(new_roots)
             report.extended_roots.extend(r for r in extended if r not in report.extended_roots)
-            state = _fit_scene(kb, scene, config, standard)
+            state = _fit_scene(kb, scene, config, deviation)
         _count_applications(state, registry, set(new_roots))
         report.scenes += 1
 
@@ -602,7 +587,7 @@ def _absorb_tree(
             kb.remove_element(rel_id)
     for m_a, m_b in pairs:
         if m_a != m_b and kb.has(m_b):
-            if not kb.incident(m_b):
+            if not kb.incident_view(m_b):
                 kb.remove_element(m_b)
     if kb.has(root_b):
         kb.remove_element(root_b)

@@ -17,6 +17,7 @@ from .core import (
     CognitiveNetwork,
     Concept,
     DcnetError,
+    Gaussian,
     KindError,
     RelationKind,
     Status,
@@ -40,7 +41,6 @@ from .kbio import ParseError, parse_kb, serialize_kb
 from .probability import (
     ContributionLedger,
     EngineConfig,
-    Gaussian,
     LaunchRecord,
     LedgerEntry,
     Mode,
@@ -48,6 +48,11 @@ from .probability import (
     parse_config_value,
 )
 from .trace import EVENT_KINDS, Trace, TraceEvent
+
+__all__ = [
+    "LoadError", "PrunePolicy", "PruneReport", "prune", "prune_task",
+    "ChainStep", "reason_chain", "iterate_step", "session_save", "session_load",
+]
 
 # Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
 _COLLAPSED = Status.COLLAPSED

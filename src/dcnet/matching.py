@@ -53,7 +53,6 @@ from .core import (
     TreeNetworkView,
     ValueTerm,
     belongs_to,
-    check_derived_network,
     kind_compatible,
     lineage,
     match_pattern,
@@ -69,6 +68,8 @@ from .probability import (
     superpose,
 )
 from .trace import NullTrace
+
+__all__ = ["MatchResult", "match_concept", "match_tree", "match_nested"]
 
 # Enum members read as globals, as in ``core``: a class attribute read costs far more on 3.10-3.11.
 _SIMPLIFIED = Mode.SIMPLIFIED
@@ -494,13 +495,3 @@ def match_nested(
         mapping=mapping,
         membership=match.membership(inputs, degrees),
     )
-
-
-def match_complete(
-    net: CognitiveNetwork,
-    fragment_ids: list[str],
-    base_ids: list[str],
-    wildcards: frozenset[str] = frozenset(),
-) -> bool:
-    """True iff a total derived-network mapping of the base onto the fragment exists."""
-    return check_derived_network(net, fragment_ids, base_ids, wildcards=wildcards) is not None

@@ -19,13 +19,11 @@ from typing import Iterable, Optional, Sequence, get_type_hints
 from .core import (
     CognitiveNetwork,
     Concept,
-    ConditionalProbabilityPair,
     ConflictError,
     Gaussian,
     Interval,
     KindError,
     ParameterError,
-    ProbabilityState,
     Relation,
     RelationKind,
     Status,
@@ -43,27 +41,9 @@ _COLLAPSED = Status.COLLAPSED
 _SUPPRESSED = Status.SUPPRESSED
 
 __all__ = [
-    "Mode",
-    "EngineConfig",
-    "parse_config_value",
-    "format_config_value",
-    "LedgerEntry",
-    "LaunchRecord",
-    "ContributionLedger",
-    "LedgerCorruption",
-    "CertaintyUndo",
-    "gaussian_membership",
-    "superpose",
-    "unsuperpose",
-    "superpose_n",
-    "param_membership",
-    "relational_membership",
-    "pps_launch",
-    "collapse_element",
-    "settle",
-    "mean_probability",
-    "ProbabilityState",
-    "ConditionalProbabilityPair",
+    "Mode", "EngineConfig", "ContributionLedger",
+    "gaussian_membership", "superpose", "unsuperpose", "superpose_n", "relational_membership",
+    "pps_launch", "collapse_element", "settle", "mean_probability",
 ]
 
 
@@ -116,9 +96,6 @@ class EngineConfig:
     def collapse_at(self) -> float:
         """The least result that is ready to collapse."""
         return 1.0 if self.mode is _SIMPLIFIED else self.collapse_threshold
-
-    def collapse_ready(self, result: float) -> bool:
-        return result >= self.collapse_at
 
 
 _CONFIG_TYPES = get_type_hints(EngineConfig)

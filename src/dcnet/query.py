@@ -23,6 +23,11 @@ from .lifecycle import grow_across, lateral_candidates
 from .probability import ContributionLedger, EngineConfig, param_membership
 from .trace import NullTrace
 
+__all__ = [
+    "TemplateElement", "TemplateRelation", "QueryTemplate", "Binding", "ReasonedAnswer", "QueryOutcome",
+    "query_match", "query_reason",
+]
+
 
 @dataclass
 class TemplateElement:
@@ -155,7 +160,7 @@ def query_reason(
     frontier: list[str] = []
     for anchor in anchors:
         frontier.append(anchor)
-        frontier.extend(overlay.incident(anchor))
+        frontier.extend(overlay.incident_view(anchor))
     chains: dict[str, list[str]] = {}
 
     for _ in range(max_steps):
@@ -193,7 +198,7 @@ def query_reason(
 
 
 def _already_grown(net: CognitiveNetwork, element: str, base_rel_id: str) -> bool:
-    for rel_id in net.incident(element):
+    for rel_id in net.incident_view(element):
         rel = net.relations[rel_id]
         if rel.base == base_rel_id:
             return True

@@ -6,8 +6,9 @@ makes golden-trace tests and session resumption checks possible.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+
+__all__ = ["TraceEvent", "Trace"]
 
 EVENT_KINDS = frozenset((
     "launch",
@@ -21,20 +22,6 @@ EVENT_KINDS = frozenset((
     "learn",
 ))
 
-_PRECISION_ENV = "DCNET_TRACE_PRECISION"
-_BASE_PRECISION = 9
-
-
-def trace_precision() -> int:
-    """Fractional digits for trace values; the env var may widen, never narrow."""
-    raw = os.environ.get(_PRECISION_ENV)
-    if raw is None:
-        return _BASE_PRECISION
-    try:
-        return max(_BASE_PRECISION, int(raw))
-    except ValueError:
-        return _BASE_PRECISION
-
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -46,10 +33,10 @@ class TraceEvent:
     result: float
 
     def format(self) -> str:
-        p = trace_precision()
+        """The event's canonical line, values with 9 fractional digits."""
         return (
             f"step={self.step} event={self.event} src={self.src} dst={self.dst} "
-            f"value={self.value:.{p}f} result={self.result:.{p}f}"
+            f"value={self.value:.9f} result={self.result:.9f}"
         )
 
 
@@ -97,9 +84,6 @@ class Trace:
         if event not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind: {event}")
         self._rows.extend((event, src, dst, float(value), float(result)))
-
-    def lines(self) -> list[str]:
-        return [ev.format() for ev in self.events]
 
 
 class NullTrace(Trace):

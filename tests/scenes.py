@@ -62,7 +62,7 @@ def xor_reach_from_scratch(net: CognitiveNetwork) -> set[str]:
     while frontier:
         cur = frontier.pop()
         below = list(net.relations_based_on(cur))
-        for rel_id in net.incident(cur):
+        for rel_id in list(net.incident_view(cur)):
             edge = net.relations[rel_id]
             if edge.kind is RelationKind.BELONG_TO and edge.b == cur:
                 below.append(edge.a)
@@ -369,7 +369,7 @@ def assert_same_network(a: CognitiveNetwork, b: CognitiveNetwork) -> None:
     assert ids == b.element_ids()
     for el_id in ids:
         assert a.element(el_id) == b.element(el_id), el_id
-        assert a.incident(el_id) == b.incident(el_id), el_id
+        assert list(a.incident_view(el_id)) == list(b.incident_view(el_id)), el_id
         assert a.relations_based_on(el_id) == b.relations_based_on(el_id), el_id
     assert sorted(ids, key=a.position_key) == sorted(ids, key=b.position_key) == ids
     assert xor_relations(a) == xor_relations(b)

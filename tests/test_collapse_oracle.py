@@ -124,7 +124,7 @@ def scan_first_collapse_ready(net, config, kb_ids) -> Optional[str]:
         if el_id in kb_ids:
             continue
         state = net.state(el_id)
-        if state.status is Status.SUPERPOSED and config.collapse_ready(state.result_prob):
+        if state.status is Status.SUPERPOSED and state.result_prob >= config.collapse_at:
             return el_id
     return None
 

@@ -1,7 +1,6 @@
 """Text formats: knowledge documents, scenarios, trace lines."""
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from dcnet.kbio import (
     ParseError,
     build_task,
     check_expectations,
-    emit_trace,
     parse_kb,
     parse_scenario,
     serialize_kb,
@@ -344,6 +342,14 @@ class TestParseScenario:
             (parse_scenario, "input i interval=1,i\n", 20, "interval hi: not a number: i"),
             (parse_scenario, "input x w=gauss:1,1,\n", 19, "gauss sigma: not a number: 1,"),
             (parse_kb, "concept x state=0.1,0.1,0,0\n", 25, "unknown status 0"),
+            # a token is found by its place in the line, not by its text, and indentation counts
+            (parse_kb, "concept x x\n", 11, "expected key=value, got x"),
+            (parse_kb, "relation r kind=HAS_PART a=x b=y x\n", 34, "expected key=value, got x"),
+            (parse_scenario, "relation r kind=HAS_PART a=x b=y x\n", 34, "expected key=value, got x"),
+            (parse_scenario, "input x x\n", 9, "expected key=value, got x"),
+            (parse_scenario, "config collapse=0.9 p=1\n", 21, "unknown config key p"),
+            (parse_scenario, "  input eye p=1.5\n", 15, "input probability out of range: 1.5"),
+            (parse_kb, "  relation r kind=WIBBLE a=x b=y\n", 19, "unknown kind WIBBLE"),
         ],
     )
     def test_a_bad_value_is_located_in_its_own_token(self, parse, text, column, message):
@@ -419,21 +425,12 @@ class TestTraceFormat:
         )
 
     def test_empty_trace(self):
-        sink = io.StringIO()
-        emit_trace([], sink)
-        assert sink.getvalue() == ""
+        assert trace_text(Trace()) == ""
 
     def test_collapse_carries_unit_value(self):
         trace = Trace()
         trace.record("collapse", "face1", "face1", 1.0, 1.0)
         assert "value=1.000000000 result=1.000000000" in trace_text(trace).strip()
-
-    def test_precision_env_widen_only(self, monkeypatch):
-        ev = TraceEvent(0, "launch", "a", "a", 0.5, 0.5)
-        monkeypatch.setenv("DCNET_TRACE_PRECISION", "12")
-        assert "value=0.500000000000" in ev.format()
-        monkeypatch.setenv("DCNET_TRACE_PRECISION", "4")
-        assert "value=0.500000000 " in ev.format()
 
     def test_determinism_across_runs(self):
         from scenes import face_task

@@ -133,7 +133,7 @@ def oracle_pps_launch(
         nonlocal seq
         if element in net.relations:
             return
-        for rel_id in net.incident(element):
+        for rel_id in list(net.incident_view(element)):
             rel = net.relations[rel_id]
             if rel.kind is RelationKind.BELONG_TO:
                 continue
@@ -197,7 +197,7 @@ def oracle_ready_scan(net: CognitiveNetwork, config: EngineConfig, kb_ids: froze
         if element_id in kb_ids:
             return False
         state = net.element(element_id).state  # a read: ``net.state`` would touch every element
-        return state.status is Status.SUPERPOSED and config.collapse_ready(state.result_prob)
+        return state.status is Status.SUPERPOSED and state.result_prob >= config.collapse_at
 
     return [(net.position_key(e), e) for e in net.element_ids() if ready(e)]
 

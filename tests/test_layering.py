@@ -1,9 +1,11 @@
-"""Module layering: imports run one way, and no dcnet module reaches into another module's or
-object's private names."""
+"""Module layering: imports run one way, no dcnet module reaches into another module's or
+object's private names, and the public API is stated once, in the modules' ``__all__`` lists."""
 from __future__ import annotations
 
 import ast
+import importlib
 import random
+from collections import defaultdict
 from pathlib import Path
 
 import dcnet
@@ -215,11 +217,7 @@ def test_every_module_level_import_is_used():
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         imported.pop("annotations", None)  # ``from __future__ import annotations`` is a switch
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                used.update(ast.literal_eval(node.value))
+        used.update(_declared_api(tree))
         offenders.extend(
             f"{path.name}:{line} imports {name}" for name, line in imported.items() if name not in used
         )
@@ -320,3 +318,80 @@ def test_knowledge_ids_are_read_from_the_network_not_passed_around():
     assert offenders == []
     assert defined == [("growth", ["property"])]
     assert dcnet.FitState.kb_ids.fset is None
+
+
+def _declared_api(tree: ast.Module) -> list[str]:
+    """The names a module's ``__all__`` lists, or none when it has no ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _module_apis() -> dict[str, list[str]]:
+    return {
+        path.stem: _declared_api(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def test_the_package_api_is_the_union_of_the_module_apis():
+    """``dcnet.__all__`` is stated once, by the modules: each name in one list, and each resolves."""
+    owners: dict[str, list[str]] = defaultdict(list)
+    unresolved = []
+    for stem, names in _module_apis().items():
+        module = importlib.import_module(f"dcnet.{stem}")
+        for name in names:
+            owners[name].append(stem)
+            if not hasattr(module, name) or getattr(dcnet, name, None) is not getattr(module, name):
+                unresolved.append(f"{stem}.{name}")
+    assert {name: stems for name, stems in owners.items() if len(stems) > 1} == {}
+    assert unresolved == []
+    assert sorted(dcnet.__all__) == sorted(owners)
+    assert len(set(dcnet.__all__)) == len(dcnet.__all__)
+
+
+def test_every_public_name_is_used_or_declared():
+    """A public module-level function or class that no code in ``src/dcnet`` refers to is API.
+
+    It must then be in its module's ``__all__``; a name that is neither used
+    nor declared is dead code.  A reference inside the name's own definition
+    (recursion) does not count; an attribute of the same name does.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    used: set[str] = set()
+    for tree in trees.values():
+        for statement in tree.body:
+            found = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    found.update(alias.name for alias in node.names)
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.discard(statement.name)
+            used |= found
+    apis = _module_apis()
+    offenders = [
+        f"{stem}.{statement.name}"
+        for stem, tree in trees.items()
+        if stem != "__init__"
+        for statement in tree.body
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not statement.name.startswith("_")
+        and statement.name not in used
+        and statement.name not in apis[stem]
+    ]
+    assert offenders == []
+
+
+def test_a_star_import_binds_exactly_the_api():
+    namespace: dict = {}
+    exec("from dcnet import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(dcnet.__all__)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dcnet.core import CognitiveNetwork, Gaussian, RelationKind, element_count
+from dcnet.core import CognitiveNetwork, Gaussian, RelationKind
 from dcnet.growth import ConceptSpec, RelationSpec
 from dcnet.kbio import parse_kb, serialize_kb
 from dcnet.learning import (
@@ -93,7 +93,7 @@ class TestCnlRecovery:
         assert report.learned_roots == ["learned#1"]
         view = kb.trees["learned#1"]
         # one root, three members, three component and three adjacency relations
-        assert element_count(kb) == 10
+        assert kb.element_count() == 10
         assert set(view.concepts) == {"learned#1", "p1", "p2", "p3"}
         candidate = report.candidates["learned#1"]
         assert candidate.success_count == 10
@@ -120,10 +120,10 @@ class TestCnlRecovery:
     def test_explained_scenes_learn_nothing(self):
         kb = CognitiveNetwork()
         cnl_run([_triangle_scene(0)], kb)
-        count = element_count(kb)
+        count = kb.element_count()
         report = cnl_run([_triangle_scene(1), _triangle_scene(2)], kb)
         assert report.learned_roots == []
-        assert element_count(kb) == count
+        assert kb.element_count() == count
 
     def test_empty_scene_is_skipped_but_counted(self):
         kb = CognitiveNetwork()
@@ -152,8 +152,7 @@ class TestCnlRecovery:
                                              params={"weight": 3.2})])
         giant = Scene(concepts=[ConceptSpec(base="cat", p=1.0, as_id="cat_b",
                                             params={"weight": 50.0})])
-        priors = {"deviation": DeviationStandard(threshold=0.5)}
-        report = cnl_run([normal, giant], kb, priors=priors)
+        report = cnl_run([normal, giant], kb, deviation=DeviationStandard(threshold=0.5))
         assert len(report.learned_roots) == 1
         # the in-standard scene was explained by the existing tree alone
         candidate = report.candidates[report.learned_roots[0]]
@@ -233,7 +232,7 @@ class TestSingleSampleStructure:
         roots = single_sample_structure(kb, scene)
         assert len(roots) == 1
         # root + member + one component relation
-        assert element_count(kb) == 3
+        assert kb.element_count() == 3
 
     def test_nothing_unexplained_returns_empty(self):
         kb = CognitiveNetwork()
@@ -279,9 +278,9 @@ class TestMergeSimilar:
 
     def test_merged_kb_never_grows(self):
         kb, registry = self._learned_pair()
-        before = element_count(kb)
+        before = kb.element_count()
         merge_similar(kb, EngineConfig(), registry)
-        assert element_count(kb) <= before
+        assert kb.element_count() <= before
 
     def test_far_apart_distributions_do_not_merge(self):
         kb, registry = self._learned_pair(mu_a=1.0, mu_b=9.0)

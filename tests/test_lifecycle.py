@@ -13,10 +13,9 @@ from dcnet.core import (
     Status,
     TreeInstance,
     belongs_to,
-    element_count,
 )
 from dcnet.growth import DeferredGrowth, FragmentRecord, fit_run, fit_step
-from dcnet.kbio import build_task, parse_kb, parse_scenario
+from dcnet.kbio import build_task, parse_kb, parse_scenario, trace_text
 from dcnet.lifecycle import (
     _RECORDS,
     LoadError,
@@ -64,10 +63,10 @@ class TestPrune:
         task = face_task()
         fit_step(task)  # only the first fragment has launched; nothing collapsed
         state = task.states[0]
-        count = element_count(state.net)
+        count = state.net.element_count()
         report = prune(state.net, PrunePolicy(), ledger=state.ledger, trace=task.trace)
         assert report.removed == []
-        assert element_count(state.net) == count
+        assert state.net.element_count() == count
 
     def test_empty_policy_empty_net(self):
         net = CognitiveNetwork()
@@ -212,18 +211,18 @@ class TestIterateStep:
             1 for r in net.relations.values()
             if r.kind is RelationKind.BELONG_TO and r.a in instance.mapping.values()
         )
-        before = element_count(net)
+        before = net.element_count()
         new_root = iterate_step(net, root, RelationKind.MOVE, keep_history=True,
                                 config=config, ledger=ledger, trace=trace)
         assert new_root != root
-        assert element_count(net) == before + footprint + 1
+        assert net.element_count() == before + footprint + 1
 
     def test_pure_iteration_conserves_count(self):
         net, root, (config, ledger, trace) = _versioned_tree()
-        before = element_count(net)
+        before = net.element_count()
         new_root = iterate_step(net, root, RelationKind.MOVE, keep_history=False,
                                 config=config, ledger=ledger, trace=trace)
-        assert element_count(net) == before
+        assert net.element_count() == before
         assert not net.has(root)
         assert net.has(new_root)
 
@@ -356,7 +355,7 @@ class TestSessions:
         loaded = session_load(older)
         assert session_save(loaded) == current
         fit_run(loaded)
-        assert loaded.trace.lines()[cut:] == whole.trace.lines()[cut:]
+        assert trace_text(loaded.trace).splitlines()[cut:] == trace_text(whole.trace).splitlines()[cut:]
         with pytest.raises(LoadError) as err:
             session_load(older.replace("discard_floor=", "discard_flour="))
         assert "discard_flour" in str(err.value)

@@ -17,11 +17,12 @@ from dcnet.core import (
     DepthError,
     Gaussian,
     RelationKind,
+    check_derived_network,
 )
 from dcnet.growth import ConceptSpec, fit_run, make_task
-from dcnet.kbio import parse_kb, serialize_kb
+from dcnet.kbio import parse_kb, serialize_kb, trace_text
 from dcnet.lifecycle import session_load, session_save
-from dcnet.matching import match_complete, match_concept, match_nested, match_tree
+from dcnet.matching import match_concept, match_nested, match_tree
 from dcnet.probability import EngineConfig, Mode, superpose_n
 
 from scenes import FACE_INPUTS, concept, declare_tree, face_kb, hub_kb, hub_scene, relation
@@ -375,11 +376,11 @@ class TestKnowledgeBaseMemo:
         specs = [ConceptSpec(base=base, p=p, as_id=as_id) for base, p, as_id in FACE_INPUTS]
         saved = session_save(make_task(parse_kb(text), _config(), specs))
         counts = _counted(monkeypatch)
-        want = fit_run(make_task(parse_kb(text), _config(), specs)).task.trace.lines()
+        want = trace_text(fit_run(make_task(parse_kb(text), _config(), specs)).task.trace)
         assert counts["scratches"] > 0 and counts["launches"] > 0
         first = dict(counts)
-        assert fit_run(make_task(parse_kb(text), _config(), specs)).task.trace.lines() == want
-        assert fit_run(session_load(saved)).task.trace.lines() == want
+        assert trace_text(fit_run(make_task(parse_kb(text), _config(), specs)).task.trace) == want
+        assert trace_text(fit_run(session_load(saved)).task.trace) == want
         assert counts == first
 
     def test_a_thousand_edits_keep_the_table_in_bound(self):
@@ -521,20 +522,20 @@ class TestMatchComplete:
 
     def test_exact_copy_matches(self):
         net = self._pairs()
-        assert match_complete(
+        assert check_derived_network(
             net, ["R1", "a1", "b1", "ra1", "rb1"], ["R", "a", "b", "ra", "rb"]
-        )
+        ) is not None
 
     def test_missing_element_fails(self):
         net = self._pairs()
         net.remove_element("b1")
-        assert not match_complete(
+        assert check_derived_network(
             net, ["R1", "a1", "ra1"], ["R", "a", "b", "ra", "rb"]
-        )
+        ) is None
 
     def test_extras_allowed(self):
         net = self._pairs()
         concept(net, "extra")
-        assert match_complete(
+        assert check_derived_network(
             net, ["R1", "a1", "b1", "ra1", "rb1", "extra"], ["R", "a", "b", "ra", "rb"]
-        )
+        ) is not None

@@ -571,10 +571,10 @@ class TestSimplifiedMode:
         ledger, trace = ContributionLedger(), Trace()
         pps_launch(net, "m1", 1.0, config, ledger, trace)
         assert net.state("root").result_prob == pytest.approx(0.5)
-        assert not config.collapse_ready(net.state("root").result_prob)
+        assert net.state("root").result_prob < config.collapse_at
         pps_launch(net, "m2", 1.0, config, ledger, trace)
         assert net.state("root").result_prob == pytest.approx(1.0)
-        assert config.collapse_ready(net.state("root").result_prob)
+        assert net.state("root").result_prob >= config.collapse_at
         contributions = [e for e in ledger.entries if e.target == "root"]
         assert len(contributions) == 2
 

@@ -15,7 +15,6 @@ from dcnet.core import (
     Status,
     belongs_to,
     check_derived_network,
-    element_count,
 )
 from dcnet.growth import ConceptSpec, fit_run, grow_concept, ingest, make_task
 from dcnet.learning import Scene, _select, cnl_run
@@ -28,10 +27,10 @@ from scenes import concept, declare_tree, face_kb, face_task, member_tree_kb, re
 
 class TestElementCounts:
     def test_reference_kb_has_fifteen_elements(self):
-        assert element_count(face_kb()) == 15
+        assert face_kb().element_count() == 15
 
     def test_small_tree_has_seven(self):
-        assert element_count(member_tree_kb(3)) == 7
+        assert member_tree_kb(3).element_count() == 7
 
     def test_mean_probability_placeholder(self):
         net = CognitiveNetwork()
@@ -103,7 +102,7 @@ class TestOptimizationPrinciple:
         roots = {inst.base_root for inst in chosen.net.tree_instances}
         assert roots == {"ztree"}
         bigger = next(s for s in task.states if s is not chosen)
-        assert len(chosen.instance_ids()) < len(bigger.instance_ids())
+        assert len(chosen.net.instance_ids()) < len(bigger.net.instance_ids())
 
     def test_learning_selection_still_explains_the_scene(self):
         kb = self._two_size_kb()

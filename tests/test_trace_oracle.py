@@ -3,7 +3,7 @@
 ``ListTrace`` is the trace as it stood when every ``record`` built one
 ``TraceEvent``.  ``Trace`` keeps rows and builds the events when they are
 first read; on any interleaving of records, reads, a loader's direct appends
-and session round trips, both must show the same events, lines, step counter
+and session round trips, both must show the same events, text, step counter
 and saved text.
 """
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from dcnet.kbio import trace_text
 from dcnet.lifecycle import session_load, session_save
 from dcnet.trace import EVENT_KINDS, NullTrace, Trace, TraceEvent
 
@@ -36,9 +37,6 @@ class ListTrace:
         self.events.append(TraceEvent(self.next_step, event, src, dst, float(value), float(result)))
         self.next_step += 1
 
-    def lines(self) -> list[str]:
-        return [ev.format() for ev in self.events]
-
 
 def _outcome(call):
     try:
@@ -61,7 +59,7 @@ def _random_args(rng: random.Random) -> tuple:
 
 
 def test_the_row_trace_matches_the_list_trace():
-    """Records, valid or not, reads of ``events`` and ``lines()`` part-way through, a
+    """Records, valid or not, reads of ``events`` and ``trace_text`` part-way through, a
     loader's direct appends and step writes, and save, load, more records, save."""
     appends = roundtrips = rejected = 0
     for seed in range(CASES):
@@ -78,7 +76,7 @@ def test_the_row_trace_matches_the_list_trace():
             elif roll < 0.75:
                 assert rows.events == ref.events, where
             elif roll < 0.85:
-                assert rows.lines() == ref.lines(), where
+                assert trace_text(rows) == trace_text(ref), where
             elif roll < 0.95:  # as ``session_load`` does: the counter, then events as they stand
                 event = TraceEvent(rng.randint(0, 99), rng.choice(KINDS), "eye", "face", 0.5, rng.random())
                 next_step = rng.randint(0, 120)
@@ -93,7 +91,7 @@ def test_the_row_trace_matches_the_list_trace():
                 assert _saved(rows) == saved, where
                 roundtrips += 1
             assert rows.next_step == ref.next_step, where
-        assert rows.events == ref.events and rows.lines() == ref.lines(), seed
+        assert rows.events == ref.events and trace_text(rows) == trace_text(ref), seed
         assert _saved(rows) == _saved(ref), seed
     assert appends >= 500 and roundtrips >= 200 and rejected >= 500, (appends, roundtrips, rejected)
 
@@ -102,7 +100,7 @@ def test_a_null_trace_keeps_nothing():
     trace = NullTrace()
     for kind in KINDS:
         trace.record(kind, "a", "b", 0.5, 0.75)
-    assert trace.events == [] and trace.lines() == [] and trace.next_step == 0
+    assert trace.events == [] and trace_text(trace) == "" and trace.next_step == 0
 
 
 def test_events_are_built_once():

@@ -58,7 +58,7 @@ def oracle_component(net: CognitiveNetwork, root: str, restrict) -> list[str]:
         if cur in net.relations:
             rel = net.relations[cur]
             neighbors.extend((rel.a, rel.b))
-        neighbors.extend(net.incident(cur))
+        neighbors.extend(net.incident_view(cur))
         for nxt in neighbors:
             if nxt not in seen and (restrict is None or nxt in restrict):
                 frontier.append(nxt)
@@ -79,7 +79,7 @@ def oracle_classify(net: CognitiveNetwork, root: str, restrict=None):
     frontier = list(tops)
     while frontier:
         cur = frontier.pop(0)
-        for rel_id in net.incident(cur):
+        for rel_id in list(net.incident_view(cur)):
             if rel_id not in members or rel_id in longitudinal:
                 continue
             rel = net.relations[rel_id]
@@ -148,7 +148,7 @@ def _below(net: CognitiveNetwork, root: str) -> list[str]:
     el = net.element(root)
     frontier = [el.a, el.b] if isinstance(el, Relation) else [root]
     for cur in frontier:
-        for rel_id in net.incident(cur):
+        for rel_id in list(net.incident_view(cur)):
             rel = net.relations[rel_id]
             if is_longitudinal(rel.kind) and rel.a == cur and rel.b in net.concepts and rel.b not in frontier:
                 frontier.append(rel.b)
